@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "src/graph/dag.hpp"
@@ -75,6 +76,65 @@ std::size_t optimal_length_upper_bound(const Dag& dag, const Model& model);
 // computed and then deleted is gone for good, as is an empty Hong–Kung
 // source (uncomputable and unloadable) — callers get nullopt and may prune.
 
+/// Bit-mask plumbing shared by the evaluator's three mask widths (bit v of
+/// word v/64 = node v; three planes: red, blue, computed).
+namespace mask_ops {
+
+/// Encode a configuration read through color()/was_computed() into zeroed
+/// planes.
+template <class StateLike>
+void encode(std::uint64_t* red, std::uint64_t* blue, std::uint64_t* computed,
+            const StateLike& state, std::size_t node_count) {
+  for (std::size_t v = 0; v < node_count; ++v) {
+    const NodeId node = static_cast<NodeId>(v);
+    const std::size_t w = v >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    switch (state.color(node)) {
+      case PebbleColor::Red: red[w] |= bit; break;
+      case PebbleColor::Blue: blue[w] |= bit; break;
+      case PebbleColor::None: break;
+    }
+    if (state.was_computed(node)) computed[w] |= bit;
+  }
+}
+
+/// The planes after a *legal* move — mirrors BasicPackedState::apply /
+/// Engine::apply bit for bit.
+inline void apply(std::uint64_t* red, std::uint64_t* blue,
+                  std::uint64_t* computed, const Move& move) {
+  const std::size_t w = move.node >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (move.node & 63);
+  switch (move.type) {
+    case MoveType::Load:
+      red[w] |= bit;
+      blue[w] &= ~bit;
+      break;
+    case MoveType::Store:
+      blue[w] |= bit;
+      red[w] &= ~bit;
+      break;
+    case MoveType::Compute:
+      red[w] |= bit;
+      blue[w] &= ~bit;
+      computed[w] |= bit;
+      break;
+    case MoveType::Delete:
+      red[w] &= ~bit;
+      blue[w] &= ~bit;
+      break;
+  }
+}
+
+}  // namespace mask_ops
+
+/// Read-only word view of one configuration's masks, whatever their width.
+struct MaskPlanes {
+  const std::uint64_t* red;
+  const std::uint64_t* blue;
+  const std::uint64_t* computed;
+  std::size_t words;
+};
+
 /// Reusable per-state bound evaluator (holds scratch; not thread-safe —
 /// searches hold one per worker). Templated over anything with
 /// color(NodeId)/was_computed(NodeId) so the exact searches can evaluate
@@ -90,7 +150,8 @@ std::size_t optimal_length_upper_bound(const Dag& dag, const Model& model);
 /// edge-list chasing. DAGs of 65–128 nodes (the bigstate searches) run the
 /// same composition over two-word masks (WideStateMasks); 129 to
 /// kVecMaskMaxNodes nodes run it over runtime-width masks (MaskVec); only
-/// beyond that does the original walk remain.
+/// beyond that does the original walk remain. One body, templated on the
+/// word count, serves all three mask widths.
 ///
 /// attach_pdb folds an additive pattern database (solvers/bigstate/pdb.hpp)
 /// into both mask paths: the returned bound becomes
@@ -132,42 +193,13 @@ class StateBoundEvaluator {
     template <class StateLike>
     static StateMasks from(const StateLike& state, std::size_t node_count) {
       StateMasks m;
-      for (std::size_t v = 0; v < node_count; ++v) {
-        const NodeId node = static_cast<NodeId>(v);
-        const std::uint64_t bit = std::uint64_t{1} << v;
-        switch (state.color(node)) {
-          case PebbleColor::Red: m.red |= bit; break;
-          case PebbleColor::Blue: m.blue |= bit; break;
-          case PebbleColor::None: break;
-        }
-        if (state.was_computed(node)) m.computed |= bit;
-      }
+      mask_ops::encode(&m.red, &m.blue, &m.computed, state, node_count);
       return m;
     }
 
-    /// The successor configuration's masks after a *legal* move — mirrors
-    /// BasicPackedState::apply / Engine::apply bit for bit.
+    /// The successor configuration's masks after a *legal* move.
     void apply(const Move& move) {
-      const std::uint64_t bit = std::uint64_t{1} << move.node;
-      switch (move.type) {
-        case MoveType::Load:
-          red |= bit;
-          blue &= ~bit;
-          break;
-        case MoveType::Store:
-          blue |= bit;
-          red &= ~bit;
-          break;
-        case MoveType::Compute:
-          red |= bit;
-          blue &= ~bit;
-          computed |= bit;
-          break;
-        case MoveType::Delete:
-          red &= ~bit;
-          blue &= ~bit;
-          break;
-      }
+      mask_ops::apply(&red, &blue, &computed, move);
     }
   };
 
@@ -184,169 +216,52 @@ class StateBoundEvaluator {
     static WideStateMasks from(const StateLike& state,
                                std::size_t node_count) {
       WideStateMasks m;
-      for (std::size_t v = 0; v < node_count; ++v) {
-        const NodeId node = static_cast<NodeId>(v);
-        const std::size_t w = v >> 6;
-        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-        switch (state.color(node)) {
-          case PebbleColor::Red: m.red[w] |= bit; break;
-          case PebbleColor::Blue: m.blue[w] |= bit; break;
-          case PebbleColor::None: break;
-        }
-        if (state.was_computed(node)) m.computed[w] |= bit;
-      }
+      mask_ops::encode(m.red.data(), m.blue.data(), m.computed.data(), state,
+                       node_count);
       return m;
     }
 
-    /// The successor configuration's masks after a *legal* move — mirrors
-    /// StateMasks::apply word-for-word on the word holding the node.
     void apply(const Move& move) {
-      const std::size_t w = move.node >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (move.node & 63);
-      switch (move.type) {
-        case MoveType::Load:
-          red[w] |= bit;
-          blue[w] &= ~bit;
-          break;
-        case MoveType::Store:
-          blue[w] |= bit;
-          red[w] &= ~bit;
-          break;
-        case MoveType::Compute:
-          red[w] |= bit;
-          blue[w] &= ~bit;
-          computed[w] |= bit;
-          break;
-        case MoveType::Delete:
-          red[w] &= ~bit;
-          blue[w] &= ~bit;
-          break;
-      }
+      mask_ops::apply(red.data(), blue.data(), computed.data(), move);
     }
   };
 
   /// Runtime-width sibling of StateMasks / WideStateMasks for DAGs past 128
   /// nodes (bit v of word v/64 = node v, same layout, width chosen at
   /// construction). The three planes live in one allocation — red words,
-  /// then blue, then computed — inline while each plane fits two words
-  /// (n ≤ 128, the differential-test regime) and on the heap beyond. Same
-  /// contract as the fixed-width types: a search computes a parent's masks
-  /// once per expansion and derives each neighbor's in O(1) via apply().
+  /// then blue, then computed. Same contract as the fixed-width types: a
+  /// search computes a parent's masks once per expansion and derives each
+  /// neighbor's in O(1) via apply().
   class MaskVec {
    public:
-    /// Words per plane the inline buffer covers (mirrors WideStateMasks).
-    static constexpr std::size_t kInlineWords = 2;
-
     MaskVec() = default;
     explicit MaskVec(std::size_t node_count)
-        : words_(static_cast<std::uint32_t>((node_count + 63) / 64)) {
-      std::uint64_t* w = allocate();
-      std::fill(w, w + 3 * words_, std::uint64_t{0});
-    }
-    MaskVec(const MaskVec& o) : words_(o.words_) {
-      std::uint64_t* w = allocate();
-      std::copy(o.data(), o.data() + 3 * words_, w);
-    }
-    MaskVec(MaskVec&& o) noexcept : words_(o.words_) {
-      if (on_heap()) {
-        heap_ = o.heap_;
-        o.words_ = 0;
-      } else {
-        std::copy(o.inline_, o.inline_ + 3 * words_, inline_);
-      }
-    }
-    MaskVec& operator=(const MaskVec& o) {
-      if (this != &o) {
-        release();
-        words_ = o.words_;
-        std::uint64_t* w = allocate();
-        std::copy(o.data(), o.data() + 3 * words_, w);
-      }
-      return *this;
-    }
-    MaskVec& operator=(MaskVec&& o) noexcept {
-      if (this != &o) {
-        release();
-        words_ = o.words_;
-        if (on_heap()) {
-          heap_ = o.heap_;
-          o.words_ = 0;
-        } else {
-          std::copy(o.inline_, o.inline_ + 3 * words_, inline_);
-        }
-      }
-      return *this;
-    }
-    ~MaskVec() { release(); }
+        : words_((node_count + 63) / 64), planes_(3 * words_, 0) {}
 
     std::size_t words() const { return words_; }
-    std::uint64_t* red() { return data(); }
-    std::uint64_t* blue() { return data() + words_; }
-    std::uint64_t* computed() { return data() + 2 * words_; }
-    const std::uint64_t* red() const { return data(); }
-    const std::uint64_t* blue() const { return data() + words_; }
-    const std::uint64_t* computed() const { return data() + 2 * words_; }
+    std::uint64_t* red() { return planes_.data(); }
+    std::uint64_t* blue() { return planes_.data() + words_; }
+    std::uint64_t* computed() { return planes_.data() + 2 * words_; }
+    const std::uint64_t* red() const { return planes_.data(); }
+    const std::uint64_t* blue() const { return planes_.data() + words_; }
+    const std::uint64_t* computed() const {
+      return planes_.data() + 2 * words_;
+    }
 
     template <class StateLike>
     static MaskVec from(const StateLike& state, std::size_t node_count) {
       MaskVec m(node_count);
-      for (std::size_t v = 0; v < node_count; ++v) {
-        const NodeId node = static_cast<NodeId>(v);
-        const std::size_t w = v >> 6;
-        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-        switch (state.color(node)) {
-          case PebbleColor::Red: m.red()[w] |= bit; break;
-          case PebbleColor::Blue: m.blue()[w] |= bit; break;
-          case PebbleColor::None: break;
-        }
-        if (state.was_computed(node)) m.computed()[w] |= bit;
-      }
+      mask_ops::encode(m.red(), m.blue(), m.computed(), state, node_count);
       return m;
     }
 
-    /// The successor configuration's masks after a *legal* move — mirrors
-    /// WideStateMasks::apply word-for-word on the word holding the node.
     void apply(const Move& move) {
-      const std::size_t w = move.node >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (move.node & 63);
-      switch (move.type) {
-        case MoveType::Load:
-          red()[w] |= bit;
-          blue()[w] &= ~bit;
-          break;
-        case MoveType::Store:
-          blue()[w] |= bit;
-          red()[w] &= ~bit;
-          break;
-        case MoveType::Compute:
-          red()[w] |= bit;
-          blue()[w] &= ~bit;
-          computed()[w] |= bit;
-          break;
-        case MoveType::Delete:
-          red()[w] &= ~bit;
-          blue()[w] &= ~bit;
-          break;
-      }
+      mask_ops::apply(red(), blue(), computed(), move);
     }
 
    private:
-    bool on_heap() const { return words_ > kInlineWords; }
-    std::uint64_t* data() { return on_heap() ? heap_ : inline_; }
-    const std::uint64_t* data() const { return on_heap() ? heap_ : inline_; }
-    std::uint64_t* allocate() {
-      if (on_heap()) heap_ = new std::uint64_t[3 * words_];
-      return data();
-    }
-    void release() {
-      if (on_heap()) delete[] heap_;
-    }
-
-    std::uint32_t words_ = 0;  ///< words per plane
-    union {
-      std::uint64_t inline_[3 * kInlineWords];
-      std::uint64_t* heap_;
-    };
+    std::size_t words_ = 0;  ///< words per plane
+    std::vector<std::uint64_t> planes_;
   };
 
   /// Lower bound on the remaining completion cost in scaled units of
@@ -381,6 +296,27 @@ class StateBoundEvaluator {
   /// the fixed-width paths and lower_bound_generic in
   /// tests/solvers/test_maskvec.cpp.
   std::optional<std::int64_t> lower_bound_scaled(const MaskVec& state);
+
+  /// One mask width's structural caches as flat node-major words: node v's
+  /// predecessor mask and ancestor cone (v included) are the `words` words
+  /// at pred / cone + v·words; sinks and sources are one `words`-word mask
+  /// each. The expansion kernel (solvers/expander.hpp) derives move
+  /// legality from the same caches the bound composes its closure from.
+  /// Masks is StateMasks (n ≤ 64), WideStateMasks (n ≤ 128) or MaskVec
+  /// (n ≤ kVecMaskMaxNodes).
+  struct MaskCaches {
+    std::size_t words = 0;
+    const std::uint64_t* pred = nullptr;
+    const std::uint64_t* cone = nullptr;
+    const std::uint64_t* sinks = nullptr;
+    const std::uint64_t* sources = nullptr;
+  };
+  template <class Masks>
+  MaskCaches mask_caches() const {
+    if constexpr (std::is_same_v<Masks, StateMasks>) return view(caches1_);
+    if constexpr (std::is_same_v<Masks, WideStateMasks>) return view(caches2_);
+    if constexpr (std::is_same_v<Masks, MaskVec>) return view(cachesv_);
+  }
 
   /// Fold an additive pattern database into the mask paths: bounds become
   /// max(counting_bounds, pdb_sum). `pdb` must outlive the evaluator (or a
@@ -471,12 +407,22 @@ class StateBoundEvaluator {
   }
 
  private:
-  using WideMask = std::array<std::uint64_t, WideStateMasks::kWords>;
+  /// Owning storage behind a MaskCaches view.
+  struct Caches {
+    std::size_t words = 0;
+    std::vector<std::uint64_t> pred, cone, sinks, sources;
+  };
+  static MaskCaches view(const Caches& c) {
+    return {c.words, c.pred.data(), c.cone.data(), c.sinks.data(),
+            c.sources.data()};
+  }
+  static void build(Caches& c, const Dag& dag, std::size_t words);
 
-  /// The pattern-database floor for the current configuration, read through
-  /// `field(v)` (the node's 3-bit color|computed field). nullopt = dead.
-  template <class FieldFn>
-  std::optional<std::int64_t> pdb_floor(FieldFn&& field) const;
+  /// The one mask-composed bound body: kWords words per plane, or the
+  /// runtime width state.words when kWords is 0.
+  template <std::size_t kWords>
+  std::optional<std::int64_t> lower_bound_planes(const MaskPlanes& state,
+                                                 const MaskCaches& caches);
 
   const Engine* engine_;
   std::int64_t eps_num_;
@@ -484,27 +430,11 @@ class StateBoundEvaluator {
   const PatternDatabase* pdb_ = nullptr;
   BoundSource last_source_ = BoundSource::Counting;
 
-  // Structural caches for the mask path (empty beyond kMaskMaxNodes nodes).
-  std::vector<std::uint64_t> pred_mask_;  ///< predecessors of v
-  std::vector<std::uint64_t> cone_mask_;  ///< v plus all of its ancestors
-  std::uint64_t sinks_mask_ = 0;
-  std::uint64_t sources_mask_ = 0;
-
-  // Two-word caches for 65–128-node DAGs (empty otherwise).
-  std::vector<WideMask> pred_mask2_;
-  std::vector<WideMask> cone_mask2_;
-  WideMask sinks_mask2_{};
-  WideMask sources_mask2_{};
-
-  // Runtime-width caches, built for every n ≤ kVecMaskMaxNodes (the small
-  // sizes too, so a forced MaskVec run can be differentially compared
-  // against the fixed-width paths). Flat node-major layout: node v's mask
-  // is the W = maskv_words_ words starting at v * W.
-  std::size_t maskv_words_ = 0;
-  std::vector<std::uint64_t> pred_maskv_;
-  std::vector<std::uint64_t> cone_maskv_;
-  std::vector<std::uint64_t> sinks_maskv_;
-  std::vector<std::uint64_t> sources_maskv_;
+  // Structural caches per mask width: one word (n ≤ kMaskMaxNodes), two
+  // words (n ≤ kWideMaskMaxNodes) and the runtime width (n ≤
+  // kVecMaskMaxNodes). Each is built for every n it covers, so a forced
+  // wider path on a small instance can be compared against the narrower.
+  Caches caches1_, caches2_, cachesv_;
   // Scratch planes for the runtime-width evaluation (one evaluator per
   // search worker; not thread-safe, like the rest of the scratch).
   std::vector<std::uint64_t> scratchv_;
@@ -513,6 +443,17 @@ class StateBoundEvaluator {
   std::vector<std::uint8_t> mark_;
   std::vector<NodeId> stack_;
 };
+
+inline MaskPlanes planes_of(const StateBoundEvaluator::StateMasks& m) {
+  return {&m.red, &m.blue, &m.computed, 1};
+}
+inline MaskPlanes planes_of(const StateBoundEvaluator::WideStateMasks& m) {
+  return {m.red.data(), m.blue.data(), m.computed.data(),
+          StateBoundEvaluator::WideStateMasks::kWords};
+}
+inline MaskPlanes planes_of(const StateBoundEvaluator::MaskVec& m) {
+  return {m.red(), m.blue(), m.computed(), m.words()};
+}
 
 /// One-shot convenience wrapper over StateBoundEvaluator, in model-cost
 /// units. nullopt when `state` provably cannot be completed under `engine`.

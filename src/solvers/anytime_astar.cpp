@@ -5,16 +5,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
-#include "src/solvers/bigstate/ddd.hpp"
-#include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/bigstate/spill.hpp"
-#include "src/solvers/bigstate/var_state.hpp"
 #include "src/solvers/bucket_queue.hpp"
 #include "src/solvers/exact_astar.hpp"
-#include "src/solvers/packed_state.hpp"
+#include "src/solvers/expander.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -32,10 +27,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   const Model& model = engine.model();
   const std::size_t n = dag.node_count();
   const std::int64_t eps_den = model.epsilon().den();
-  const StopPredicate& should_stop = opt.should_stop;
   const obs::TraceSpan search_span("anytime.search", "nodes", n);
-  obs::Counter& expanded_counter =
-      obs::MetricsRegistry::instance().counter("search.expanded");
 
   const std::int64_t ceiling = universal_search_ceiling_scaled(dag, model);
 
@@ -51,21 +43,16 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       make_spill_directory(opt);
 
   std::optional<PatternDatabase> pdb;
-  if (bigstate_pdb_enabled(opt, n)) {
-    pdb.emplace(engine, opt.pdb_pattern_size, should_stop, opt.pdb_partition,
-                opt.max_memory_bytes != 0 ? opt.max_memory_bytes / 2 : 0);
-    if (pdb->build_aborted()) {
-      stats.termination = ExactTermination::Stopped;
-      return std::nullopt;
-    }
+  if (!build_search_pdb(pdb, engine, opt)) {
+    stats.termination = ExactTermination::Stopped;
+    return std::nullopt;
   }
-  StateBoundEvaluator bound(engine);
-  if (pdb) bound.attach_pdb(&*pdb);
+  Expander<Packed, Masks> expander(engine, pdb ? &*pdb : nullptr, stats,
+                                   opt.progress != nullptr);
   const std::size_t pdb_bytes = pdb ? pdb->table_bytes() : 0;
 
-  const GameState start_state = engine.initial_state();
-  const Packed start = Packed::from_state(start_state);
-  const std::optional<std::int64_t> start_h = bound.lower_bound_scaled(start);
+  const Packed start = expander.start();
+  const std::optional<std::int64_t> start_h = expander.bound(start);
 
   // The proved lower bound on the optimum. The admissible start bound never
   // exceeds a verified completion's cost, so the clamp is purely defensive.
@@ -105,18 +92,6 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     }
     return result;
   };
-  // A pass's table dies with the pass; fold its footprint into the stats
-  // before it does. Spill counters accumulate, byte peaks take the max.
-  auto harvest = [&](Table& table) {
-    stats.table_bytes = std::max(stats.table_bytes, table.bytes());
-    stats.spilled_states += table.spilled_states();
-    stats.spill_bytes += table.spill_bytes();
-    stats.spill_peak_bytes =
-        std::max(stats.spill_peak_bytes, table.spill_peak_bytes());
-    stats.merge_passes += table.merge_passes();
-    stats.spill_io_error = stats.spill_io_error || table.spill_io_error();
-    stats.table_headroom_stop = stats.table_headroom_stop || table.headroom_stop();
-  };
   auto epsilon_target_met = [&] {
     return have_trace && L > 0 && C > L &&
            static_cast<double>(C - L) <=
@@ -133,7 +108,8 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
                      ///< weighted priority never does.
   };
   std::size_t& expanded = stats.states_expanded;
-  ExactTermination why = ExactTermination::StateBudget;
+  SearchCheckpoint checkpoint("anytime.checkpoint", expanded, opt.should_stop,
+                              opt.progress);
 
   for (std::size_t pass = 0; pass < schedule.size(); ++pass) {
     if (C <= L) return finish(ExactTermination::Solved);
@@ -156,12 +132,17 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     auto weighted = [&](std::int64_t g, std::int64_t h) {
       return std::min(g + (h * w.num) / w.den, max_priority);
     };
+    // A pass's table dies with the pass; fold its footprint into the stats
+    // before it does.
+    auto end_pass = [&](ExactTermination why) {
+      harvest_table_stats(stats, table, false);
+      return finish(why);
+    };
 
     table.set_overhead_bytes(pdb_bytes + queue.bytes());
     if (table.relax(start.key(), 0, start.key(), Move{MoveType::Load, 0}) ==
         Table::Relax::OutOfMemory) {
-      harvest(table);
-      return finish(ExactTermination::MemoryBudget);
+      return end_pass(ExactTermination::MemoryBudget);
     }
     queue.push(weighted(0, *start_h), {start.key(), 0, *start_h});
 
@@ -185,35 +166,21 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       if (item.f >= C) continue;
       const auto pop = table.begin_expansion(item.key, item.g);
       if (pop == Table::Pop::OutOfMemory) {
-        harvest(table);
-        return finish(ExactTermination::MemoryBudget);
+        return end_pass(ExactTermination::MemoryBudget);
       }
       if (pop == Table::Pop::Skip) {
         ++stats.dup_skipped;
         continue;
       }
-      const std::int64_t g = item.g;
-      const Packed current = Packed::from_key(item.key, n);
-      GameState state = current.to_state(n);
-      const Masks masks = Masks::from(current, n);
-      if (engine.is_complete(state)) {
+      if (expander.enter(item.key)) {
         // item.f < C and h ≥ 0 give g < C: a strictly better incumbent.
         // Unlike exact A*, keep popping — weighted order may surface an
         // even cheaper completion later in the same pass.
         table.settle();
-        std::vector<Move> reversed;
-        Key cursor = item.key;
-        while (!(cursor == start.key())) {
-          const auto& link = table.at(cursor);
-          reversed.push_back(link.via);
-          cursor = link.parent;
-        }
-        Trace trace;
-        for (std::size_t i = reversed.size(); i-- > 0;) {
-          trace.push(reversed[i]);
-        }
-        best_trace = std::move(trace);
-        C = g;
+        best_trace = reconstruct_trace(
+            item.key, start.key(),
+            [&](const Key& key) { return table.at(key); });
+        C = item.g;
         have_trace = true;
         incumbent_from_seed = false;
         continue;
@@ -222,38 +189,18 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         cut = true;
         break;
       }
-      if ((expanded & 0x3Fu) == 0) {
-        table.set_overhead_bytes(pdb_bytes + queue.bytes());
-        if (should_stop && should_stop()) {
-          // A cancelled pass proves nothing beyond its predecessors.
-          harvest(table);
-          return finish(ExactTermination::Stopped);
-        }
-        if (expanded != 0) {
-          expanded_counter.add(64);
-          if ((expanded & 0x3FFu) == 0 && obs::trace_enabled()) {
-            obs::trace_instant("anytime.checkpoint", "expanded", expanded);
-          }
-          // Progress sampling rides the same 1024-expansion cadence as the
-          // exact loops. The frontier here is L, the proved certificate
-          // bound — a weighted pass pops out of unweighted-f order, so the
-          // popped priority is NOT a frontier min; L is what the anytime
-          // tier actually certifies and it only moves at pass boundaries.
-          if ((expanded & 0x3FFu) == 0 && opt.progress != nullptr &&
-              opt.progress->due()) {
-            obs::ProgressObservation ob;
+      const bool go = checkpoint.poll(
+          [&] { table.set_overhead_bytes(pdb_bytes + queue.bytes()); },
+          [&](obs::ProgressObservation& ob) {
+            // The frontier here is L, the proved certificate bound — a
+            // weighted pass pops out of unweighted-f order, so the popped
+            // priority is NOT a frontier min; L is what the anytime tier
+            // actually certifies and it only moves at pass boundaries.
             ob.expanded = expanded;
             ob.frontier_f_scaled = L;
             ob.incumbent_scaled = have_trace ? C : -1;
-            ob.open_states = queue.size();
-            queue.for_each([&](std::int64_t priority, const QueueItem& qi) {
-              (void)priority;  // weighted — summarize the unweighted f
-              if (ob.open_f_min < 0 || qi.f < ob.open_f_min)
-                ob.open_f_min = qi.f;
-              ob.open_f_max = std::max(ob.open_f_max, qi.f);
-              if (ob.open_g_min < 0 || qi.g < ob.open_g_min)
-                ob.open_g_min = qi.g;
-              ob.open_g_max = std::max(ob.open_g_max, qi.g);
+            summarize_open(ob, queue, [](std::int64_t, const QueueItem& qi) {
+              return qi.f;  // the priority is weighted; report unweighted f
             });
             ob.dup_skipped = stats.dup_skipped;
             ob.dead_prunes = stats.dead_prunes;
@@ -262,52 +209,23 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
             ob.spilled_states = stats.spilled_states + table.spilled_states();
             ob.spill_bytes = stats.spill_bytes + table.spill_bytes();
             ob.merge_passes = stats.merge_passes + table.merge_passes();
-            opt.progress->observe(ob);
-          }
-        }
-      }
-      if (opt.progress != nullptr) {
-        // Bound-source attribution (see exact_astar.cpp): one extra pure
-        // bound evaluation per expansion, only while someone is watching.
-        (void)bound.lower_bound_scaled(masks);
-        if (bound.last_source() == StateBoundEvaluator::BoundSource::Pdb) {
-          ++stats.attr_pdb;
-        } else {
-          ++stats.attr_counting;
-        }
-      }
+          });
+      // A cancelled pass proves nothing beyond its predecessors.
+      if (!go) return end_pass(ExactTermination::Stopped);
       ++expanded;
-
-      for (std::size_t v = 0; v < n; ++v) {
-        const NodeId node = static_cast<NodeId>(v);
-        for (MoveType type : {MoveType::Load, MoveType::Store,
-                              MoveType::Compute, MoveType::Delete}) {
-          const Move move{type, node};
-          if (!engine.is_legal(state, move)) continue;
-          const Packed next = current.apply(move);
-          const std::int64_t next_g = g + scaled_move_cost(model, type);
-          const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-          if (relaxed == Table::Relax::OutOfMemory) {
-            harvest(table);
-            return finish(ExactTermination::MemoryBudget);
-          }
-          if (relaxed == Table::Relax::Stale) continue;
-          Masks next_masks = masks;
-          next_masks.apply(move);
-          std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-          if (!h) {
-            ++stats.dead_prunes;  // provably dead: prune
-            continue;
-          }
-          const std::int64_t next_f = next_g + *h;
-          if (next_f >= C) continue;        // unweighted prune — sound
-          queue.push(weighted(next_g, *h), {next.key(), next_g, next_f});
-        }
-      }
+      const bool fits = expander.expand(
+          item.g, &table,
+          [&](const Move&, const Packed& next, std::int64_t next_g,
+              std::int64_t h) {
+            const std::int64_t next_f = next_g + h;
+            if (next_f >= C) return;  // unweighted prune — sound
+            queue.push(weighted(next_g, h), {next.key(), next_g, next_f});
+          });
+      if (!fits) return end_pass(ExactTermination::MemoryBudget);
     }
 
     ++stats.anytime_passes;
-    harvest(table);
+    harvest_table_stats(stats, table, false);
     if (drained) {
       // The reachable set below C is exhausted. With an incumbent that
       // proves C optimal — at any weight, since pruning was unweighted;
@@ -336,7 +254,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   }
 
   if (C <= L) return finish(ExactTermination::Solved);
-  return finish(why);
+  return finish(ExactTermination::StateBudget);
 }
 
 }  // namespace
@@ -356,22 +274,9 @@ std::optional<AnytimeResult> try_solve_anytime_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};  // a reused struct must not accumulate across calls
-  const bool force_wide = options.force_var_state || options.force_mask_vec;
-  using Masks1 = StateBoundEvaluator::StateMasks;
-  if (options.force_mask_vec || n > StateBoundEvaluator::kWideMaskMaxNodes) {
-    return anytime_impl<VarPackedState, StateBoundEvaluator::MaskVec>(
-        engine, options, anytime, *stats);
-  }
-  if (!force_wide && n <= PackedState64::max_nodes()) {
-    return anytime_impl<PackedState64, Masks1>(engine, options, anytime,
-                                               *stats);
-  }
-  if (!force_wide && n <= PackedState128::max_nodes()) {
-    return anytime_impl<PackedState128, Masks1>(engine, options, anytime,
-                                                *stats);
-  }
-  return anytime_impl<VarPackedState, StateBoundEvaluator::WideStateMasks>(
-      engine, options, anytime, *stats);
+  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+    return anytime_impl<Packed, Masks>(engine, options, anytime, *stats);
+  });
 }
 
 }  // namespace rbpeb

@@ -123,16 +123,6 @@ class VarPackedState {
     return packed;
   }
 
-  GameState to_state(std::size_t node_count) const {
-    GameState state(node_count);
-    for (std::size_t v = 0; v < node_count; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      state.set_color(node, color(node));
-      if (was_computed(node)) state.mark_computed(node);
-    }
-    return state;
-  }
-
   PebbleColor color(NodeId v) const {
     return static_cast<PebbleColor>(field(v) & 3u);
   }

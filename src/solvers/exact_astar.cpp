@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
-#include "src/solvers/bigstate/ddd.hpp"
-#include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/bigstate/spill.hpp"
-#include "src/solvers/bigstate/var_state.hpp"
 #include "src/solvers/bucket_queue.hpp"
-#include "src/solvers/packed_state.hpp"
+#include "src/solvers/expander.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -30,14 +24,12 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
                                       const ExactSearchOptions& opt,
                                       ExactSearchStats& stats) {
   using Key = typename Packed::Key;
+  using Table = SpillingClosedTable<Packed>;
   const Dag& dag = engine.dag();
   const Model& model = engine.model();
   const std::size_t n = dag.node_count();
   const std::int64_t eps_den = model.epsilon().den();
-  const StopPredicate& should_stop = opt.should_stop;
   const obs::TraceSpan search_span("astar.search", "nodes", n);
-  obs::Counter& expanded_counter =
-      obs::MetricsRegistry::instance().counter("search.expanded");
 
   // Anything priced beyond the universal ceiling is dropped — no optimal
   // pebbling lives there — which also caps the bucket count. A seeded
@@ -51,10 +43,8 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
   // removed wholesale on every exit path, cancellation included.
   std::optional<bigstate::SpillDirectory> spill_dir =
       make_spill_directory(opt);
-  SpillingClosedTable<Packed> table(n, opt.max_memory_bytes,
-                                    spill_dir ? spill_dir->path() : "",
-                                    opt.max_disk_bytes);
-  using Table = SpillingClosedTable<Packed>;
+  Table table(n, opt.max_memory_bytes, spill_dir ? spill_dir->path() : "",
+              opt.max_disk_bytes);
   struct QueueItem {
     Key key;
     std::int64_t g;  ///< g at push time; stale when it no longer matches.
@@ -62,63 +52,33 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
   BucketQueue<QueueItem> queue(static_cast<std::size_t>(ceiling) + 1);
 
   std::optional<PatternDatabase> pdb;
-  if (bigstate_pdb_enabled(opt, n)) {
-    // Hashed PDB tables (patterns wider than 8) take at most half of the
-    // memory budget, leaving the rest to the closed table; their builds
-    // truncate admissibly at the cap instead of overshooting.
-    pdb.emplace(engine, opt.pdb_pattern_size, should_stop, opt.pdb_partition,
-                opt.max_memory_bytes != 0 ? opt.max_memory_bytes / 2 : 0);
-    if (pdb->build_aborted()) {
-      stats.termination = ExactTermination::Stopped;
-      return std::nullopt;
-    }
+  if (!build_search_pdb(pdb, engine, opt)) {
+    stats.termination = ExactTermination::Stopped;
+    return std::nullopt;
   }
-  StateBoundEvaluator bound(engine);
-  if (pdb) bound.attach_pdb(&*pdb);
+  Expander<Packed, Masks> expander(engine, pdb ? &*pdb : nullptr, stats,
+                                   opt.progress != nullptr);
   // PDB tables and the bucket arrays live inside the same memory budget as
   // the closed table; the queue share is refreshed at the poll checkpoints.
   const std::size_t pdb_bytes = pdb ? pdb->table_bytes() : 0;
   table.set_overhead_bytes(pdb_bytes + queue.bytes());
 
-  auto fill_spill_stats = [&] {
-    stats.table_bytes = table.bytes();
-    stats.spilled_states = table.spilled_states();
-    stats.spill_bytes = table.spill_bytes();
-    stats.spill_peak_bytes = table.spill_peak_bytes();
-    stats.merge_passes = table.merge_passes();
-    stats.spill_io_error = table.spill_io_error();
-    stats.table_headroom_stop = table.headroom_stop();
-  };
-  auto give_up = [&](ExactTermination why) {
+  auto give_up = [&](ExactTermination why) -> std::optional<ExactResult> {
     stats.termination = why;
-    fill_spill_stats();
+    harvest_table_stats(stats, table, false);
     return std::nullopt;
   };
-  // Nothing prices below the seed, so the seed is optimal — return it.
-  auto seed_wins = [&]() {
-    stats.termination = ExactTermination::Solved;
-    fill_spill_stats();
-    stats.seed_won = true;
-    ExactResult result;
-    result.trace = opt.seed->trace;
-    result.cost = Rational(opt.seed->g_scaled, eps_den);
-    result.states_expanded = stats.states_expanded;
-    return result;
+  auto exhausted = [&]() -> std::optional<ExactResult> {
+    // A verified seed proves the instance completable, so running dry can
+    // only mean no completion prices below the seed.
+    if (!opt.seed) return give_up(ExactTermination::Exhausted);
+    harvest_table_stats(stats, table, false);
+    return seed_wins(*opt.seed, eps_den, stats);
   };
 
-  const GameState start_state = engine.initial_state();
-  const Packed start = Packed::from_state(start_state);
-  std::optional<std::int64_t> start_h = bound.lower_bound_scaled(start);
-  if (!start_h) {
-    // A verified seed proves the instance completable, so a dead start can
-    // only mean no completion prices below the seed.
-    if (opt.seed) return seed_wins();
-    return give_up(ExactTermination::Exhausted);
-  }
-  if (*start_h >= incumbent) {
-    if (opt.seed) return seed_wins();
-    return give_up(ExactTermination::Exhausted);
-  }
+  const Packed start = expander.start();
+  const std::optional<std::int64_t> start_h = expander.bound(start);
+  if (!start_h || *start_h >= incumbent) return exhausted();
   if (table.relax(start.key(), 0, start.key(), Move{MoveType::Load, 0}) ==
       Table::Relax::OutOfMemory) {
     return give_up(ExactTermination::MemoryBudget);
@@ -126,6 +86,8 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
   queue.push(*start_h, {start.key(), 0});
 
   std::size_t& expanded = stats.states_expanded;
+  SearchCheckpoint checkpoint("astar.checkpoint", expanded, opt.should_stop,
+                              opt.progress);
   while (!queue.empty()) {
     auto [f, item] = queue.pop();
     // Expansion gate: stale-g check plus the delayed duplicate check
@@ -138,68 +100,32 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
       ++stats.dup_skipped;
       continue;
     }
-    const std::int64_t g = item.g;
-    const Packed current = Packed::from_key(item.key, n);
-    // One O(n) unpack per expansion; neighbors below are derived in O(1) —
-    // packed keys and bound masks alike.
-    GameState state = current.to_state(n);
-    const Masks masks = Masks::from(current, n);
-    if (engine.is_complete(state)) {
+    if (expander.enter(item.key)) {
       // Settle unverified entries first: an evicted-then-regenerated
       // ancestor's RAM entry could otherwise splice a worse tree edge
       // into the optimal trace.
       table.settle();
-      std::vector<Move> reversed;
-      Key cursor = item.key;
-      while (!(cursor == start.key())) {
-        const auto& link = table.at(cursor);
-        reversed.push_back(link.via);
-        cursor = link.parent;
-      }
       ExactResult result;
-      for (std::size_t i = reversed.size(); i-- > 0;) {
-        result.trace.push(reversed[i]);
-      }
-      result.cost = Rational(g, eps_den);
+      result.trace = reconstruct_trace(
+          item.key, start.key(),
+          [&](const Key& key) { return table.at(key); });
+      result.cost = Rational(item.g, eps_den);
       result.states_expanded = expanded;
       stats.termination = ExactTermination::Solved;
-      fill_spill_stats();
+      harvest_table_stats(stats, table, false);
       return result;
     }
     if (expanded >= opt.max_states) {
       return give_up(ExactTermination::StateBudget);
     }
-    // Entry check included (expanded == 0): an expired deadline stops the
-    // search before it burns a poll interval of expansions. The same
-    // checkpoint refreshes the queue's share of the memory budget.
-    if ((expanded & 0x3Fu) == 0) {
-      table.set_overhead_bytes(pdb_bytes + queue.bytes());
-      if (should_stop && should_stop()) {
-        return give_up(ExactTermination::Stopped);
-      }
-      if (expanded != 0) {
-        expanded_counter.add(64);
-        // Trace instants every 16 checkpoints: enough to see frontier
-        // progress in the timeline without swamping the ring on multi-
-        // million-state searches.
-        if ((expanded & 0x3FFu) == 0 && obs::trace_enabled()) {
-          obs::trace_instant("astar.checkpoint", "expanded", expanded);
-        }
-        // Progress sampling rides the same 1024-expansion cadence; the
-        // wall-clock rate limit (due()) keeps the O(open-list) summary off
-        // fast solves' critical path.
-        if ((expanded & 0x3FFu) == 0 && opt.progress != nullptr &&
-            opt.progress->due()) {
-          obs::ProgressObservation ob;
+    const bool go = checkpoint.poll(
+        [&] { table.set_overhead_bytes(pdb_bytes + queue.bytes()); },
+        [&](obs::ProgressObservation& ob) {
           ob.expanded = expanded;
           ob.frontier_f_scaled = f;  // popped min-f: a certified lower bound
           ob.incumbent_scaled = opt.seed ? incumbent : -1;
-          ob.open_states = queue.size();
-          queue.for_each([&](std::int64_t fq, const QueueItem& qi) {
-            if (ob.open_f_min < 0 || fq < ob.open_f_min) ob.open_f_min = fq;
-            ob.open_f_max = std::max(ob.open_f_max, fq);
-            if (ob.open_g_min < 0 || qi.g < ob.open_g_min) ob.open_g_min = qi.g;
-            ob.open_g_max = std::max(ob.open_g_max, qi.g);
+          summarize_open(ob, queue, [](std::int64_t fq, const QueueItem&) {
+            return fq;
           });
           ob.dup_skipped = stats.dup_skipped;
           ob.dead_prunes = stats.dead_prunes;
@@ -208,52 +134,20 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
           ob.spilled_states = table.spilled_states();
           ob.spill_bytes = table.spill_bytes();
           ob.merge_passes = table.merge_passes();
-          opt.progress->observe(ob);
-        }
-      }
-    }
-    if (opt.progress != nullptr) {
-      // Bound-source attribution: one extra (pure, deterministic) bound
-      // evaluation per expansion, done only when someone is watching so
-      // un-instrumented searches stay byte-identical. An expanded state is
-      // never dead — it priced under the incumbent when generated.
-      (void)bound.lower_bound_scaled(masks);
-      if (bound.last_source() == StateBoundEvaluator::BoundSource::Pdb) {
-        ++stats.attr_pdb;
-      } else {
-        ++stats.attr_counting;
-      }
-    }
+        });
+    if (!go) return give_up(ExactTermination::Stopped);
     ++expanded;
-
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                            MoveType::Delete}) {
-        const Move move{type, node};
-        if (!engine.is_legal(state, move)) continue;
-        const Packed next = current.apply(move);
-        const std::int64_t next_g = g + scaled_move_cost(model, type);
-        const auto relaxed = table.relax(next.key(), next_g, item.key, move);
-        if (relaxed == Table::Relax::OutOfMemory) {
-          return give_up(ExactTermination::MemoryBudget);
-        }
-        if (relaxed == Table::Relax::Stale) continue;
-        Masks next_masks = masks;
-        next_masks.apply(move);
-        std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-        if (!h) {
-          ++stats.dead_prunes;  // provably dead: prune
-          continue;
-        }
-        const std::int64_t next_f = next_g + *h;
-        if (next_f >= incumbent) continue;  // no winner lives beyond it
-        queue.push(next_f, {next.key(), next_g});
-      }
-    }
+    const bool fits = expander.expand(
+        item.g, &table,
+        [&](const Move&, const Packed& next, std::int64_t next_g,
+            std::int64_t h) {
+          const std::int64_t next_f = next_g + h;
+          if (next_f >= incumbent) return;  // no winner lives beyond it
+          queue.push(next_f, {next.key(), next_g});
+        });
+    if (!fits) return give_up(ExactTermination::MemoryBudget);
   }
-  if (opt.seed) return seed_wins();
-  return give_up(ExactTermination::Exhausted);
+  return exhausted();
 }
 
 }  // namespace
@@ -267,24 +161,9 @@ std::optional<ExactResult> try_solve_exact_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};  // a reused struct must not accumulate across calls
-  const bool force_wide = options.force_var_state || options.force_mask_vec;
-  using Masks1 = StateBoundEvaluator::StateMasks;
-  if (options.force_mask_vec || n > StateBoundEvaluator::kWideMaskMaxNodes) {
-    // Runtime-width masks: the only path past 128 nodes, and the forced
-    // differential-testing path below it.
-    return astar_impl<VarPackedState, StateBoundEvaluator::MaskVec>(
-        engine, options, *stats);
-  }
-  if (!force_wide && n <= PackedState64::max_nodes()) {
-    return astar_impl<PackedState64, Masks1>(engine, options, *stats);
-  }
-  if (!force_wide && n <= PackedState128::max_nodes()) {
-    return astar_impl<PackedState128, Masks1>(engine, options, *stats);
-  }
-  // Variable-width states; wide masks cover every n ≤ 128 and price
-  // identically to the one-word path, so a forced run matches bit-for-bit.
-  return astar_impl<VarPackedState, StateBoundEvaluator::WideStateMasks>(
-      engine, options, *stats);
+  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+    return astar_impl<Packed, Masks>(engine, options, *stats);
+  });
 }
 
 std::optional<ExactResult> try_solve_exact_astar(
@@ -299,20 +178,8 @@ std::optional<ExactResult> try_solve_exact_astar(
 ExactResult solve_exact_astar(const Engine& engine, std::size_t max_states) {
   ExactSearchStats stats;
   auto result = try_solve_exact_astar(engine, max_states, {}, &stats);
-  if (!result) {
-    switch (stats.termination) {
-      case ExactTermination::Exhausted:
-        throw InvariantError(
-            "solve_exact_astar exhausted the reachable configuration graph "
-            "without a complete state");
-      case ExactTermination::MemoryBudget:
-        throw InvariantError(
-            "solve_exact_astar exceeded its memory budget");
-      default:
-        throw InvariantError("solve_exact_astar exceeded its state budget");
-    }
-  }
-  return std::move(*result);
+  return result_or_throw(std::move(result), stats.termination,
+                         "solve_exact_astar");
 }
 
 }  // namespace rbpeb

@@ -13,15 +13,12 @@
 #include <vector>
 
 #include "src/graph/dag_algorithms.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
-#include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/bigstate/var_state.hpp"
 #include "src/solvers/exact_astar.hpp"
+#include "src/solvers/expander.hpp"
 #include "src/solvers/hda/shard.hpp"
 #include "src/solvers/hda/termination.hpp"
-#include "src/solvers/packed_state.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -108,9 +105,6 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
                 std::size_t max_states, const StopPredicate& should_stop,
                 obs::SearchProgressSampler* sampler,
                 std::int64_t no_incumbent) {
-  const Dag& dag = engine.dag();
-  const Model& model = engine.model();
-  const std::size_t n = dag.node_count();
   const std::size_t workers = ctx.shards.size();
   Shard<Packed>& self = ctx.shard(wid);
   using Table = typename Shard<Packed>::Table;
@@ -119,11 +113,12 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
   // their own trace track — per-shard mailbox/eviction activity reads
   // directly off the timeline.
   const obs::TraceSpan worker_span("hda.worker", "shard", wid);
-  obs::Counter& expanded_counter =
-      obs::MetricsRegistry::instance().counter("search.expanded");
 
-  StateBoundEvaluator bound(engine);
-  if (pdb != nullptr) bound.attach_pdb(pdb);  // read-only, shared by workers
+  // This worker's introspection tallies, folded into the context at every
+  // poll and on exit.
+  ExactSearchStats local;
+  // The PDB is read-only and shared by all workers.
+  Expander<Packed, Masks> expander(engine, pdb, local, sampler != nullptr);
   // The shared PDB tables and this worker's bucket arrays are budgeted
   // against this shard's table cap; the queue share refreshes per poll.
   const std::size_t pdb_share =
@@ -132,24 +127,23 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
   WorkerLedger ledger;
   std::vector<std::vector<StateMsg<Packed>>> out(workers);
   std::vector<StateMsg<Packed>> inbox;
-  std::size_t local_expanded = 0;
   std::size_t idle_spins = 0;
-  std::size_t local_dup = 0, local_dead = 0;
-  std::size_t local_attr_counting = 0, local_attr_pdb = 0;
   auto flush_introspection = [&] {
-    if (local_dup != 0) ctx.dup_skipped.fetch_add(local_dup,
-                                                  std::memory_order_relaxed);
-    if (local_dead != 0) ctx.dead_prunes.fetch_add(local_dead,
-                                                   std::memory_order_relaxed);
-    if (local_attr_counting != 0) {
-      ctx.attr_counting.fetch_add(local_attr_counting,
-                                  std::memory_order_relaxed);
-    }
-    if (local_attr_pdb != 0) {
-      ctx.attr_pdb.fetch_add(local_attr_pdb, std::memory_order_relaxed);
-    }
-    local_dup = local_dead = local_attr_counting = local_attr_pdb = 0;
+    auto fold = [](std::atomic<std::size_t>& into, std::size_t& from) {
+      if (from != 0) into.fetch_add(from, std::memory_order_relaxed);
+      from = 0;
+    };
+    fold(ctx.dup_skipped, local.dup_skipped);
+    fold(ctx.dead_prunes, local.dead_prunes);
+    fold(ctx.attr_counting, local.attr_counting);
+    fold(ctx.attr_pdb, local.attr_pdb);
   };
+  // Worker 0 is the single snapshot writer: global expansion count and
+  // incumbent, own-shard open list and spill counters (the only shard it
+  // may read without racing — the documented approximation).
+  std::size_t local_expanded = 0;
+  SearchCheckpoint checkpoint("hda.checkpoint", local_expanded, should_stop,
+                              wid == 0 ? sampler : nullptr);
 
   // Relax one priced state into this shard's table/queue. Messages losing to
   // an equal-or-better path, or priced at or above the incumbent, die here.
@@ -238,57 +232,34 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
       break;
     }
     if (pop_verdict == Table::Pop::Skip) {
-      ++local_dup;
+      ++local.dup_skipped;
       continue;
     }
     if (f >= ctx.incumbent.load(std::memory_order_relaxed)) continue;
-    const std::int64_t g = item.g;
-    const Packed current = Packed::from_key(item.key, n);
-    // One O(n) unpack per expansion; neighbors below are derived in O(1) —
-    // packed keys and bound masks alike.
-    GameState state = current.to_state(n);
-    if (engine.is_complete(state)) {
+    if (expander.enter(item.key)) {
       const std::lock_guard<std::mutex> lock(ctx.goal_mutex);
-      if (!ctx.has_goal || g < ctx.incumbent.load(std::memory_order_relaxed)) {
+      if (!ctx.has_goal ||
+          item.g < ctx.incumbent.load(std::memory_order_relaxed)) {
         ctx.has_goal = true;
         ctx.goal_key = item.key;
-        ctx.incumbent.store(g, std::memory_order_relaxed);
+        ctx.incumbent.store(item.g, std::memory_order_relaxed);
       }
       continue;  // never expanded: no completion extends a complete state for free
     }
-    // Entry poll included (local_expanded == 0): an expired deadline stops
-    // this worker before it burns a poll interval of expansions. The same
-    // checkpoint refreshes the queue's share of the memory budget.
-    if ((local_expanded & 0x3Fu) == 0) {
-      self.table.set_overhead_bytes(pdb_share + self.queue.bytes());
-      flush_introspection();
-      if (should_stop && should_stop()) {
-        ctx.abort_with(ExactTermination::Stopped);
-        break;
-      }
-      if (local_expanded != 0) {
-        expanded_counter.add(64);
-        if ((local_expanded & 0x3FFu) == 0 && obs::trace_enabled()) {
-          obs::trace_instant("hda.checkpoint", "expanded", local_expanded);
-        }
-        // Worker 0 is the single snapshot writer: global expansion count
-        // and incumbent, own-shard open list and spill counters (the only
-        // shard it may read without racing — the documented approximation).
-        if ((local_expanded & 0x3FFu) == 0 && wid == 0 && sampler != nullptr &&
-            sampler->due()) {
-          obs::ProgressObservation ob;
+    const bool go = checkpoint.poll(
+        [&] {
+          self.table.set_overhead_bytes(pdb_share + self.queue.bytes());
+          flush_introspection();
+        },
+        [&](obs::ProgressObservation& ob) {
           ob.expanded = ctx.expanded.load(std::memory_order_relaxed);
           ob.frontier_f_scaled = f;
           const std::int64_t inc =
               ctx.incumbent.load(std::memory_order_relaxed);
           ob.incumbent_scaled = inc < no_incumbent ? inc : -1;
-          ob.open_states = self.queue.size();
           using OpenItem = typename Shard<Packed>::OpenItem;
-          self.queue.for_each([&](std::int64_t fq, const OpenItem& qi) {
-            if (ob.open_f_min < 0 || fq < ob.open_f_min) ob.open_f_min = fq;
-            ob.open_f_max = std::max(ob.open_f_max, fq);
-            if (ob.open_g_min < 0 || qi.g < ob.open_g_min) ob.open_g_min = qi.g;
-            ob.open_g_max = std::max(ob.open_g_max, qi.g);
+          summarize_open(ob, self.queue, [](std::int64_t fq, const OpenItem&) {
+            return fq;
           });
           ob.dup_skipped = ctx.dup_skipped.load(std::memory_order_relaxed);
           ob.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
@@ -298,9 +269,10 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
           ob.spilled_states = self.table.spilled_states();
           ob.spill_bytes = self.table.spill_bytes();
           ob.merge_passes = self.table.merge_passes();
-          sampler->observe(ob);
-        }
-      }
+        });
+    if (!go) {
+      ctx.abort_with(ExactTermination::Stopped);
+      break;
     }
     const std::size_t ticket =
         ctx.expanded.fetch_add(1, std::memory_order_relaxed);
@@ -310,39 +282,16 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
       break;
     }
     ++local_expanded;
-
-    const Masks masks = Masks::from(current, n);
-    if (sampler != nullptr) {
-      // Bound-source attribution: one extra (pure, deterministic) bound
-      // evaluation per expansion, only when someone is watching, so
-      // un-instrumented searches stay byte-identical.
-      (void)bound.lower_bound_scaled(masks);
-      if (bound.last_source() == StateBoundEvaluator::BoundSource::Pdb) {
-        ++local_attr_pdb;
-      } else {
-        ++local_attr_counting;
-      }
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                            MoveType::Delete}) {
-        const Move move{type, node};
-        if (!engine.is_legal(state, move)) continue;
-        const Packed next = current.apply(move);
-        const std::int64_t next_g = g + scaled_move_cost(model, type);
-        Masks next_masks = masks;
-        next_masks.apply(move);
-        std::optional<std::int64_t> h = bound.lower_bound_scaled(next_masks);
-        if (!h) {
-          ++local_dead;  // provably dead: prune
-          continue;
-        }
-        const std::int64_t next_f = next_g + *h;
-        if (next_f >= ctx.incumbent.load(std::memory_order_relaxed)) continue;
-        route({next.key(), item.key, next_g, next_f, move});
-      }
-    }
+    expander.expand(item.g, nullptr,
+                    [&](const Move& move, const Packed& next,
+                        std::int64_t next_g, std::int64_t h) {
+                      const std::int64_t next_f = next_g + h;
+                      if (next_f >=
+                          ctx.incumbent.load(std::memory_order_relaxed)) {
+                        return;
+                      }
+                      route({next.key(), item.key, next_g, next_f, move});
+                    });
   }
   flush_introspection();
 }
@@ -370,27 +319,8 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   const Model& model = engine.model();
   const std::size_t n = dag.node_count();
   const std::int64_t eps_den = model.epsilon().den();
-  const StopPredicate& should_stop = opt.should_stop;
 
-  auto fill_spill_stats = [&](SearchContext<Packed>& ctx) {
-    stats.table_bytes = 0;
-    stats.spilled_states = 0;
-    stats.spill_bytes = 0;
-    stats.spill_peak_bytes = 0;
-    stats.merge_passes = 0;
-    stats.spill_io_error = false;
-    stats.table_headroom_stop = false;
-    for (const auto& shard : ctx.shards) {
-      stats.table_bytes += shard->table.bytes();
-      stats.spilled_states += shard->table.spilled_states();
-      stats.spill_bytes += shard->table.spill_bytes();
-      stats.spill_peak_bytes += shard->table.spill_peak_bytes();
-      stats.merge_passes += shard->table.merge_passes();
-      stats.spill_io_error |= shard->table.spill_io_error();
-      stats.table_headroom_stop |= shard->table.headroom_stop();
-    }
-  };
-  auto give_up = [&](ExactTermination why) {
+  auto give_up = [&](ExactTermination why) -> std::optional<ExactResult> {
     stats.termination = why;
     return std::nullopt;
   };
@@ -404,13 +334,8 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
       opt.seed ? std::min(ceiling + 1, opt.seed->g_scaled) : ceiling + 1;
 
   std::optional<PatternDatabase> pdb;
-  if (bigstate_pdb_enabled(opt, n)) {
-    // Hashed PDB tables (patterns wider than 8) take at most half of the
-    // memory budget, leaving the rest to the shard tables; their builds
-    // truncate admissibly at the cap instead of overshooting.
-    pdb.emplace(engine, opt.pdb_pattern_size, should_stop, opt.pdb_partition,
-                opt.max_memory_bytes != 0 ? opt.max_memory_bytes / 2 : 0);
-    if (pdb->build_aborted()) return give_up(ExactTermination::Stopped);
+  if (!build_search_pdb(pdb, engine, opt)) {
+    return give_up(ExactTermination::Stopped);
   }
 
   // One spill directory per search, one private partition per shard: run
@@ -437,28 +362,20 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
           : std::max<std::size_t>(1, opt.max_disk_bytes / workers),
       seeded_incumbent);
   stats.threads_used = workers;
-
-  // Nothing prices below the seed, so the seed is optimal — return it.
-  auto seed_wins = [&]() {
-    stats.termination = ExactTermination::Solved;
-    fill_spill_stats(ctx);
-    stats.seed_won = true;
-    ExactResult result;
-    result.trace = opt.seed->trace;
-    result.cost = Rational(opt.seed->g_scaled, eps_den);
-    result.states_expanded = stats.states_expanded;
-    return result;
+  auto harvest = [&] {
+    for (const auto& shard : ctx.shards) {
+      harvest_table_stats(stats, shard->table, true);
+    }
   };
 
-  const GameState start_state = engine.initial_state();
-  const Packed start = Packed::from_state(start_state);
+  Expander<Packed, Masks> seeder(engine, pdb ? &*pdb : nullptr, stats, false);
+  const Packed start = seeder.start();
   {
-    StateBoundEvaluator bound(engine);
-    if (pdb) bound.attach_pdb(&*pdb);
-    std::optional<std::int64_t> start_h = bound.lower_bound_scaled(start);
+    const std::optional<std::int64_t> start_h = seeder.bound(start);
     if (!start_h || *start_h >= seeded_incumbent) {
-      if (opt.seed) return seed_wins();
-      return give_up(ExactTermination::Exhausted);
+      if (!opt.seed) return give_up(ExactTermination::Exhausted);
+      harvest();
+      return seed_wins(*opt.seed, eps_den, stats);
     }
     // Seed the owner shard before any worker exists; thread creation
     // publishes it.
@@ -467,7 +384,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
     if (home.table.relax(start.key(), 0, start.key(),
                          Move{MoveType::Load, 0}) ==
         Shard<Packed>::Table::Relax::OutOfMemory) {
-      fill_spill_stats(ctx);
+      harvest();
       return give_up(ExactTermination::MemoryBudget);
     }
     home.queue.push(*start_h, {start.key(), 0});
@@ -484,7 +401,8 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
       const obs::ScopedTraceContext ctx_scope(trace_ctx);
       try {
         hda_worker<Packed, Masks>(engine, ctx, pdb ? &*pdb : nullptr, w,
-                                  opt.max_states, should_stop, opt.progress,
+                                  opt.max_states, opt.should_stop,
+                                  opt.progress,
                                   ceiling + 1);
       } catch (...) {
         {
@@ -502,7 +420,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   stats.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
   stats.attr_counting = ctx.attr_counting.load(std::memory_order_relaxed);
   stats.attr_pdb = ctx.attr_pdb.load(std::memory_order_relaxed);
-  fill_spill_stats(ctx);
+  harvest();
   if (ctx.error) std::rethrow_exception(ctx.error);
   if (ctx.abort.load(std::memory_order_acquire)) {
     return give_up(static_cast<ExactTermination>(
@@ -511,7 +429,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   if (!ctx.has_goal) {
     // Quiescence with no goal: with a seed it proves nothing beats the
     // seed; without one the reachable graph is exhausted.
-    if (opt.seed) return seed_wins();
+    if (opt.seed) return seed_wins(*opt.seed, eps_den, stats);
     return give_up(ExactTermination::Exhausted);
   }
 
@@ -521,18 +439,11 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   // Settle each shard first: an evicted-then-regenerated ancestor's RAM
   // entry could otherwise splice a worse tree edge into the optimal trace.
   for (auto& shard : ctx.shards) shard->table.settle();
-  std::vector<Move> reversed;
-  Key cursor = ctx.goal_key;
-  while (!(cursor == start.key())) {
-    const auto& link =
-        ctx.shard(hda::owner_of<Packed>(cursor, workers)).table.at(cursor);
-    reversed.push_back(link.via);
-    cursor = link.parent;
-  }
   ExactResult result;
-  for (std::size_t i = reversed.size(); i-- > 0;) {
-    result.trace.push(reversed[i]);
-  }
+  result.trace = reconstruct_trace(
+      ctx.goal_key, start.key(), [&](const Key& key) {
+        return ctx.shard(hda::owner_of<Packed>(key, workers)).table.at(key);
+      });
   result.cost = Rational(ctx.incumbent.load(std::memory_order_relaxed), eps_den);
   result.states_expanded = stats.states_expanded;
   stats.termination = ExactTermination::Solved;
@@ -563,22 +474,9 @@ std::optional<ExactResult> try_solve_hda_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};
-  const bool force_wide = options.force_var_state || options.force_mask_vec;
-  using Masks1 = StateBoundEvaluator::StateMasks;
-  if (options.force_mask_vec || n > StateBoundEvaluator::kWideMaskMaxNodes) {
-    // Runtime-width masks: the only path past 128 nodes, and the forced
-    // differential-testing path below it.
-    return hda_impl<VarPackedState, StateBoundEvaluator::MaskVec>(
-        engine, workers, options, *stats);
-  }
-  if (!force_wide && n <= PackedState64::max_nodes()) {
-    return hda_impl<PackedState64, Masks1>(engine, workers, options, *stats);
-  }
-  if (!force_wide && n <= PackedState128::max_nodes()) {
-    return hda_impl<PackedState128, Masks1>(engine, workers, options, *stats);
-  }
-  return hda_impl<VarPackedState, StateBoundEvaluator::WideStateMasks>(
-      engine, workers, options, *stats);
+  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+    return hda_impl<Packed, Masks>(engine, workers, options, *stats);
+  });
 }
 
 std::optional<ExactResult> try_solve_hda_astar(const Engine& engine,
@@ -596,19 +494,8 @@ ExactResult solve_hda_astar(const Engine& engine, std::size_t threads,
                             std::size_t max_states) {
   ExactSearchStats stats;
   auto result = try_solve_hda_astar(engine, threads, max_states, {}, &stats);
-  if (!result) {
-    switch (stats.termination) {
-      case ExactTermination::Exhausted:
-        throw InvariantError(
-            "solve_hda_astar exhausted the reachable configuration graph "
-            "without a complete state");
-      case ExactTermination::MemoryBudget:
-        throw InvariantError("solve_hda_astar exceeded its memory budget");
-      default:
-        throw InvariantError("solve_hda_astar exceeded its state budget");
-    }
-  }
-  return std::move(*result);
+  return result_or_throw(std::move(result), stats.termination,
+                         "solve_hda_astar");
 }
 
 }  // namespace rbpeb

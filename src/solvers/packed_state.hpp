@@ -83,18 +83,6 @@ class BasicPackedState {
     return packed;
   }
 
-  /// Unpack into a full GameState (O(n); used once per expansion, never per
-  /// generated neighbor).
-  GameState to_state(std::size_t node_count) const {
-    GameState state(node_count);
-    for (std::size_t v = 0; v < node_count; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      state.set_color(node, color(node));
-      if (was_computed(node)) state.mark_computed(node);
-    }
-    return state;
-  }
-
   PebbleColor color(NodeId v) const {
     return static_cast<PebbleColor>(
         static_cast<unsigned>((bits_ >> shift(v)) & Word{3}));

@@ -1,7 +1,8 @@
 // Search introspection: the progress sampler's bound gap is monotone
 // non-increasing by construction, bound-source attribution sums exactly to
-// the expansion count across models × conventions × search loops, an
-// attached-but-idle sampler leaves costs and expansion counts byte-identical
+// the expansion count across models × conventions × search loops, the
+// `search.expanded` counter grows by exactly the reported expansions on
+// every exit path, an attached-but-idle sampler leaves costs and expansion counts byte-identical
 // (the no-feedback guarantee), the h-error replay certifies admissibility
 // along optimal traces, and the post-mortem writer lays out the black box it
 // documents.
@@ -12,11 +13,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/obs/metrics.hpp"
 #include "src/obs/postmortem.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/anytime_astar.hpp"
@@ -199,6 +203,51 @@ TEST(Attribution, PdbExpansionsAreAttributedWhenForced) {
   const auto result = try_solve_exact_astar(engine, options, &stats);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(stats.attr_counting + stats.attr_pdb, stats.states_expanded);
+}
+
+// ---- the search.expanded counter -----------------------------------------
+
+/// The `search.expanded` counter must grow by exactly the expansions a
+/// solve reports — remainders below the 64-expansion poll included — on a
+/// solved run and on a state-budget run, in every informed search.
+TEST(ExpandedCounter, MatchesStatesExpandedOnEveryExitPath) {
+  const Dag dag = make_tree_reduction_dag(8).dag;
+  const Engine engine(dag, Model::oneshot(), 3);
+  const obs::Counter& counter =
+      obs::MetricsRegistry::instance().counter("search.expanded");
+  using Solve = std::function<void(const ExactSearchOptions&,
+                                   ExactSearchStats&)>;
+  const std::pair<const char*, Solve> searches[] = {
+      {"exact-astar",
+       [&](const ExactSearchOptions& options, ExactSearchStats& stats) {
+         (void)try_solve_exact_astar(engine, options, &stats);
+       }},
+      {"anytime-astar",
+       [&](const ExactSearchOptions& options, ExactSearchStats& stats) {
+         AnytimeOptions anytime;
+         anytime.weights = {{2, 1}, {1, 1}};
+         (void)try_solve_anytime_astar(engine, options, anytime, &stats);
+       }},
+      {"hda-astar",
+       [&](const ExactSearchOptions& options, ExactSearchStats& stats) {
+         (void)try_solve_hda_astar(engine, 2, options, &stats);
+       }},
+  };
+  for (const auto& [name, solve] : searches) {
+    for (std::size_t max_states : {std::size_t{2'000'000}, std::size_t{1000}}) {
+      ExactSearchOptions options;
+      options.max_states = max_states;
+      ExactSearchStats stats;
+      const std::uint64_t before = counter.value();
+      solve(options, stats);
+      const ExactTermination expected = max_states == 1000
+                                            ? ExactTermination::StateBudget
+                                            : ExactTermination::Solved;
+      EXPECT_EQ(stats.termination, expected) << name;
+      EXPECT_EQ(counter.value() - before, stats.states_expanded)
+          << name << " max_states " << max_states;
+    }
+  }
 }
 
 // ---- the no-feedback guarantee -------------------------------------------

@@ -9,6 +9,7 @@
 #include "src/solvers/topo_baseline.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"
+#include "tests/support/legal_moves.hpp"
 
 namespace rbpeb {
 namespace {
@@ -195,14 +196,8 @@ TEST(StateBounds, MaskCompositionMatchesTheGenericWalk) {
           EXPECT_EQ(evaluator.lower_bound_scaled(masks),
                     evaluator.lower_bound_generic(state))
               << model.name() << " step " << step;
-          std::vector<Move> legal;
-          for (std::size_t v = 0; v < dag.node_count(); ++v) {
-            for (MoveType type : {MoveType::Load, MoveType::Store,
-                                  MoveType::Compute, MoveType::Delete}) {
-              Move move{type, static_cast<NodeId>(v)};
-              if (engine.is_legal(state, move)) legal.push_back(move);
-            }
-          }
+          const std::vector<Move> legal =
+              test_support::legal_moves(engine, state);
           if (legal.empty()) break;
           engine.apply(state, legal[rng.next_below(legal.size())], cost);
         }
@@ -252,14 +247,8 @@ TEST(StateBounds, WideMaskCompositionMatchesTheGenericWalk) {
                         evaluator.lower_bound_scaled(narrow))
                   << model.name() << " step " << step;
             }
-            std::vector<Move> legal;
-            for (std::size_t v = 0; v < n; ++v) {
-              for (MoveType type : {MoveType::Load, MoveType::Store,
-                                    MoveType::Compute, MoveType::Delete}) {
-                Move move{type, static_cast<NodeId>(v)};
-                if (engine.is_legal(state, move)) legal.push_back(move);
-              }
-            }
+            const std::vector<Move> legal =
+                test_support::legal_moves(engine, state);
             if (legal.empty()) break;
             const Move move = legal[rng.next_below(legal.size())];
             engine.apply(state, move, cost);

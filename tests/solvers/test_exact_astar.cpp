@@ -19,6 +19,7 @@
 #include "src/workloads/pyramid.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/tree_reduction.hpp"
+#include "tests/support/legal_moves.hpp"
 
 namespace rbpeb {
 namespace {
@@ -34,24 +35,12 @@ void roundtrip_along_random_walk(const Engine& engine, std::uint64_t seed) {
   GameState state = engine.initial_state();
   Packed packed = Packed::from_state(state);
   for (int step = 0; step < 200; ++step) {
-    // Every field readable both ways, and to_state inverts from_state.
-    for (std::size_t v = 0; v < n; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      ASSERT_EQ(packed.color(node), state.color(node));
-      ASSERT_EQ(packed.was_computed(node), state.was_computed(node));
-    }
-    ASSERT_EQ(packed.to_state(n), state);
+    // Every field reads back, and the incremental key equals a re-encode.
+    ASSERT_TRUE(test_support::same_fields(packed, state));
     ASSERT_EQ(packed, Packed::from_state(state));
     // Take a random legal move; the incremental update must agree with the
     // Engine's full transition.
-    std::vector<Move> legal;
-    for (std::size_t v = 0; v < n; ++v) {
-      for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                            MoveType::Delete}) {
-        Move move{type, static_cast<NodeId>(v)};
-        if (engine.is_legal(state, move)) legal.push_back(move);
-      }
-    }
+    const std::vector<Move> legal = test_support::legal_moves(engine, state);
     if (legal.empty()) break;
     const Move move = legal[rng.next_below(legal.size())];
     Cost cost;

@@ -18,21 +18,12 @@
 #include "src/workloads/chain.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/tree_reduction.hpp"
+#include "tests/support/legal_moves.hpp"
 
 namespace rbpeb {
 namespace {
 
-std::vector<Move> legal_moves(const Engine& engine, const GameState& state) {
-  std::vector<Move> legal;
-  for (std::size_t v = 0; v < state.node_count(); ++v) {
-    for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
-                          MoveType::Delete}) {
-      Move move{type, static_cast<NodeId>(v)};
-      if (engine.is_legal(state, move)) legal.push_back(move);
-    }
-  }
-  return legal;
-}
+using test_support::legal_moves;
 
 // ---- the evaluator: MaskVec vs the fixed-width fast paths ----------------
 
