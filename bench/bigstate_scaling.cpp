@@ -2,8 +2,8 @@
 // layer now proves optima, and at what price — in RAM, and spilling.
 //
 // PR-2 (exact-astar) and PR-3 (hda-astar) capped at 42 nodes — 3 bits per
-// node exhausts an __uint128_t key. This bench drives both searches, on the
-// bigstate subsystem (variable-width states, additive pattern databases,
+// node exhausts a two-word key. This bench drives both searches, on the
+// bigstate subsystem (runtime-width keys, additive pattern databases,
 // greedy-seeded incumbents, memory-budgeted closed tables), across 42–56
 // node workloads under a stated memory budget, and logs to a JSON report
 // (default BENCH_bigstate.json, or argv[1]):

@@ -59,21 +59,22 @@ std::int64_t universal_search_ceiling_scaled(const Dag& dag,
   return (2 * delta + 1) * n * eps_den + n * eps_num + 2 * n * eps_den;
 }
 
+void check_mask_width(std::size_t words, std::size_t node_count) {
+  RBPEB_REQUIRE(node_count <= StateBoundEvaluator::kVecMaskMaxNodes,
+                "bound masks cover at most 1024 nodes");
+  RBPEB_REQUIRE(words == mask_words(node_count),
+                "mask width must be ceil(n/64) words for the DAG");
+}
+
 StateBoundEvaluator::StateBoundEvaluator(const Engine& engine)
     : engine_(&engine),
       eps_num_(engine.model().epsilon().num()),
       eps_den_(engine.model().epsilon().den()) {
   const Dag& dag = engine.dag();
   const std::size_t n = dag.node_count();
-  if (n <= kMaskMaxNodes) build(caches1_, dag, 1);
-  if (n <= kWideMaskMaxNodes) build(caches2_, dag, WideStateMasks::kWords);
-  if (n > kVecMaskMaxNodes) return;  // generic path only past the vec cap
-  build(cachesv_, dag, (n + 63) / 64);
-  scratchv_.assign(5 * cachesv_.words, 0);
-}
-
-void StateBoundEvaluator::build(Caches& c, const Dag& dag, std::size_t W) {
-  const std::size_t n = dag.node_count();
+  if (n > kVecMaskMaxNodes) return;  // nothing to price past the cap
+  const std::size_t W = mask_words(n);
+  Caches& c = caches_;
   c.words = W;
   c.pred.assign(n * W, 0);
   c.cone.assign(n * W, 0);
@@ -98,35 +99,42 @@ void StateBoundEvaluator::build(Caches& c, const Dag& dag, std::size_t W) {
       for (std::size_t w = 0; w < W; ++w) cone[w] |= pcone[w];
     }
   }
+  scratch_.assign(5 * W, 0);
 }
 
 template <std::size_t kWords>
-std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
-    const MaskPlanes& state, const MaskCaches& caches) {
+std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
+    const Masks<kWords>& state) {
+  RBPEB_REQUIRE(caches_.words != 0 && state.words() == caches_.words,
+                "mask width must be ceil(n/64) words for a DAG of at most "
+                "1024 nodes");
   last_source_ = BoundSource::Counting;
   const Model& model = engine_->model();
   const PebblingConvention& conv = engine_->convention();
-  const std::size_t W = kWords != 0 ? kWords : state.words;
+  const Caches& caches = caches_;
+  const std::size_t W = state.words();
+  const std::uint64_t* red = state.red();
+  const std::uint64_t* blue = state.blue();
+  const std::uint64_t* computed = state.computed();
 
   // Scratch planes: pebbled, empty, frontier, closure, blue_inputs — on the
   // stack at a fixed width, in the evaluator's buffer at the runtime width.
   std::array<std::uint64_t, 5 * (kWords != 0 ? kWords : 1)> fixed{};
-  std::uint64_t* pebbled = kWords != 0 ? fixed.data() : scratchv_.data();
+  std::uint64_t* pebbled = kWords != 0 ? fixed.data() : scratch_.data();
   std::uint64_t* empty = pebbled + W;
   std::uint64_t* frontier = empty + W;
   std::uint64_t* closure = frontier + W;
   std::uint64_t* blue_inputs = closure + W;
-
   // Seeds plus the stores owed by non-blue sinks under the blue convention.
   std::int64_t sink_stores_owed = 0;
   for (std::size_t w = 0; w < W; ++w) {
-    pebbled[w] = state.red[w] | state.blue[w];
+    pebbled[w] = red[w] | blue[w];
     empty[w] = ~pebbled[w];  // junk above bit n never enters
     closure[w] = 0;
     blue_inputs[w] = 0;
     if (conv.sinks_end_blue) {
       // blue arrives via Store
-      sink_stores_owed += std::popcount(caches.sinks[w] & ~state.blue[w]);
+      sink_stores_owed += std::popcount(caches.sinks[w] & ~blue[w]);
     }
     frontier[w] = caches.sinks[w] & empty[w];
   }
@@ -145,7 +153,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
     const std::size_t v = (w << 6) | static_cast<std::size_t>(b);
     const std::uint64_t bit = std::uint64_t{1} << b;
     if ((closure[w] & bit) != 0) continue;
-    const std::uint64_t* cone = caches.cone + v * W;
+    const std::uint64_t* cone = caches.cone.data() + v * W;
     bool cone_unpebbled = true;
     for (std::size_t i = 0; i < W; ++i) {
       if ((cone[i] & pebbled[i]) != 0) cone_unpebbled = false;
@@ -155,9 +163,9 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
       continue;
     }
     closure[w] |= bit;
-    const std::uint64_t* preds = caches.pred + v * W;
+    const std::uint64_t* preds = caches.pred.data() + v * W;
     for (std::size_t i = 0; i < W; ++i) {
-      blue_inputs[i] |= preds[i] & state.blue[i];
+      blue_inputs[i] |= preds[i] & blue[i];
       frontier[i] |= preds[i] & empty[i] & ~closure[i];
     }
   }
@@ -166,7 +174,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
   // empty) Hong–Kung source — uncomputable and, with no pebble, unloadable.
   std::int64_t closure_count = 0;
   for (std::size_t w = 0; w < W; ++w) {
-    if (!model.allows_recompute() && (closure[w] & state.computed[w]) != 0) {
+    if (!model.allows_recompute() && (closure[w] & computed[w]) != 0) {
       return std::nullopt;
     }
     if (conv.sources_start_blue && (closure[w] & caches.sources[w]) != 0) {
@@ -180,7 +188,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
   // whichever of reload / recompute is cheaper.
   for (std::size_t w = 0; w < W; ++w) {
     std::uint64_t no_recompute = 0;
-    if (!model.allows_recompute()) no_recompute |= state.computed[w];
+    if (!model.allows_recompute()) no_recompute |= computed[w];
     if (conv.sources_start_blue) no_recompute |= caches.sources[w];
     bound += static_cast<std::int64_t>(
                  std::popcount(blue_inputs[w] & no_recompute)) *
@@ -199,7 +207,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
     std::int64_t blue_count = 0;
     for (std::size_t w = 0; w < W; ++w) {
       pebbled_count += std::popcount(pebbled[w]);
-      blue_count += std::popcount(state.blue[w]);
+      blue_count += std::popcount(blue[w]);
     }
     const std::int64_t final_pebbled = pebbled_count + closure_count;
     const std::int64_t r = static_cast<std::int64_t>(engine_->red_limit());
@@ -213,10 +221,10 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
     const std::optional<std::int64_t> floor = pdb_->sum_scaled([&](NodeId v) {
       const std::size_t w = v >> 6;
       const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-      unsigned f = (state.red[w] & bit) != 0    ? 1u
-                   : (state.blue[w] & bit) != 0 ? 2u
+      unsigned f = (red[w] & bit) != 0    ? 1u
+                   : (blue[w] & bit) != 0 ? 2u
                                                 : 0u;
-      if ((state.computed[w] & bit) != 0) f |= 4u;
+      if ((computed[w] & bit) != 0) f |= 4u;
       return f;
     });
     if (!floor) {
@@ -231,23 +239,12 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_planes(
   return total;
 }
 
-std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
-    const StateMasks& state) {
-  return lower_bound_planes<1>(planes_of(state), view(caches1_));
-}
-
-std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
-    const WideStateMasks& state) {
-  return lower_bound_planes<WideStateMasks::kWords>(planes_of(state),
-                                                    view(caches2_));
-}
-
-std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
-    const MaskVec& state) {
-  RBPEB_REQUIRE(cachesv_.words != 0 && state.words() == cachesv_.words,
-                "MaskVec width must match the evaluator's DAG");
-  return lower_bound_planes<0>(planes_of(state), view(cachesv_));
-}
+template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
+    const Masks<0>&);
+template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
+    const Masks<1>&);
+template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
+    const Masks<2>&);
 
 std::optional<Rational> state_cost_lower_bound(const Engine& engine,
                                                const GameState& state) {

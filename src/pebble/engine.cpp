@@ -25,53 +25,81 @@ GameState Engine::initial_state() const {
   return state;
 }
 
-std::optional<std::string> Engine::why_illegal(const GameState& state,
-                                               const Move& move) const {
-  if (!dag_->contains(move.node)) return "node id out of range";
+Engine::Rejection Engine::check(const GameState& state, const Move& move,
+                                 NodeId* input) const {
+  if (!dag_->contains(move.node)) return Rejection::OutOfRange;
   const NodeId v = move.node;
   switch (move.type) {
     case MoveType::Load:
-      if (!state.is_blue(v)) return "load requires a blue pebble on the node";
-      if (state.red_count() >= red_limit_) return "red pebble budget exhausted";
-      return std::nullopt;
+      if (!state.is_blue(v)) return Rejection::LoadNeedsBlue;
+      if (state.red_count() >= red_limit_) return Rejection::RedBudget;
+      return Rejection::None;
 
     case MoveType::Store:
-      if (!state.is_red(v)) return "store requires a red pebble on the node";
-      return std::nullopt;
+      if (!state.is_red(v)) return Rejection::StoreNeedsRed;
+      return Rejection::None;
 
-    case MoveType::Compute: {
+    case MoveType::Compute:
       if (convention_.sources_start_blue && dag_->is_source(v)) {
-        return "sources are pre-loaded blue inputs and cannot be computed";
+        return Rejection::SourceNotComputable;
       }
       if (!model_.allows_recompute() && state.was_computed(v)) {
-        return "oneshot: node was already computed once";
+        return Rejection::AlreadyComputed;
       }
-      if (state.is_red(v)) return "node already holds a red pebble";
+      if (state.is_red(v)) return Rejection::AlreadyRed;
       for (NodeId u : dag_->predecessors(v)) {
         if (!state.is_red(u)) {
-          std::ostringstream os;
-          os << "input node " << u << " does not hold a red pebble";
-          return os.str();
+          if (input != nullptr) *input = u;
+          return Rejection::InputNotRed;
         }
       }
       // Computing a blue node replaces the blue pebble (red count +1);
       // computing an empty node adds a pebble. Either way one more red.
-      if (state.red_count() >= red_limit_) return "red pebble budget exhausted";
-      return std::nullopt;
-    }
+      if (state.red_count() >= red_limit_) return Rejection::RedBudget;
+      return Rejection::None;
 
     case MoveType::Delete:
-      if (!model_.allows_delete()) return "nodel: deletions are forbidden";
-      if (state.is_empty(v)) return "delete requires a pebble on the node";
-      return std::nullopt;
+      if (!model_.allows_delete()) return Rejection::DeleteForbidden;
+      if (state.is_empty(v)) return Rejection::DeleteNeedsPebble;
+      return Rejection::None;
+  }
+  return Rejection::UnknownType;
+}
+
+std::optional<std::string> Engine::why_illegal(const GameState& state,
+                                               const Move& move) const {
+  NodeId input = 0;
+  switch (check(state, move, &input)) {
+    case Rejection::None: return std::nullopt;
+    case Rejection::OutOfRange: return "node id out of range";
+    case Rejection::LoadNeedsBlue:
+      return "load requires a blue pebble on the node";
+    case Rejection::StoreNeedsRed:
+      return "store requires a red pebble on the node";
+    case Rejection::SourceNotComputable:
+      return "sources are pre-loaded blue inputs and cannot be computed";
+    case Rejection::AlreadyComputed:
+      return "oneshot: node was already computed once";
+    case Rejection::AlreadyRed: return "node already holds a red pebble";
+    case Rejection::InputNotRed: {
+      std::ostringstream os;
+      os << "input node " << input << " does not hold a red pebble";
+      return os.str();
+    }
+    case Rejection::RedBudget: return "red pebble budget exhausted";
+    case Rejection::DeleteForbidden: return "nodel: deletions are forbidden";
+    case Rejection::DeleteNeedsPebble:
+      return "delete requires a pebble on the node";
+    case Rejection::UnknownType: break;
   }
   return "unknown move type";
 }
 
 void Engine::apply(GameState& state, const Move& move, Cost& cost) const {
-  if (auto reason = why_illegal(state, move)) {
+  if (check(state, move, nullptr) != Rejection::None) {
     std::ostringstream os;
-    os << "illegal move " << to_string(move) << ": " << *reason;
+    os << "illegal move " << to_string(move) << ": "
+       << *why_illegal(state, move);
     throw PreconditionError(os.str());
   }
   const NodeId v = move.node;

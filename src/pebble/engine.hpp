@@ -63,8 +63,9 @@ class Engine {
   std::optional<std::string> why_illegal(const GameState& state,
                                          const Move& move) const;
 
+  /// Same verdict as why_illegal, without building a message.
   bool is_legal(const GameState& state, const Move& move) const {
-    return !why_illegal(state, move).has_value();
+    return check(state, move, nullptr) == Rejection::None;
   }
 
   /// Apply a legal move, updating `state` and accumulating operation counts
@@ -75,6 +76,27 @@ class Engine {
   bool is_complete(const GameState& state) const;
 
  private:
+  /// Why a move is illegal; None when it is legal.
+  enum class Rejection {
+    None,
+    OutOfRange,
+    LoadNeedsBlue,
+    StoreNeedsRed,
+    SourceNotComputable,
+    AlreadyComputed,
+    AlreadyRed,
+    InputNotRed,
+    RedBudget,
+    DeleteForbidden,
+    DeleteNeedsPebble,
+    UnknownType,
+  };
+
+  /// The one legality routine. Allocation-free; on InputNotRed it stores
+  /// the first input lacking a red pebble in `*input` when non-null.
+  Rejection check(const GameState& state, const Move& move,
+                  NodeId* input) const;
+
   const Dag* dag_;
   Model model_;
   std::size_t red_limit_;

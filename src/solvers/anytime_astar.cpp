@@ -274,7 +274,7 @@ std::optional<AnytimeResult> try_solve_anytime_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};  // a reused struct must not accumulate across calls
-  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+  return dispatch_search_width(n, [&]<class Packed, class Masks>() {
     return anytime_impl<Packed, Masks>(engine, options, anytime, *stats);
   });
 }

@@ -76,8 +76,8 @@ struct AnytimeResult {
 /// Run the anytime tier. Returns nullopt only when no trace exists at all —
 /// no seed was supplied and no pass found a completion within budget
 /// (`stats` then carries the lower bound the passes still proved). Shares
-/// ExactSearchOptions with the exact searches: seeds, PDBs, memory budgets,
-/// spill, and the forced-width testing hooks all apply. Node cap:
+/// ExactSearchOptions with the exact searches: seeds, PDBs, memory budgets
+/// and spill all apply. Node cap:
 /// kExactAstarMaxNodes (exact_astar.hpp), asserted inside.
 std::optional<AnytimeResult> try_solve_anytime_astar(
     const Engine& engine, const ExactSearchOptions& options,

@@ -663,7 +663,7 @@ class ExactSearchSolver : public Solver {
  protected:
   virtual std::size_t node_cap() const = 0;
   /// True for the informed searches that ride the bigstate subsystem
-  /// (variable-width states, PDB heuristics, memory-budgeted tables).
+  /// (runtime-width states, PDB heuristics, memory-budgeted tables).
   virtual bool bigstate() const { return true; }
   virtual std::optional<ExactResult> search(const SolveRequest& request,
                                             const ExactSearchOptions& options,
@@ -806,7 +806,7 @@ class ExactSolver final : public ExactSearchSolver {
 };
 
 /// A* over packed configurations with the bounds.hpp admissible heuristic,
-/// reinforced past 42 nodes by the bigstate subsystem (variable-width
+/// reinforced past 42 nodes by the bigstate subsystem (runtime-width
 /// states, pattern databases, memory-budgeted tables, incumbent seeding).
 class ExactAstarSolver final : public ExactSearchSolver {
  public:

@@ -4,9 +4,9 @@
 // into fixed-size records and hands them here as *sorted runs* — immutable
 // files of records ordered by key bytes. This layer is deliberately
 // type-erased: it knows record geometry (SpillLayout), not packed-state
-// types, so one non-templated implementation serves the 64-bit, __uint128_t,
-// and variable-width searches alike, and the templated table above it only
-// ever serializes/deserializes at the boundary.
+// types, so one non-templated implementation serves every PackedKey width
+// alike, and the templated table above it only ever serializes and
+// deserializes at the boundary.
 //
 // Operations, all O(log) seeks or one sequential sweep per run:
 //  * lookup — best record for one key via per-run binary search (runs hold

@@ -128,9 +128,10 @@ enum class PdbPartition { Cone, MinCut };
 /// under ExactSearchOptions::spill_path. CLI: --opt spill=auto|off|/path.
 enum class SpillMode { Auto, Off, Path };
 
-/// Knobs of the informed searches (exact-astar, hda-astar) beyond the plain
-/// state budget. Defaults reproduce the historical behavior on ≤42-node
-/// instances exactly.
+/// Knobs of the informed searches (exact-astar, hda-astar, anytime-astar)
+/// beyond the plain state budget. The key and mask widths are not knobs:
+/// dispatch_search_width (solvers/expander.hpp) picks them from the node
+/// count alone.
 struct ExactSearchOptions {
   /// Configuration-graph states the search may expand.
   std::size_t max_states = 2'000'000;
@@ -161,13 +162,6 @@ struct ExactSearchOptions {
   /// Optional incumbent seed (see IncumbentSeed).
   std::optional<IncumbentSeed> seed;
   StopPredicate should_stop;
-  /// Testing hook: run the variable-width state path even on instances the
-  /// fixed-width words cover, to differentially compare the two.
-  bool force_var_state = false;
-  /// Testing hook: run the runtime-width MaskVec bound path even on
-  /// instances the fixed-width masks cover (implies variable-width states),
-  /// to differentially compare costs and expansion counts.
-  bool force_mask_vec = false;
   /// Optional progress sampler (obs/introspect.hpp), polled at the
   /// 1024-expansion trace-checkpoint cadence. Non-owning; must outlive the
   /// search. When null (the default) every sampling/attribution probe is

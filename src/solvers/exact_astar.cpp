@@ -14,8 +14,8 @@ namespace rbpeb {
 
 static_assert(kExactAstarMaxNodes == StateBoundEvaluator::kVecMaskMaxNodes,
               "the search cap is the runtime-width bound cap");
-static_assert(kExactAstarFixedMaxNodes == PackedState128::max_nodes(),
-              "the fixed-width cap is the __uint128_t packing limit");
+static_assert(kExactAstarFixedMaxNodes == PackedKey<2>::max_nodes(),
+              "the fixed-width cap is the two-word packing limit");
 
 namespace {
 
@@ -161,7 +161,7 @@ std::optional<ExactResult> try_solve_exact_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};  // a reused struct must not accumulate across calls
-  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+  return dispatch_search_width(n, [&]<class Packed, class Masks>() {
     return astar_impl<Packed, Masks>(engine, options, *stats);
   });
 }

@@ -8,15 +8,14 @@
 // states (oneshot values lost forever) are pruned outright. Engineering
 // over the Dijkstra baseline:
 //
-//  * states are 3-bit-packed and updated incrementally per move — O(1) per
-//    generated neighbor. Up to 42 nodes they are single machine words
-//    (packed_state.hpp: 64-bit ≤ 21, __uint128_t ≤ 42); beyond that the
-//    search dispatches to the variable-width VarPackedState
-//    (bigstate/var_state.hpp) over two-word masks up to 128 nodes and
-//    runtime-width MaskVec masks up to kExactAstarMaxNodes. The dispatch
-//    is runtime-only: ≤42-node instances keep the fixed-width fast path
-//    and 43–128-node instances the two-word path bit-for-bit, costs and
-//    expansion counts unchanged;
+//  * states are 3-bit-packed PackedKey<W> (packed_state.hpp) and updated
+//    incrementally per move — O(1) per generated neighbor. The width
+//    dispatch picks the narrowest key from the node count: one inline word
+//    up to 21 nodes, two up to 42, the runtime width beyond; the bound and
+//    move masks are Masks<W> (pebble/bounds.hpp), one word up to 64 nodes,
+//    two up to 128, the runtime width up to kExactAstarMaxNodes. Every
+//    pair prices identically, so the choice changes speed, never costs or
+//    expansion counts;
 //  * the closed table is byte-accounted and spill-capable (bigstate/
 //    ddd.hpp): an ExactSearchOptions::max_memory_bytes cap either turns
 //    into a disk-backed working set (external-memory search with delayed
@@ -38,8 +37,8 @@
 //
 // The differential harness in tests/solvers/test_exact_astar.cpp proves the
 // returned cost equals Dijkstra's on every ≤21-node instance, and
-// tests/solvers/test_bigstate.cpp proves the variable-width path identical
-// (costs and expansions) to the fixed-width one on instances both can run.
+// tests/solvers/test_expander.cpp pins the expansion kernel to the Engine
+// for every key/mask pair the dispatch returns.
 #pragma once
 
 #include <cstddef>
@@ -50,15 +49,13 @@
 
 namespace rbpeb {
 
-/// Node cap of the fixed-width fast path: 42 nodes × 3 bits fit an
-/// __uint128_t key. Beyond it the variable-width bigstate path runs.
+/// Node cap of the inline packed keys: 42 nodes × 3 bits fit two words.
+/// Beyond it keys take the runtime width, and the bigstate defaults
+/// (pattern databases, incumbent seeding) switch on.
 inline constexpr std::size_t kExactAstarFixedMaxNodes = 42;
 
-/// Node cap of the A* search overall — the runtime-width mask limit of
-/// StateBoundEvaluator (asserted equal in exact_astar.cpp). Instances of
-/// 43–128 nodes run variable-width states over the two-word WideStateMasks
-/// exactly as before; beyond 128 the same search runs over the
-/// runtime-width MaskVec, so the ≤128 fast paths stay bit-for-bit.
+/// Node cap of the A* search overall — the mask limit of
+/// StateBoundEvaluator (asserted equal in exact_astar.cpp).
 inline constexpr std::size_t kExactAstarMaxNodes = 1024;
 
 /// Whether a search with these options consults a pattern database: On
@@ -89,8 +86,8 @@ std::optional<ExactResult> try_solve_exact_astar(
     const Engine& engine, std::size_t max_states = 2'000'000,
     const StopPredicate& should_stop = {}, ExactSearchStats* stats = nullptr);
 
-/// Full-options entry point: memory budget, pattern databases, incumbent
-/// seeding, and the forced variable-width testing path (ExactSearchOptions).
+/// Full-options entry point: memory budget, spilling, pattern databases and
+/// incumbent seeding (ExactSearchOptions).
 std::optional<ExactResult> try_solve_exact_astar(
     const Engine& engine, const ExactSearchOptions& options,
     ExactSearchStats* stats = nullptr);

@@ -15,8 +15,9 @@
 //    in the v-major Load/Store/Compute/Delete order the Engine enumeration
 //    used, so costs and expansion counts are unchanged. Completeness is a
 //    sinks-mask test. The predecessor, sink and source masks are the bound
-//    evaluator's own per-width caches. tests/solvers/test_expander.cpp pins
-//    successor lists, keys and completeness to the Engine at every width.
+//    evaluator's own caches. tests/solvers/test_expander.cpp pins successor
+//    lists, keys and completeness to the Engine for every (PackedKey,
+//    Masks) pair the width dispatch returns.
 //  * SearchCheckpoint is the 64-expansion poll (budget refresh, stop
 //    predicate, `search.expanded` counter) and the 1024-expansion trace
 //    instant and progress sample. Its destructor flushes the counter's
@@ -42,7 +43,6 @@
 #include "src/pebble/engine.hpp"
 #include "src/solvers/bigstate/ddd.hpp"
 #include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/bigstate/var_state.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/packed_state.hpp"
@@ -73,7 +73,6 @@ class Expander {
         sources_blue_(engine.convention().sources_start_blue),
         sinks_blue_(engine.convention().sinks_end_blue) {
     if (pdb != nullptr) bound_.attach_pdb(pdb);
-    caches_ = bound_.mask_caches<Masks>();
     for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
                           MoveType::Delete}) {
       cost_[static_cast<std::size_t>(type)] =
@@ -94,11 +93,12 @@ class Expander {
   bool enter(const Key& key) {
     current_ = Packed::from_key(key, n_);
     masks_ = Masks::from(current_, n_);
-    const MaskPlanes m = planes_of(masks_);
-    for (std::size_t w = 0; w < m.words; ++w) {
-      const std::uint64_t held =
-          sinks_blue_ ? m.blue[w] : m.red[w] | m.blue[w];
-      if ((caches_.sinks[w] & ~held) != 0) return false;
+    const std::uint64_t* red = masks_.red();
+    const std::uint64_t* blue = masks_.blue();
+    const std::uint64_t* sinks = bound_.caches().sinks.data();
+    for (std::size_t w = 0; w < masks_.words(); ++w) {
+      const std::uint64_t held = sinks_blue_ ? blue[w] : red[w] | blue[w];
+      if ((sinks[w] & ~held) != 0) return false;
     }
     return true;
   }
@@ -109,21 +109,25 @@ class Expander {
   /// Delete order — the Engine's enumeration order.
   template <class Visit>
   void for_each_legal_move(Visit&& visit) const {
-    const MaskPlanes m = planes_of(masks_);
+    const std::size_t words = masks_.words();
+    const std::uint64_t* reds = masks_.red();
+    const std::uint64_t* blues = masks_.blue();
+    const std::uint64_t* computed = masks_.computed();
+    const std::uint64_t* sources = bound_.caches().sources.data();
     std::size_t red_count = 0;
-    for (std::size_t w = 0; w < m.words; ++w) {
-      red_count += static_cast<std::size_t>(std::popcount(m.red[w]));
+    for (std::size_t w = 0; w < words; ++w) {
+      red_count += static_cast<std::size_t>(std::popcount(reds[w]));
     }
     const bool room = red_count < red_limit_;
-    for (std::size_t w = 0; w < m.words; ++w) {
-      const std::uint64_t red = m.red[w];
-      const std::uint64_t pebbled = red | m.blue[w];
-      const std::uint64_t load = room ? m.blue[w] : 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::uint64_t red = reds[w];
+      const std::uint64_t pebbled = red | blues[w];
+      const std::uint64_t load = room ? blues[w] : 0;
       std::uint64_t compute = 0;
       if (room) {
         compute = ~red & node_bits(w);
-        if (oneshot_) compute &= ~m.computed[w];
-        if (sources_blue_) compute &= ~caches_.sources[w];
+        if (oneshot_) compute &= ~computed[w];
+        if (sources_blue_) compute &= ~sources[w];
       }
       const std::uint64_t del = allows_delete_ ? pebbled : 0;
       for (std::uint64_t any = load | red | compute | del; any != 0;
@@ -134,7 +138,7 @@ class Expander {
             static_cast<NodeId>(w * 64 + static_cast<std::size_t>(b));
         if ((load & bit) != 0) visit(Move{MoveType::Load, v});
         if ((red & bit) != 0) visit(Move{MoveType::Store, v});
-        if ((compute & bit) != 0 && inputs_red(v, m)) {
+        if ((compute & bit) != 0 && inputs_red(v)) {
           visit(Move{MoveType::Compute, v});
         }
         if ((del & bit) != 0) visit(Move{MoveType::Delete, v});
@@ -199,11 +203,13 @@ class Expander {
                             : (std::uint64_t{1} << (n_ - first)) - 1;
   }
 
-  bool inputs_red(NodeId v, const MaskPlanes& m) const {
+  bool inputs_red(NodeId v) const {
+    const std::size_t words = masks_.words();
     const std::uint64_t* pred =
-        caches_.pred + static_cast<std::size_t>(v) * m.words;
-    for (std::size_t w = 0; w < m.words; ++w) {
-      if ((pred[w] & ~m.red[w]) != 0) return false;
+        bound_.caches().pred.data() + static_cast<std::size_t>(v) * words;
+    const std::uint64_t* red = masks_.red();
+    for (std::size_t w = 0; w < words; ++w) {
+      if ((pred[w] & ~red[w]) != 0) return false;
     }
     return true;
   }
@@ -212,7 +218,6 @@ class Expander {
   std::size_t n_;
   std::size_t red_limit_;
   StateBoundEvaluator bound_;
-  StateBoundEvaluator::MaskCaches caches_;
   ExactSearchStats& tally_;
   bool attribute_;
   bool oneshot_;
@@ -383,25 +388,24 @@ inline ExactResult result_or_throw(std::optional<ExactResult> result,
 }
 
 /// The width dispatch: runs search.template operator()<Packed, Masks>() on
-/// the narrowest state and mask types covering n nodes — one-word masks
-/// over 64-/128-bit words up to 42 nodes, two-word masks over variable-
-/// width states up to 128, runtime-width masks beyond. The force_* testing
-/// hooks select the wider paths on small instances; the paths price
-/// identically, so a forced run matches bit-for-bit.
+/// the narrowest key and mask types covering n nodes — one-word masks up to
+/// 64 nodes (over one-word keys to 21, two-word keys to 42 and runtime-width
+/// keys beyond), two-word masks to 128, runtime-width masks past that.
 template <class Search>
-auto dispatch_search_width(std::size_t n, const ExactSearchOptions& options,
-                           Search&& search) {
-  using Eval = StateBoundEvaluator;
-  if (options.force_mask_vec || n > Eval::kWideMaskMaxNodes) {
-    return search.template operator()<VarPackedState, Eval::MaskVec>();
+auto dispatch_search_width(std::size_t n, Search&& search) {
+  if (n <= PackedKey<1>::max_nodes()) {
+    return search.template operator()<PackedKey<1>, Masks<1>>();
   }
-  if (!options.force_var_state && n <= PackedState64::max_nodes()) {
-    return search.template operator()<PackedState64, Eval::StateMasks>();
+  if (n <= PackedKey<2>::max_nodes()) {
+    return search.template operator()<PackedKey<2>, Masks<1>>();
   }
-  if (!options.force_var_state && n <= PackedState128::max_nodes()) {
-    return search.template operator()<PackedState128, Eval::StateMasks>();
+  if (n <= StateBoundEvaluator::kMaskMaxNodes) {
+    return search.template operator()<PackedKey<0>, Masks<1>>();
   }
-  return search.template operator()<VarPackedState, Eval::WideStateMasks>();
+  if (n <= StateBoundEvaluator::kWideMaskMaxNodes) {
+    return search.template operator()<PackedKey<0>, Masks<2>>();
+  }
+  return search.template operator()<PackedKey<0>, Masks<0>>();
 }
 
 }  // namespace rbpeb

@@ -474,7 +474,7 @@ std::optional<ExactResult> try_solve_hda_astar(
   ExactSearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   *stats = {};
-  return dispatch_search_width(n, options, [&]<class Packed, class Masks>() {
+  return dispatch_search_width(n, [&]<class Packed, class Masks>() {
     return hda_impl<Packed, Masks>(engine, workers, options, *stats);
   });
 }

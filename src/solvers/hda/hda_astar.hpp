@@ -19,7 +19,7 @@
 // differentially at 1, 2, and 8 threads.
 //
 // Scaling machinery shared with exact-astar (see ExactSearchOptions):
-// variable-width states past 42 nodes (up to 128), additive pattern
+// runtime-width keys past 42 nodes (up to 1024), additive pattern
 // databases reinforcing the bound, and a memory budget split evenly across
 // the shard tables. One HDA*-specific wrinkle: on *serial* instances
 // (level width 1 — chains), hash-sharding degenerates into cross-thread
@@ -67,7 +67,7 @@ std::optional<ExactResult> try_solve_hda_astar(
     ExactSearchStats* stats = nullptr);
 
 /// Full-options entry point: memory budget (split across shards), pattern
-/// databases, incumbent seeding, forced variable-width path.
+/// databases, incumbent seeding.
 std::optional<ExactResult> try_solve_hda_astar(
     const Engine& engine, std::size_t threads,
     const ExactSearchOptions& options, ExactSearchStats* stats = nullptr);

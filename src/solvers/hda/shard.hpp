@@ -7,15 +7,14 @@
 // elsewhere travel as StateMsg batches through the owner's MPSC mailbox, the
 // only synchronized structure, kept cold by sender-side batching.
 //
-// Everything is templated over the packed-state type (the fixed-width
-// BasicPackedState words or the variable-width VarPackedState of
-// bigstate/var_state.hpp); the shard table is the byte-accounted, spill-
+// Everything is templated over the packed-state type (a PackedKey<W> of
+// solvers/packed_state.hpp); the shard table is the byte-accounted, spill-
 // capable SpillingClosedTable (bigstate/ddd.hpp) so a memory budget divides
 // evenly across workers — and so does the disk budget: each shard owns a
 // private spill partition (a subdirectory of the search's spill directory),
 // keeping run files single-owner and the workers lock-free on the disk
 // path. Shard ownership hashes through Packed::hash_key — cached and
-// incrementally maintained for variable-width keys, so routing a neighbor
+// incrementally maintained for runtime-width keys, so routing a neighbor
 // never rescans it.
 #pragma once
 
@@ -54,7 +53,7 @@ template <typename Packed>
 class Mailbox {
  public:
   /// Moves the batch's messages in (the caller clears it right after, and
-  /// variable-width keys own heap storage — copying them under the one
+  /// runtime-width keys own heap storage — copying them under the one
   /// contended lock would put two allocations per message in the critical
   /// section).
   void deliver(std::vector<StateMsg<Packed>>& batch) {

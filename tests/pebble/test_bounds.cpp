@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/topo_baseline.hpp"
+#include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"
+#include "tests/support/bound_oracle.hpp"
 #include "tests/support/legal_moves.hpp"
 
 namespace rbpeb {
@@ -173,91 +177,114 @@ TEST(StateBounds, CountsBlueInputLoadsOwedUnderHongKung) {
 }
 
 // The memoized mask path (cached per-node cones composed per state) must
-// price every reachable configuration exactly like the original walk it
-// replaced — dead-state verdicts included. Random walks visit states with
-// arbitrary pebble mixtures, where the cone-jump shortcut can and cannot
-// fire.
-TEST(StateBounds, MaskCompositionMatchesTheGenericWalk) {
-  Dag dag = make_random_layered_dag({.layers = 4, .width = 4, .indegree = 2,
-                                     .seed = 13});
+// price every reachable configuration exactly like the mark-and-walk
+// oracle, dead-state verdicts included, at every mask width. Random walks
+// visit states with arbitrary pebble mixtures, where the cone-jump shortcut
+// can and cannot fire; masks are applied move by move and must equal a
+// fresh encode.
+template <std::size_t W>
+void bound_walk(const Dag& dag, std::uint64_t seed, int steps) {
+  const std::size_t n = dag.node_count();
   for (const Model& model : all_models()) {
     for (bool sources_blue : {false, true}) {
       for (bool sinks_blue : {false, true}) {
-        Engine engine(dag, model, min_red_pebbles(dag),
-                      PebblingConvention{.sources_start_blue = sources_blue,
-                                         .sinks_end_blue = sinks_blue});
+        const PebblingConvention convention{
+            .sources_start_blue = sources_blue, .sinks_end_blue = sinks_blue};
+        const Engine engine(dag, model, min_red_pebbles(dag), convention);
         StateBoundEvaluator evaluator(engine);
-        Rng rng(17);
+        Rng rng(++seed);
         GameState state = engine.initial_state();
+        Masks<W> masks = Masks<W>::from(state, n);
         Cost cost;
-        for (int step = 0; step < 150; ++step) {
-          const auto masks = StateBoundEvaluator::StateMasks::from(
-              state, dag.node_count());
+        for (int step = 0; step < steps; ++step) {
+          const std::string where = model.name() + " n=" + std::to_string(n) +
+                                    " W=" + std::to_string(W) + " step " +
+                                    std::to_string(step);
+          ASSERT_EQ(masks, Masks<W>::from(state, n)) << where;
+          ASSERT_EQ(masks.words(), mask_words(n)) << where;
           EXPECT_EQ(evaluator.lower_bound_scaled(masks),
-                    evaluator.lower_bound_generic(state))
-              << model.name() << " step " << step;
+                    test_support::lower_bound_generic(engine, state))
+              << where;
           const std::vector<Move> legal =
               test_support::legal_moves(engine, state);
           if (legal.empty()) break;
-          engine.apply(state, legal[rng.next_below(legal.size())], cost);
+          const Move move = legal[rng.next_below(legal.size())];
+          engine.apply(state, move, cost);
+          masks.apply(move);
         }
       }
     }
   }
 }
 
-// The two-word wide-mask path (65–128-node DAGs, and the variable-width
-// searches at any size) must price exactly like the generic walk too —
-// including states whose closure spans both words — and, on DAGs the
-// one-word path also covers, like the one-word path.
-TEST(StateBounds, WideMaskCompositionMatchesTheGenericWalk) {
-  Dag big = make_random_layered_dag({.layers = 20, .width = 4, .indegree = 2,
-                                     .seed = 21});  // 80 nodes: wide only
-  ASSERT_GT(big.node_count(), StateBoundEvaluator::kMaskMaxNodes);
-  ASSERT_LE(big.node_count(), StateBoundEvaluator::kWideMaskMaxNodes);
-  Dag small = make_random_layered_dag({.layers = 4, .width = 4, .indegree = 2,
-                                       .seed = 13});  // 16 nodes: both paths
-  for (const Dag* dag : {&big, &small}) {
-    const std::size_t n = dag->node_count();
-    for (const Model& model : all_models()) {
-      for (bool sources_blue : {false, true}) {
-        for (bool sinks_blue : {false, true}) {
-          Engine engine(*dag, model, min_red_pebbles(*dag),
-                        PebblingConvention{.sources_start_blue = sources_blue,
-                                           .sinks_end_blue = sinks_blue});
-          StateBoundEvaluator evaluator(engine);
-          Rng rng(19);
-          GameState state = engine.initial_state();
-          auto wide = StateBoundEvaluator::WideStateMasks::from(state, n);
-          Cost cost;
-          for (int step = 0; step < 100; ++step) {
-            // The incrementally applied masks must equal a fresh re-encode.
-            const auto fresh =
-                StateBoundEvaluator::WideStateMasks::from(state, n);
-            ASSERT_EQ(wide.red, fresh.red) << step;
-            ASSERT_EQ(wide.blue, fresh.blue) << step;
-            ASSERT_EQ(wide.computed, fresh.computed) << step;
-            EXPECT_EQ(evaluator.lower_bound_scaled(wide),
-                      evaluator.lower_bound_generic(state))
-                << model.name() << " n=" << n << " step " << step;
-            if (n <= StateBoundEvaluator::kMaskMaxNodes) {
-              const auto narrow =
-                  StateBoundEvaluator::StateMasks::from(state, n);
-              EXPECT_EQ(evaluator.lower_bound_scaled(wide),
-                        evaluator.lower_bound_scaled(narrow))
-                  << model.name() << " step " << step;
-            }
-            const std::vector<Move> legal =
-                test_support::legal_moves(engine, state);
-            if (legal.empty()) break;
-            const Move move = legal[rng.next_below(legal.size())];
-            engine.apply(state, move, cost);
-            wide.apply(move);
-          }
-        }
-      }
-    }
+Dag layered(std::size_t layers, std::size_t width, std::uint64_t seed) {
+  return make_random_layered_dag(
+      {.layers = layers, .width = width, .indegree = 2, .seed = seed});
+}
+
+TEST(StateBounds, MaskCompositionMatchesTheGenericWalkAtEveryWidth) {
+  const Dag small = layered(4, 4, 13);  // 16 nodes: one word
+  bound_walk<1>(small, 100, 150);
+  bound_walk<0>(small, 200, 150);
+  const Dag wide = layered(20, 4, 21);  // 80 nodes: two words
+  ASSERT_GT(wide.node_count(), StateBoundEvaluator::kMaskMaxNodes);
+  ASSERT_LE(wide.node_count(), StateBoundEvaluator::kWideMaskMaxNodes);
+  bound_walk<2>(wide, 300, 100);
+  bound_walk<0>(wide, 400, 100);
+  // Past two words only the runtime width exists: 129 nodes (one bit into a
+  // third word), 192 (exactly three words), 256 (exactly four).
+  struct Shape {
+    std::size_t layers, width, nodes;
+  };
+  std::uint64_t seed = 500;
+  for (const Shape& s :
+       {Shape{43, 3, 129}, Shape{24, 8, 192}, Shape{32, 8, 256}}) {
+    const Dag dag = layered(s.layers, s.width, ++seed);
+    ASSERT_EQ(dag.node_count(), s.nodes);
+    bound_walk<0>(dag, seed * 100, 60);
   }
+}
+
+// A mask width that does not match the DAG is a caller bug, caught before
+// any plane is read: one word cannot hold 80 nodes, two words are not the
+// width of a 16-node DAG, and nothing prices past 1024 nodes.
+TEST(StateBounds, RejectsMasksOfTheWrongWidth) {
+  const Dag small = layered(4, 4, 13);
+  const Dag wide = layered(20, 4, 21);
+  const Engine small_engine(small, Model::base(), min_red_pebbles(small));
+  const Engine wide_engine(wide, Model::base(), min_red_pebbles(wide));
+  StateBoundEvaluator small_eval(small_engine);
+  StateBoundEvaluator wide_eval(wide_engine);
+  const GameState small_state = small_engine.initial_state();
+  const GameState wide_state = wide_engine.initial_state();
+
+  // Too narrow.
+  EXPECT_THROW(Masks<1>::from(wide_state, wide.node_count()),
+               PreconditionError);
+  EXPECT_THROW(wide_eval.lower_bound_scaled(Masks<1>()), PreconditionError);
+  const auto small_runtime = Masks<0>::from(small_state, small.node_count());
+  EXPECT_THROW(wide_eval.lower_bound_scaled(small_runtime), PreconditionError);
+  // Too wide.
+  EXPECT_THROW(Masks<2>::from(small_state, small.node_count()),
+               PreconditionError);
+  EXPECT_THROW(small_eval.lower_bound_scaled(Masks<2>()), PreconditionError);
+  const auto wide_runtime = Masks<0>::from(wide_state, wide.node_count());
+  EXPECT_THROW(small_eval.lower_bound_scaled(wide_runtime), PreconditionError);
+  // Past the cap: no caches, no masks, no bound.
+  DagBuilder chain;
+  chain.add_nodes(1025);
+  for (NodeId v = 1; v < 1025; ++v) chain.add_edge(v - 1, v);
+  const Dag big = chain.build();
+  const Engine big_engine(big, Model::base(), 2);
+  StateBoundEvaluator big_eval(big_engine);
+  const GameState big_state = big_engine.initial_state();
+  EXPECT_EQ(big_eval.caches().words, 0u);
+  EXPECT_THROW(Masks<0>::from(big_state, big.node_count()), PreconditionError);
+  EXPECT_THROW(Masks<0>(big.node_count()), PreconditionError);
+  EXPECT_THROW(big_eval.lower_bound_scaled(Masks<0>(1024)), PreconditionError);
+  EXPECT_THROW(big_eval.lower_bound_scaled(big_state), PreconditionError);
+  EXPECT_THROW(state_cost_lower_bound(big_engine, big_state),
+               PreconditionError);
 }
 
 TEST(Bounds, BaseModelHasNoLengthBound) {

@@ -1,8 +1,13 @@
 // Randomized rule-engine fuzzing: walk long random sequences of *legal*
 // moves and check that every documented invariant holds at every step, in
-// every model. This guards the Engine against rule regressions that the
-// construction-specific tests might not touch.
+// every model and under both conventions. This guards the Engine against
+// rule regressions that the construction-specific tests might not touch,
+// and pins the allocation-free is_legal to the message-building
+// why_illegal on every (move type, node) of every visited state.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "src/pebble/engine.hpp"
 #include "src/pebble/verifier.hpp"
@@ -15,18 +20,35 @@ namespace {
 struct FuzzCase {
   std::size_t model_index;
   std::uint64_t seed;
+  bool sources_blue = false;
+  bool sinks_blue = false;
 };
 
 class EngineFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
+std::vector<FuzzCase> fuzz_cases() {
+  std::vector<FuzzCase> cases;
+  for (std::size_t model = 0; model < all_models().size(); ++model) {
+    for (std::uint64_t seed : {1, 2}) {
+      for (bool sources_blue : {false, true}) {
+        for (bool sinks_blue : {false, true}) {
+          cases.push_back({model, seed, sources_blue, sinks_blue});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Walks, EngineFuzz,
-    ::testing::Values(FuzzCase{0, 1}, FuzzCase{0, 2}, FuzzCase{1, 1},
-                      FuzzCase{1, 2}, FuzzCase{2, 1}, FuzzCase{2, 2},
-                      FuzzCase{3, 1}, FuzzCase{3, 2}),
+    Walks, EngineFuzz, ::testing::ValuesIn(fuzz_cases()),
     [](const auto& info) {
-      return std::string(all_models()[info.param.model_index].name()) +
-             "_seed" + std::to_string(info.param.seed);
+      std::string name =
+          std::string(all_models()[info.param.model_index].name()) + "_seed" +
+          std::to_string(info.param.seed);
+      if (info.param.sources_blue) name += "_sourcesblue";
+      if (info.param.sinks_blue) name += "_sinksblue";
+      return name;
     });
 
 TEST_P(EngineFuzz, RandomLegalWalkKeepsInvariants) {
@@ -35,20 +57,27 @@ TEST_P(EngineFuzz, RandomLegalWalkKeepsInvariants) {
   Dag dag = make_random_layered_dag({.layers = 4, .width = 5, .indegree = 2,
                                      .seed = GetParam().seed + 10});
   const std::size_t r = dag.max_indegree() + 2;
-  Engine engine(dag, model, r);
+  const PebblingConvention convention{
+      .sources_start_blue = GetParam().sources_blue,
+      .sinks_end_blue = GetParam().sinks_blue};
+  Engine engine(dag, model, r, convention);
   GameState state = engine.initial_state();
   Cost cost;
   Trace trace;
 
   const std::size_t walk_length = 400;
   for (std::size_t step = 0; step < walk_length; ++step) {
-    // Enumerate all legal moves at this state.
+    // Enumerate all legal moves at this state; the fast predicate and the
+    // reason-building one must agree on every candidate.
     std::vector<Move> legal;
     for (std::size_t v = 0; v < dag.node_count(); ++v) {
       for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
                             MoveType::Delete}) {
         Move move{type, static_cast<NodeId>(v)};
-        if (engine.is_legal(state, move)) legal.push_back(move);
+        const bool is_legal = engine.is_legal(state, move);
+        EXPECT_EQ(is_legal, !engine.why_illegal(state, move).has_value())
+            << to_string(move) << " step " << step;
+        if (is_legal) legal.push_back(move);
       }
     }
     if (legal.empty()) break;  // possible in oneshot after deletions
@@ -63,9 +92,14 @@ TEST_P(EngineFuzz, RandomLegalWalkKeepsInvariants) {
       NodeId id = static_cast<NodeId>(v);
       if (state.is_red(id)) ++red;
       if (state.is_blue(id)) ++blue;
-      // A pebbled node was computed at some point (pebbles only enter the
-      // board via Step 3 under the default convention).
-      if (!state.is_empty(id)) EXPECT_TRUE(state.was_computed(id));
+      // A pebbled node was computed at some point: pebbles only enter the
+      // board via Step 3, except the blue sources of the Hong–Kung
+      // convention, which can never be computed.
+      if (convention.sources_start_blue && dag.is_source(id)) {
+        EXPECT_FALSE(state.was_computed(id));
+      } else if (!state.is_empty(id)) {
+        EXPECT_TRUE(state.was_computed(id));
+      }
       // Oneshot: a computed-and-empty node can never again hold a pebble —
       // verified implicitly by legality, spot-check the rule here:
       if (!model.allows_recompute() && state.was_computed(id) &&
@@ -76,7 +110,9 @@ TEST_P(EngineFuzz, RandomLegalWalkKeepsInvariants) {
     }
     EXPECT_EQ(red, state.red_count());
     EXPECT_EQ(blue, state.blue_count());
-    if (!model.allows_delete()) EXPECT_EQ(cost.deletes, 0);
+    if (!model.allows_delete()) {
+      EXPECT_EQ(cost.deletes, 0);
+    }
   }
 
   // The replayed walk agrees with the incrementally accumulated cost.

@@ -1,13 +1,14 @@
-// The bigstate subsystem's harness: the variable-width packed state must be
-// bit-identical to the fixed-width words wherever both exist (layout, per-
-// move updates, and the searches' costs *and* expansion counts), the
-// additive pattern databases must be admissible against exhaustively solved
-// instances, the memory-budgeted closed table must end searches gracefully
-// with partial stats, and the lifted caps must prove optima on instances
-// the fixed-width searches could never touch.
-#include "src/solvers/bigstate/var_state.hpp"
+// The bigstate subsystem's harness: the runtime-width packed key must be
+// bit-identical to the inline widths wherever both exist (layout, per-move
+// updates, hash), the additive pattern databases must be admissible against
+// exhaustively solved instances, the memory-budgeted closed table must end
+// searches gracefully with partial stats, and the lifted caps must prove
+// optima on instances two key words could never hold.
+#include "src/solvers/packed_state.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
@@ -18,8 +19,8 @@
 #include "src/solvers/exact.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/hda/hda_astar.hpp"
-#include "src/solvers/packed_state.hpp"
 #include "src/solvers/portfolio.hpp"
+#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/chain.hpp"
@@ -33,79 +34,103 @@ namespace {
 
 using test_support::legal_moves;
 
-// ---- VarPackedState vs the fixed-width words -----------------------------
+// ---- PackedKey<0> vs the inline widths ----------------------------------
 
-/// Walk random legal moves; after every one the variable-width state must
-/// agree with the fixed-width packing field-for-field and word-for-word,
-/// and its incrementally patched hash must equal a from-scratch recompute.
-template <typename Word>
+/// Walk random legal moves, then the topological baseline's full pebbling
+/// (which reaches every node); after every move the runtime-width key must
+/// agree with the W-word key field-for-field, word-for-word and hash for
+/// hash, and its incrementally patched hash must equal a from-scratch
+/// recompute.
+template <std::size_t W>
 void differential_walk(const Engine& engine, std::uint64_t seed) {
-  using Fixed = BasicPackedState<Word>;
+  using Fixed = PackedKey<W>;
   const std::size_t n = engine.dag().node_count();
   ASSERT_LE(n, Fixed::max_nodes());
-  Rng rng(seed);
-  GameState state = engine.initial_state();
-  Fixed fixed = Fixed::from_state(state);
-  VarPackedState var = VarPackedState::from_state(state);
-  for (int step = 0; step < 200; ++step) {
+  GameState state;
+  Fixed fixed;
+  PackedKey<0> var;
+  auto restart = [&] {
+    state = engine.initial_state();
+    fixed = Fixed::from_state(state);
+    var = PackedKey<0>::from_state(state);
+  };
+  auto step = [&](const Move& move) {
+    Cost cost;
+    engine.apply(state, move, cost);
+    fixed = fixed.apply(move);
+    var = var.apply(move);
     for (std::size_t v = 0; v < n; ++v) {
       const NodeId node = static_cast<NodeId>(v);
       ASSERT_EQ(var.color(node), fixed.color(node));
       ASSERT_EQ(var.was_computed(node), fixed.was_computed(node));
     }
-    // The word layout is the fixed-width encoding, split little-endian.
-    const auto raw = static_cast<unsigned __int128>(fixed.raw());
-    ASSERT_EQ(var.word(0), static_cast<std::uint64_t>(raw));
-    if (var.word_count() > 1) {
-      ASSERT_EQ(var.word(1), static_cast<std::uint64_t>(raw >> 64));
+    ASSERT_EQ(var.word_count(), PackedKey<0>::words_for(n));
+    for (std::size_t i = 0; i < var.word_count(); ++i) {
+      ASSERT_EQ(var.word(i), fixed.word(i)) << i;
     }
     ASSERT_EQ(var.hash(), var.recompute_hash());
-    ASSERT_EQ(var, VarPackedState::from_state(state));
+    ASSERT_EQ(var.hash(), fixed.hash());  // one hash formula at every width
+    ASSERT_EQ(var, PackedKey<0>::from_state(state));
     ASSERT_TRUE(test_support::same_fields(var, state));
+  };
+  restart();
+  Rng rng(seed);
+  for (int i = 0; i < 200; ++i) {
     std::vector<Move> legal = legal_moves(engine, state);
     if (legal.empty()) break;
-    const Move move = legal[rng.next_below(legal.size())];
-    Cost cost;
-    engine.apply(state, move, cost);
-    fixed = fixed.apply(move);
-    var = var.apply(move);
+    step(legal[rng.next_below(legal.size())]);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The baseline computes sources, so it runs only under the default
+  // source convention.
+  if (engine.convention().sources_start_blue) return;
+  restart();
+  for (const Move& move : solve_topo_baseline(engine)) {
+    step(move);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(VarPackedState, MatchesFixedWidthPackingOnEveryModelAndConvention) {
+TEST(PackedKey, RuntimeWidthMatchesInlineWidthsOnEveryModelAndConvention) {
   Dag small = make_random_layered_dag({.layers = 3, .width = 3, .indegree = 2,
-                                       .seed = 11});  // 9 nodes: 64-bit words
+                                       .seed = 11});  // 9 nodes: one word
   Dag wide = make_random_layered_dag({.layers = 6, .width = 5, .indegree = 2,
-                                      .seed = 12});  // 30 nodes: 128-bit words
-  ASSERT_GT(wide.node_count(), PackedState64::max_nodes());
+                                      .seed = 12});  // 30 nodes: two words
+  ASSERT_GT(wide.node_count(), PackedKey<1>::max_nodes());
   for (const Model& model : all_models()) {
     for (bool sources_blue : {false, true}) {
       for (bool sinks_blue : {false, true}) {
         const PebblingConvention convention{
             .sources_start_blue = sources_blue, .sinks_end_blue = sinks_blue};
-        Engine engine64(small, model, min_red_pebbles(small), convention);
-        differential_walk<std::uint64_t>(engine64, 7);
-        Engine engine128(wide, model, min_red_pebbles(wide), convention);
-        differential_walk<unsigned __int128>(engine128, 9);
+        Engine engine1(small, model, min_red_pebbles(small), convention);
+        differential_walk<1>(engine1, 7);
+        Engine engine2(wide, model, min_red_pebbles(wide), convention);
+        differential_walk<2>(engine2, 9);
       }
     }
   }
 }
 
-TEST(VarPackedState, SpillsToTheHeapPastTheInlineBufferAndRoundtrips) {
-  ASSERT_EQ(VarPackedState::max_inline_nodes(), 42u);
+TEST(PackedKey, RuntimeWidthRoundtripsPastTwoWords) {
   Dag dag = make_chain_dag(48);
   Engine engine(dag, Model::oneshot(), 2);
   Rng rng(3);
   GameState state = engine.initial_state();
-  VarPackedState var = VarPackedState::from_state(state);
-  EXPECT_EQ(var.word_count(), VarPackedState::words_for(48));
-  EXPECT_GT(var.word_count(), VarPackedState::kInlineWords);
-  EXPECT_GT(VarPackedState::key_heap_bytes(var), 0u);
+  PackedKey<0> var = PackedKey<0>::from_state(state);
+  EXPECT_EQ(var.word_count(), 3u);
+  EXPECT_EQ(PackedKey<0>::key_heap_bytes(var), 3 * sizeof(std::uint64_t));
+  EXPECT_EQ(PackedKey<0>::key_serialized_bytes(48),
+            3 * sizeof(std::uint64_t));
   for (int step = 0; step < 300; ++step) {
     ASSERT_TRUE(test_support::same_fields(var, state));
     ASSERT_EQ(var.hash(), var.recompute_hash());
-    ASSERT_EQ(var, VarPackedState::from_state(state));
+    ASSERT_EQ(var, PackedKey<0>::from_state(state));
+    // Serialization round-trips the words and restores the cached hash.
+    std::uint8_t bytes[3 * sizeof(std::uint64_t)];
+    PackedKey<0>::key_serialize(var, bytes);
+    const PackedKey<0> back = PackedKey<0>::key_deserialize(bytes, 48);
+    ASSERT_EQ(back, var);
+    ASSERT_EQ(back.hash(), var.hash());
     std::vector<Move> legal = legal_moves(engine, state);
     if (legal.empty()) break;
     const Move move = legal[rng.next_below(legal.size())];
@@ -113,21 +138,24 @@ TEST(VarPackedState, SpillsToTheHeapPastTheInlineBufferAndRoundtrips) {
     engine.apply(state, move, cost);
     var = var.apply(move);
   }
-  // Copies are deep and equal; moves leave the source reusable-but-empty.
-  VarPackedState copy = var;
+  // Copies are deep and equal.
+  PackedKey<0> copy = var;
   EXPECT_EQ(copy, var);
   EXPECT_EQ(copy.hash(), var.hash());
 }
 
-/// Field updates that straddle a 64-bit word boundary (3v mod 64 > 61) are
-/// the one encoding case the fixed-width words never exercise.
-TEST(VarPackedState, StraddledFieldsReadBackAcrossTheWordBoundary) {
+/// Field updates that straddle a 64-bit word boundary (3v mod 64 > 61).
+TEST(PackedKey, StraddledFieldsReadBackAcrossTheWordBoundary) {
   // Node 21: bits [63, 66) — one bit in word 0, two in word 1.
-  VarPackedState var(43);
+  PackedKey<0> var(43);
   var.set_color(21, PebbleColor::Blue);
   var.mark_computed(21);
   EXPECT_EQ(var.color(21), PebbleColor::Blue);
   EXPECT_TRUE(var.was_computed(21));
+  // Field 0b110 (blue, computed): its low bit is bit 63 of word 0, its two
+  // high bits open word 1.
+  EXPECT_EQ(var.word(0), 0u);
+  EXPECT_EQ(var.word(1), 3u);
   EXPECT_EQ(var.hash(), var.recompute_hash());
   var.set_color(21, PebbleColor::None);
   EXPECT_EQ(var.color(21), PebbleColor::None);
@@ -136,43 +164,6 @@ TEST(VarPackedState, StraddledFieldsReadBackAcrossTheWordBoundary) {
   EXPECT_EQ(var.color(20), PebbleColor::None);
   EXPECT_EQ(var.color(22), PebbleColor::None);
   EXPECT_EQ(var.hash(), var.recompute_hash());
-}
-
-// ---- the searches on the variable-width path -----------------------------
-
-/// Forcing the variable-width path on instances the fixed words cover must
-/// change nothing: same cost, same expansion count, bit for bit.
-TEST(VarPackedState, ForcedVarSearchMatchesFixedWidthCostsAndExpansions) {
-  Dag small = make_random_layered_dag({.layers = 3, .width = 3, .indegree = 2,
-                                       .seed = 5});
-  Dag wide = make_random_layered_dag({.layers = 13, .width = 2, .indegree = 2,
-                                      .seed = 3});  // 26 nodes
-  struct Case {
-    const Dag* dag;
-    Model model;
-  };
-  const Case cases[] = {{&small, Model::base()},
-                        {&small, Model::oneshot()},
-                        {&small, Model::nodel()},
-                        {&small, Model::compcost()},
-                        {&wide, Model::nodel()}};
-  for (const Case& c : cases) {
-    Engine engine(*c.dag, c.model, min_red_pebbles(*c.dag));
-    ExactSearchOptions fixed_options;
-    fixed_options.max_states = 4'000'000;
-    ExactSearchOptions var_options = fixed_options;
-    var_options.force_var_state = true;
-    ExactSearchStats fixed_stats, var_stats;
-    auto fixed = try_solve_exact_astar(engine, fixed_options, &fixed_stats);
-    auto var = try_solve_exact_astar(engine, var_options, &var_stats);
-    ASSERT_TRUE(fixed.has_value()) << c.model.name();
-    ASSERT_TRUE(var.has_value()) << c.model.name();
-    EXPECT_EQ(fixed->cost, var->cost) << c.model.name();
-    EXPECT_EQ(fixed_stats.states_expanded, var_stats.states_expanded)
-        << c.model.name();
-    EXPECT_EQ(verify_or_throw(engine, var->trace).total, var->cost)
-        << c.model.name();
-  }
 }
 
 // ---- pattern databases ---------------------------------------------------
@@ -264,8 +255,16 @@ TEST(PatternDatabase, FoldsIntoTheBoundEvaluatorAsAMax) {
 
 // ---- the memory-budgeted closed table ------------------------------------
 
-using Table64 = SpillingClosedTable<PackedState64>;
-using TableVar = SpillingClosedTable<VarPackedState>;
+using Table1 = SpillingClosedTable<PackedKey<1>>;
+using TableVar = SpillingClosedTable<PackedKey<0>>;
+
+/// The one-word key whose word is `w` — the tables only hash and compare
+/// keys, so any word will do.
+PackedKey<1> K(std::uint64_t w) {
+  std::uint8_t bytes[sizeof w];
+  std::memcpy(bytes, &w, sizeof w);
+  return PackedKey<1>::key_deserialize(bytes, 21);
+}
 
 /// A table with spilling disabled — the legacy ClosedTable semantics every
 /// unbudgeted (and spill=off) search still runs on.
@@ -276,52 +275,53 @@ SpillingClosedTable<Packed> ram_only_table(std::size_t node_count,
 }
 
 TEST(ClosedTable, RelaxAndLookupSemantics) {
-  Table64 table = ram_only_table<PackedState64>(21, 0);
-  EXPECT_EQ(table.relax(7, 10, 3, Move{MoveType::Load, 1}),
-            Table64::Relax::Inserted);
+  Table1 table = ram_only_table<PackedKey<1>>(21, 0);
+  EXPECT_EQ(table.relax(K(7), 10, K(3), Move{MoveType::Load, 1}),
+            Table1::Relax::Inserted);
   // A path no cheaper than the known one dies; a cheaper one re-opens.
-  EXPECT_EQ(table.relax(7, 99, 4, Move{MoveType::Store, 2}),
-            Table64::Relax::Stale);
-  EXPECT_EQ(table.at(7).g, 10);
-  EXPECT_EQ(table.relax(7, 5, 4, Move{MoveType::Store, 2}),
-            Table64::Relax::Improved);
-  EXPECT_EQ(table.at(7).g, 5);
+  EXPECT_EQ(table.relax(K(7), 99, K(4), Move{MoveType::Store, 2}),
+            Table1::Relax::Stale);
+  EXPECT_EQ(table.at(K(7)).g, 10);
+  EXPECT_EQ(table.relax(K(7), 5, K(4), Move{MoveType::Store, 2}),
+            Table1::Relax::Improved);
+  EXPECT_EQ(table.at(K(7)).g, 5);
   EXPECT_EQ(table.size(), 1u);
   // Growth keeps every entry reachable.
   for (std::uint64_t k = 100; k < 3000; ++k) {
-    table.relax(k, static_cast<std::int64_t>(k), 0, Move{MoveType::Load, 0});
+    table.relax(K(k), static_cast<std::int64_t>(k), K(0),
+                Move{MoveType::Load, 0});
   }
   EXPECT_EQ(table.size(), 2901u);
-  EXPECT_EQ(table.at(7).g, 5);
-  EXPECT_EQ(table.at(2999).g, 2999);
+  EXPECT_EQ(table.at(K(7)).g, 5);
+  EXPECT_EQ(table.at(K(2999)).g, 2999);
   EXPECT_GT(table.bytes(), 2901 * sizeof(std::uint64_t));
 }
 
 TEST(ClosedTable, ExpansionGateFiresOncePerKeyAndG) {
-  Table64 table = ram_only_table<PackedState64>(21, 0);
-  table.relax(7, 10, 3, Move{MoveType::Load, 1});
-  EXPECT_EQ(table.begin_expansion(7, 12), Table64::Pop::Skip);  // stale g
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Expand);
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Skip);  // once only
+  Table1 table = ram_only_table<PackedKey<1>>(21, 0);
+  table.relax(K(7), 10, K(3), Move{MoveType::Load, 1});
+  EXPECT_EQ(table.begin_expansion(K(7), 12), Table1::Pop::Skip);  // stale g
+  EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Expand);
+  EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Skip);  // once only
   // A strict improvement re-opens the state at its new g.
-  EXPECT_EQ(table.relax(7, 4, 3, Move{MoveType::Load, 1}),
-            Table64::Relax::Improved);
-  EXPECT_EQ(table.begin_expansion(7, 10), Table64::Pop::Skip);
-  EXPECT_EQ(table.begin_expansion(7, 4), Table64::Pop::Expand);
+  EXPECT_EQ(table.relax(K(7), 4, K(3), Move{MoveType::Load, 1}),
+            Table1::Relax::Improved);
+  EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Skip);
+  EXPECT_EQ(table.begin_expansion(K(7), 4), Table1::Pop::Expand);
 }
 
 TEST(ClosedTable, RefusesInsertsBeyondTheByteBudgetWhenSpillIsOff) {
-  Table64 tiny = ram_only_table<PackedState64>(21, 64);  // below the slab
-  EXPECT_EQ(tiny.relax(1, 0, 0, Move{MoveType::Load, 0}),
-            Table64::Relax::OutOfMemory);
+  Table1 tiny = ram_only_table<PackedKey<1>>(21, 64);  // below the slab
+  EXPECT_EQ(tiny.relax(K(1), 0, K(0), Move{MoveType::Load, 0}),
+            Table1::Relax::OutOfMemory);
   EXPECT_EQ(tiny.size(), 0u);
 
   // Holds the slab, not a grow.
-  Table64 small = ram_only_table<PackedState64>(21, 100'000);
+  Table1 small = ram_only_table<PackedKey<1>>(21, 100'000);
   std::size_t inserted = 0;
   for (std::uint64_t k = 0; k < 10'000; ++k) {
-    if (small.relax(k, 0, 0, Move{MoveType::Load, 0}) ==
-        Table64::Relax::OutOfMemory) {
+    if (small.relax(K(k), 0, K(0), Move{MoveType::Load, 0}) ==
+        Table1::Relax::OutOfMemory) {
       break;
     }
     ++inserted;
@@ -331,27 +331,28 @@ TEST(ClosedTable, RefusesInsertsBeyondTheByteBudgetWhenSpillIsOff) {
   EXPECT_LE(small.bytes(), 100'000u);
   // Everything inserted before the refusal is still there.
   EXPECT_EQ(small.size(), inserted);
-  EXPECT_EQ(small.at(0).g, 0);
+  EXPECT_EQ(small.at(K(0)).g, 0);
 }
 
-TEST(ClosedTable, AccountsHeapSpillOfVariableWidthKeys) {
-  // Two tables, same slot layout: one stores an inline key, one a spilled
-  // key; the byte difference must be exactly the key's (and its parent
-  // copy's) heap words.
-  TableVar inline_table = ram_only_table<VarPackedState>(40, 0);
-  VarPackedState inline_key(40);  // 2 words: fits the inline buffer
-  ASSERT_EQ(VarPackedState::key_heap_bytes(inline_key), 0u);
-  inline_table.relax(inline_key, 0, inline_key, Move{MoveType::Load, 0});
+TEST(ClosedTable, AccountsHeapWordsOfRuntimeWidthKeys) {
+  // Two tables, same slot layout: one stores a 3-word key, one an 8-word
+  // key; the byte difference must be exactly the keys' (and their parent
+  // copies') extra heap words.
+  TableVar narrow_table = ram_only_table<PackedKey<0>>(60, 0);
+  const PackedKey<0> narrow_key(60);  // 3 words
+  ASSERT_EQ(PackedKey<0>::key_heap_bytes(narrow_key),
+            3 * sizeof(std::uint64_t));
+  narrow_table.relax(narrow_key, 0, narrow_key, Move{MoveType::Load, 0});
 
-  TableVar spill_table = ram_only_table<VarPackedState>(60, 0);
-  VarPackedState key(60);  // 3 words: spills
-  key.set_color(50, PebbleColor::Red);
-  ASSERT_EQ(spill_table.relax(key, 1, key, Move{MoveType::Load, 0}),
+  TableVar wide_table = ram_only_table<PackedKey<0>>(150, 0);
+  PackedKey<0> key(150);  // 8 words
+  key.set_color(140, PebbleColor::Red);
+  ASSERT_EQ(wide_table.relax(key, 1, key, Move{MoveType::Load, 0}),
             TableVar::Relax::Inserted);
-  EXPECT_GT(VarPackedState::key_heap_bytes(key), 0u);
-  EXPECT_EQ(spill_table.bytes(),
-            inline_table.bytes() + 2 * VarPackedState::key_heap_bytes(key));
-  EXPECT_EQ(spill_table.at(key).g, 1);
+  EXPECT_EQ(PackedKey<0>::key_heap_bytes(key), 8 * sizeof(std::uint64_t));
+  EXPECT_EQ(wide_table.bytes(),
+            narrow_table.bytes() + 2 * 5 * sizeof(std::uint64_t));
+  EXPECT_EQ(wide_table.at(key).g, 1);
 }
 
 TEST(MemoryBudget, SearchEndsGracefullyWithPartialStatsWhenSpillIsOff) {
@@ -546,7 +547,7 @@ TEST(BigScale, BothSearchesProveTheSameOptimumOnA50NodeStencil) {
   // A branching (non-chain) instance well past the fixed-width cap: 50
   // nodes of 1-D stencil in nodel. Two independent searches — sequential
   // A* and HDA* — must certify the same optimum; their agreement is the
-  // cross-check that the bigstate machinery (variable-width states, PDB
+  // cross-check that the bigstate machinery (runtime-width states, PDB
   // heuristic, seeded incumbent) preserved exactness.
   Dag dag = make_stencil1d_dag(2, 24).dag;
   ASSERT_EQ(dag.node_count(), 50u);

@@ -24,11 +24,11 @@
 namespace rbpeb {
 namespace {
 
-// ---- PackedState ---------------------------------------------------------
+// ---- PackedKey -----------------------------------------------------------
 
-template <typename Word>
+template <std::size_t W>
 void roundtrip_along_random_walk(const Engine& engine, std::uint64_t seed) {
-  using Packed = BasicPackedState<Word>;
+  using Packed = PackedKey<W>;
   const std::size_t n = engine.dag().node_count();
   ASSERT_LE(n, Packed::max_nodes());
   Rng rng(seed);
@@ -49,29 +49,31 @@ void roundtrip_along_random_walk(const Engine& engine, std::uint64_t seed) {
   }
 }
 
-TEST(PackedState, IncrementalUpdatesMatchEngineTransitions64) {
+TEST(PackedKey, IncrementalUpdatesMatchEngineTransitionsOneWord) {
   Dag dag = make_random_layered_dag({.layers = 3, .width = 3, .indegree = 2,
                                      .seed = 11});
   for (const Model& model : all_models()) {
     Engine engine(dag, model, min_red_pebbles(dag));
-    roundtrip_along_random_walk<std::uint64_t>(engine, 7);
+    roundtrip_along_random_walk<1>(engine, 7);
   }
 }
 
-TEST(PackedState, IncrementalUpdatesMatchEngineTransitions128) {
+TEST(PackedKey, IncrementalUpdatesMatchEngineTransitionsTwoWords) {
   Dag dag = make_random_layered_dag({.layers = 6, .width = 5, .indegree = 2,
-                                     .seed = 12});  // 30 nodes: wide path only
-  ASSERT_GT(dag.node_count(), PackedState64::max_nodes());
+                                     .seed = 12});  // 30 nodes: two words
+  ASSERT_GT(dag.node_count(), PackedKey<1>::max_nodes());
   Engine engine(dag, Model::oneshot(), min_red_pebbles(dag));
-  roundtrip_along_random_walk<unsigned __int128>(engine, 9);
+  roundtrip_along_random_walk<2>(engine, 9);
 }
 
-TEST(PackedState, WidthCapsMatchTheDocumentedLimits) {
-  EXPECT_EQ(PackedState64::max_nodes(), 21u);
-  EXPECT_EQ(PackedState128::max_nodes(), 42u);
+TEST(PackedKey, WidthCapsMatchTheDocumentedLimits) {
+  EXPECT_EQ(PackedKey<1>::max_nodes(), 21u);
+  EXPECT_EQ(PackedKey<2>::max_nodes(), 42u);
   EXPECT_EQ(kExactAstarFixedMaxNodes, 42u);
-  // Past the fixed-width words the variable-width bigstate path carries the
-  // search over two-word masks to 128 nodes and runtime-width masks beyond.
+  // Past two key words the runtime-width keys carry the search, over
+  // one-word masks to 64 nodes, two-word masks to 128 and runtime-width
+  // masks beyond.
+  EXPECT_EQ(StateBoundEvaluator::kMaskMaxNodes, 64u);
   EXPECT_EQ(StateBoundEvaluator::kWideMaskMaxNodes, 128u);
   EXPECT_EQ(kExactAstarMaxNodes, 1024u);
   EXPECT_EQ(kExactAstarMaxNodes, StateBoundEvaluator::kVecMaskMaxNodes);
@@ -188,6 +190,26 @@ TEST(AstarScale, SolvesA26NodeLayeredDagInNodel) {
   ExactResult result = solve_exact_astar(engine, 4'000'000);
   EXPECT_TRUE(verify(engine, result.trace).ok());
   EXPECT_GE(result.cost, cost_lower_bound(dag, Model::nodel(), r));
+}
+
+/// End to end past the two-word mask cap: a 129-node chain (the first
+/// width two-word masks cannot represent) solves over runtime-width masks
+/// and verifies.
+TEST(AstarScale, SolvesA129NodeChainPastTheTwoWordCap) {
+  Dag dag = make_chain_dag(129);
+  ASSERT_GT(dag.node_count(), StateBoundEvaluator::kWideMaskMaxNodes);
+  Engine engine(dag, Model::oneshot(), 3);
+  ExactSearchOptions options;
+  options.max_states = 2'000'000;
+  ExactSearchStats stats;
+  auto result = try_solve_exact_astar(engine, options, &stats);
+  ASSERT_TRUE(result.has_value())
+      << "termination=" << static_cast<int>(stats.termination);
+  EXPECT_EQ(stats.termination, ExactTermination::Solved);
+  EXPECT_EQ(verify_or_throw(engine, result->trace).total, result->cost);
+  // A 3-red-pebble oneshot chain never needs the bus: compute straight up,
+  // deleting behind — the model prices that at zero.
+  EXPECT_EQ(result->cost, Rational(0));
 }
 
 TEST(AstarScale, RejectsDagsBeyondTheBigstateCap) {

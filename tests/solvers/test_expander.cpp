@@ -1,17 +1,21 @@
 // The shared expansion kernel against the Engine reference. Along seeded
-// random walks over every model × convention, at every state width the
-// searches dispatch to — one-word masks over 64- and 128-bit keys, two-word
-// masks over variable-width keys (65–128 nodes, and forced on small DAGs),
-// runtime-width masks (forced on small DAGs, and at the 129/192/256 word
-// boundaries) — the kernel must enumerate exactly Engine::is_legal's moves
-// in the same v-major Load/Store/Compute/Delete order, derive every
-// successor key equal to re-packing Engine::apply's state, price each one
-// like the bound evaluator, and agree with Engine::is_complete.
+// random walks over every model × convention, for every (PackedKey, Masks)
+// pair the width dispatch returns — one-word masks over one-word (16
+// nodes), two-word (30) and runtime-width keys (48), two-word masks over
+// runtime-width keys (80), runtime-width masks over runtime-width keys at
+// the 129/192/256 word boundaries and on a 16-node DAG — the kernel must
+// enumerate exactly Engine::is_legal's moves in the same v-major
+// Load/Store/Compute/Delete order, derive every successor key equal to
+// re-packing Engine::apply's state, price each one like the bound
+// evaluator, and agree with Engine::is_complete. Identical successors and
+// prices at every pair are what make costs and expansion counts independent
+// of the width the dispatch picks.
 #include "src/solvers/expander.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/pebble/bounds.hpp"
@@ -154,36 +158,46 @@ void sweep(const Dag& dag, std::uint64_t seed, int steps) {
   EXPECT_GT(complete, 0u) << "n=" << dag.node_count();
 }
 
+template <std::size_t K, std::size_t W>
+std::pair<std::size_t, std::size_t> widths(PackedKey<K>*, Masks<W>*) {
+  return {K, W};
+}
+
 Dag layered(std::size_t layers, std::size_t width, std::uint64_t seed) {
   return make_random_layered_dag(
       {.layers = layers, .width = width, .indegree = 2, .seed = seed});
 }
 
-TEST(Expander, OneWordMasksOver64BitKeys) {
+TEST(Expander, OneWordMasksOverOneWordKeys) {
   const Dag dag = layered(4, 4, 1);  // 16 nodes
-  ASSERT_LE(dag.node_count(), PackedState64::max_nodes());
-  sweep<PackedState64, Eval::StateMasks>(dag, 100, 120);
+  ASSERT_LE(dag.node_count(), PackedKey<1>::max_nodes());
+  sweep<PackedKey<1>, Masks<1>>(dag, 100, 120);
 }
 
-TEST(Expander, OneWordMasksOver128BitKeys) {
+TEST(Expander, OneWordMasksOverTwoWordKeys) {
   const Dag dag = layered(6, 5, 2);  // 30 nodes
-  ASSERT_GT(dag.node_count(), PackedState64::max_nodes());
-  ASSERT_LE(dag.node_count(), PackedState128::max_nodes());
-  sweep<PackedState128, Eval::StateMasks>(dag, 200, 120);
+  ASSERT_GT(dag.node_count(), PackedKey<1>::max_nodes());
+  ASSERT_LE(dag.node_count(), PackedKey<2>::max_nodes());
+  sweep<PackedKey<2>, Masks<1>>(dag, 200, 120);
 }
 
-TEST(Expander, TwoWordMasksOverVariableWidthKeys) {
-  const Dag forced = layered(4, 4, 3);  // 16 nodes: the force_var_state path
-  sweep<VarPackedState, Eval::WideStateMasks>(forced, 300, 80);
-  const Dag dag = layered(20, 4, 4);  // 80 nodes: the natural two-word path
+TEST(Expander, OneWordMasksOverRuntimeWidthKeys) {
+  const Dag dag = layered(12, 4, 3);  // 48 nodes
+  ASSERT_GT(dag.node_count(), PackedKey<2>::max_nodes());
+  ASSERT_LE(dag.node_count(), Eval::kMaskMaxNodes);
+  sweep<PackedKey<0>, Masks<1>>(dag, 300, 80);
+}
+
+TEST(Expander, TwoWordMasksOverRuntimeWidthKeys) {
+  const Dag dag = layered(20, 4, 4);  // 80 nodes
   ASSERT_GT(dag.node_count(), Eval::kMaskMaxNodes);
   ASSERT_LE(dag.node_count(), Eval::kWideMaskMaxNodes);
-  sweep<VarPackedState, Eval::WideStateMasks>(dag, 400, 80);
+  sweep<PackedKey<0>, Masks<2>>(dag, 400, 80);
 }
 
 TEST(Expander, RuntimeWidthMasksAtTheWordBoundaries) {
-  const Dag forced = layered(4, 4, 5);  // 16 nodes: the force_mask_vec path
-  sweep<VarPackedState, Eval::MaskVec>(forced, 500, 80);
+  const Dag small = layered(4, 4, 5);  // 16 nodes: one runtime-width word
+  sweep<PackedKey<0>, Masks<0>>(small, 500, 80);
   // 43*3 = 129 (one bit into a third word), 24*8 = 192 (exactly three
   // words), 32*8 = 256 (exactly four).
   struct Shape {
@@ -194,8 +208,30 @@ TEST(Expander, RuntimeWidthMasksAtTheWordBoundaries) {
                          Shape{32, 8, 256}}) {
     const Dag dag = layered(s.layers, s.width, ++seed);
     ASSERT_EQ(dag.node_count(), s.nodes);
-    sweep<VarPackedState, Eval::MaskVec>(dag, seed * 100, 40);
+    sweep<PackedKey<0>, Masks<0>>(dag, seed * 100, 40);
   }
+}
+
+/// The (key words, mask words) pair a search over n nodes runs; 0 is the
+/// runtime width.
+std::pair<std::size_t, std::size_t> dispatched(std::size_t n) {
+  return dispatch_search_width(n, []<class Packed, class M>() {
+    return widths(static_cast<Packed*>(nullptr), static_cast<M*>(nullptr));
+  });
+}
+
+TEST(Expander, DispatchPicksTheNarrowestPair) {
+  using Pair = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(dispatched(1), Pair(1, 1));
+  EXPECT_EQ(dispatched(21), Pair(1, 1));
+  EXPECT_EQ(dispatched(22), Pair(2, 1));
+  EXPECT_EQ(dispatched(42), Pair(2, 1));
+  EXPECT_EQ(dispatched(43), Pair(0, 1));
+  EXPECT_EQ(dispatched(64), Pair(0, 1));
+  EXPECT_EQ(dispatched(65), Pair(0, 2));
+  EXPECT_EQ(dispatched(128), Pair(0, 2));
+  EXPECT_EQ(dispatched(129), Pair(0, 0));
+  EXPECT_EQ(dispatched(1024), Pair(0, 0));
 }
 
 }  // namespace

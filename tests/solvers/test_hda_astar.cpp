@@ -117,7 +117,7 @@ TEST(HdaScale, SolvesAChainDijkstraCannotTouch) {
 TEST(HdaScale, MatchesExactAstarOnA26NodeLayeredDagInNodel) {
   Dag dag = make_random_layered_dag({.layers = 13, .width = 2, .indegree = 2,
                                      .seed = 3});  // 26 nodes: wide path only
-  ASSERT_GT(dag.node_count(), PackedState64::max_nodes());
+  ASSERT_GT(dag.node_count(), PackedKey<1>::max_nodes());
   Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
   ExactResult sequential = solve_exact_astar(engine, 4'000'000);
   ExactResult parallel = solve_hda_astar(engine, 8, 4'000'000);

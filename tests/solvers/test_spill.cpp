@@ -190,38 +190,25 @@ SolveOutcome solve_hda(const Engine& engine, std::size_t threads,
 /// same optimal cost AND same expansion count — because delayed duplicate
 /// detection never expands a state the in-memory search would not.
 TEST(SpillSearch, TinyBudgetReproducesInMemoryCostsAndExpansions) {
-  struct Case {
-    Dag dag;
-    Model model;
-    bool force_var;
-  };
-  const Case cases[] = {
-      {make_stencil1d_dag(2, 14).dag, Model::nodel(), false},   // 30 nodes
-      {make_stencil1d_dag(2, 14).dag, Model::nodel(), true},    // var states
-  };
-  for (const Case& c : cases) {
-    Engine engine(c.dag, c.model, min_red_pebbles(c.dag));
-    ExactSearchOptions unbudgeted;
-    unbudgeted.max_states = 4'000'000;
-    unbudgeted.force_var_state = c.force_var;
-    SolveOutcome reference = solve_astar(engine, unbudgeted);
-    ASSERT_TRUE(reference.result.has_value());
+  const Dag dag = make_stencil1d_dag(2, 14).dag;  // 30 nodes
+  Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
+  ExactSearchOptions unbudgeted;
+  unbudgeted.max_states = 4'000'000;
+  SolveOutcome reference = solve_astar(engine, unbudgeted);
+  ASSERT_TRUE(reference.result.has_value());
 
-    ExactSearchOptions tiny = unbudgeted;
-    tiny.max_memory_bytes = std::size_t{64} << 10;
-    SolveOutcome spilled = solve_astar(engine, tiny);
-    ASSERT_TRUE(spilled.result.has_value())
-        << c.model.name() << " force_var=" << c.force_var;
-    EXPECT_EQ(spilled.result->cost, reference.result->cost);
-    EXPECT_EQ(spilled.stats.states_expanded, reference.stats.states_expanded)
-        << c.model.name() << " force_var=" << c.force_var;
-    EXPECT_GT(spilled.stats.spilled_states, 0u);
-    EXPECT_GT(spilled.stats.spill_bytes, 0u);
-    EXPECT_GT(spilled.stats.merge_passes, 0u);
-    EXPECT_EQ(reference.stats.spilled_states, 0u);  // unbudgeted never spills
-    EXPECT_EQ(verify_or_throw(engine, spilled.result->trace).total,
-              spilled.result->cost);
-  }
+  ExactSearchOptions tiny = unbudgeted;
+  tiny.max_memory_bytes = std::size_t{64} << 10;
+  SolveOutcome spilled = solve_astar(engine, tiny);
+  ASSERT_TRUE(spilled.result.has_value());
+  EXPECT_EQ(spilled.result->cost, reference.result->cost);
+  EXPECT_EQ(spilled.stats.states_expanded, reference.stats.states_expanded);
+  EXPECT_GT(spilled.stats.spilled_states, 0u);
+  EXPECT_GT(spilled.stats.spill_bytes, 0u);
+  EXPECT_GT(spilled.stats.merge_passes, 0u);
+  EXPECT_EQ(reference.stats.spilled_states, 0u);  // unbudgeted never spills
+  EXPECT_EQ(verify_or_throw(engine, spilled.result->trace).total,
+            spilled.result->cost);
 }
 
 TEST(SpillSearch, SearchesSmallerThanTheWorkingSetFloorNeverSpill) {
@@ -317,7 +304,7 @@ TEST(SpillSearch, DiskBudgetExhaustionTerminatesGracefully) {
 /// costs identical to the unbudgeted run, for both exact searches. 32 MiB
 /// genuinely undercuts the stencil's in-memory footprint once the PDB
 /// tables and bucket arrays are charged against it, so this certifies the
-/// spill path end to end on variable-width states.
+/// spill path end to end on runtime-width keys.
 TEST(SpillAcceptance, BudgetedSearchesMatchUnbudgetedOn46And48Nodes) {
   struct Case {
     Dag dag;
@@ -354,51 +341,79 @@ TEST(SpillAcceptance, BudgetedSearchesMatchUnbudgetedOn46And48Nodes) {
   }
 }
 
+/// The key of an n-node table whose first word is `k` (the table only
+/// hashes, compares and byte-counts keys).
+template <class Packed>
+Packed key_of(std::uint64_t k, std::size_t node_count) {
+  std::vector<std::uint8_t> bytes(Packed::key_serialized_bytes(node_count), 0);
+  std::memcpy(bytes.data(), &k, sizeof k);
+  return Packed::key_deserialize(bytes.data(), node_count);
+}
+
 /// Regression: a slot-array rehash keeps the old and the new arrays alive
 /// simultaneously, and that transient must count against the byte budget —
 /// the table used to charge only the new array, overshooting the budget by
 /// half the peak at every growth. A budget that covers the steady state but
 /// not the transient must refuse the insert cleanly (spilling off), never
-/// allocate past the cap.
-TEST(SpillTable, RehashTransientCountsAgainstTheMemoryBudget) {
-  using Table = SpillingClosedTable<PackedState64>;
-  using Relax = Table::Relax;
+/// allocate past the cap. Runs over one-word keys and over runtime-width
+/// keys, whose heap words the budget counts too.
+template <class Packed>
+void check_rehash_transient(std::size_t node_count) {
+  using Table = SpillingClosedTable<Packed>;
+  using Relax = typename Table::Relax;
   const Move via{MoveType::Load, 0};
+  auto key = [&](std::uint64_t k) { return key_of<Packed>(k, node_count); };
+  // Heap bytes one entry adds: its key and its parent's copy.
+  const std::size_t entry_heap = 2 * Packed::key_heap_bytes(key(0));
 
   // Measure one slot slab with an unbudgeted table: the first insert
-  // allocates the initial power-of-two array and fixed-width keys carry no
-  // heap bytes, so bytes() is exactly slab_slots * sizeof(Slot).
-  Table probe(16, 0, "", 0);
-  ASSERT_EQ(probe.relax(0, 0, 0, via), Relax::Inserted);
-  const std::size_t slab_bytes = probe.bytes();
+  // allocates the initial power-of-two array, so bytes() is the slab plus
+  // one entry's heap words. Keep inserting until the array grows to learn
+  // how many entries it held when it did.
+  Table probe(node_count, 0, "", 0);
+  ASSERT_EQ(probe.relax(key(0), 0, key(0), via), Relax::Inserted);
+  const std::size_t slab_bytes = probe.bytes() - entry_heap;
   ASSERT_GT(slab_bytes, 0u);
+  std::size_t grow_at = 0;
+  for (std::uint64_t k = 1; grow_at == 0; ++k) {
+    ASSERT_EQ(probe.relax(key(k), 0, key(0), via), Relax::Inserted);
+    if (probe.bytes() - probe.size() * entry_heap > slab_bytes) {
+      grow_at = probe.size() - 1;
+    }
+  }
 
-  // Growth doubles the array when the load factor hits 3/4, so the rehash
-  // peak is (old + new) = 3 slabs. One byte under it must refuse exactly at
-  // the growth insert, with the table still inside its budget.
-  const std::size_t peak_bytes = 3 * slab_bytes;
-  Table tight(16, peak_bytes - 1, "", 0);
-  std::uint64_t key = 0;
+  // Growth doubles the array, so the rehash peak is (old + new) = 3 slabs
+  // plus the heap words already stored. One byte under it must refuse
+  // exactly at the growth insert, with the table still inside its budget.
+  const std::size_t peak_bytes = 3 * slab_bytes + grow_at * entry_heap;
+  Table tight(node_count, peak_bytes - 1, "", 0);
   std::size_t inserted = 0;
   Relax last = Relax::Inserted;
   while (inserted < 10'000) {
-    last = tight.relax(++key, 0, 0, via);
+    last = tight.relax(key(inserted + 1), 0, key(0), via);
     if (last != Relax::Inserted) break;
     ++inserted;
     ASSERT_LE(tight.bytes(), tight.max_bytes());
   }
   EXPECT_EQ(last, Relax::OutOfMemory);
+  EXPECT_EQ(inserted, grow_at);
   ASSERT_LE(tight.bytes(), tight.max_bytes());
-  EXPECT_EQ(tight.bytes(), slab_bytes);  // still the first slab, un-grown
+  // Still the first slab, un-grown.
+  EXPECT_EQ(tight.bytes(), slab_bytes + inserted * entry_heap);
 
   // With the transient covered, the same insert sequence sails through the
   // growth — the refusal above was the transient accounting, nothing else.
-  Table roomy(16, peak_bytes, "", 0);
+  Table roomy(node_count, peak_bytes, "", 0);
   for (std::uint64_t k = 1; k <= inserted + 1; ++k) {
-    ASSERT_EQ(roomy.relax(k, 0, 0, via), Relax::Inserted) << k;
+    ASSERT_EQ(roomy.relax(key(k), 0, key(0), via), Relax::Inserted) << k;
   }
-  EXPECT_GT(roomy.bytes(), slab_bytes);  // it grew
+  EXPECT_GT(roomy.bytes() - roomy.size() * entry_heap, slab_bytes);  // grew
   EXPECT_LE(roomy.bytes(), roomy.max_bytes());
+}
+
+TEST(SpillTable, RehashTransientCountsAgainstTheMemoryBudget) {
+  check_rehash_transient<PackedKey<1>>(16);
+  check_rehash_transient<PackedKey<0>>(60);  // three heap words per key
 }
 
 }  // namespace
