@@ -6,18 +6,17 @@
 // instance, each paired with a machine-checked certificate
 // cost ≤ (1+ε)·lower_bound, and proves outright optimality wherever the
 // budget reaches. Runs are state-budget-only (no wall-clock dependence), so
-// every counter in the JSON report (default BENCH_anytime.json, or argv[1])
-// is deterministic and gated by tools/bench_check.py anytime:
+// every counter in the bench/report.hpp report (default BENCH_anytime.json,
+// or argv[1]) is deterministic and gated by tools/bench_check.py compare:
 //  * nodes_proved_optimal / nodes_within_eps may only rise,
 //  * per-instance ε may only shrink,
 //  * every certificate must satisfy its defining inequality.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/instances/spec.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
@@ -29,8 +28,6 @@
 namespace {
 
 using namespace rbpeb;
-
-std::string json_str(const std::string& s) { return "\"" + s + "\""; }
 
 /// Suite instances arrive through the InstanceSpec grammar — every row is
 /// reproducible with `rbpeb_cli solve --instance <spec>`.
@@ -81,13 +78,12 @@ int main(int argc, char** argv) {
   Table table("Anytime tier: certified answers at every size");
   table.set_header({"instance", "model", "n", "R", "cost", "lower", "eps",
                     "status", "expanded", "passes"});
-  std::ostringstream cases_json;
+  bench::Report report("anytime");
   std::size_t answered = 0;
   std::size_t certified_count = 0;
   std::size_t audit_failures = 0;
   std::uint64_t nodes_proved_optimal = 0;
   std::uint64_t nodes_within_eps = 0;
-  bool first = true;
   for (const Case& c : suite) {
     const std::size_t r = min_red_pebbles(c.dag);
     Engine engine(c.dag, c.model, r);
@@ -119,37 +115,35 @@ int main(int argc, char** argv) {
                    result->optimal ? "optimal" : "certified",
                    std::to_string(result->states_expanded),
                    std::to_string(stats.anytime_passes)});
-    if (!first) cases_json << ",\n";
-    first = false;
-    cases_json << "    {\"instance\": " << json_str(c.name)
-               << ", \"model\": " << json_str(c.model.name())
-               << ", \"nodes\": " << c.dag.node_count() << ", \"r\": " << r
-               << ", \"budget_states\": " << c.max_states
-               << ", \"cost\": " << json_str(result->cost.str())
-               << ", \"lower_bound\": " << json_str(result->lower_bound.str())
-               << ", \"epsilon\": " << json_str(result->epsilon.str())
-               << ", \"proved_optimal\": "
-               << (result->optimal ? "true" : "false")
-               << ", \"certified\": " << (result->certified ? "true" : "false")
-               << ", \"expanded\": " << result->states_expanded
-               << ", \"passes\": " << stats.anytime_passes << "}";
+    bench::Case& row = report.add_case(c.name + "/" + c.model.name());
+    row.rises.set("proved_optimal", result->optimal)
+        .set("certified", result->certified);
+    // Only a proven optimum is unique; a certified cost may still improve.
+    (result->optimal ? row.exact : row.info).set("cost", result->cost.str());
+    if (result->certified) row.falls.set("epsilon", result->epsilon.str());
+    row.info.set("nodes", c.dag.node_count())
+        .set("r", r)
+        .set("budget_states", c.max_states)
+        .set("lower_bound", result->lower_bound.str())
+        .set("expanded", result->states_expanded)
+        .set("passes", stats.anytime_passes);
   }
   table.add_note("every run is seeded by greedy, so every run answers");
-  table.add_note("ε gated monotone by tools/bench_check.py anytime");
+  table.add_note("ε gated monotone by tools/bench_check.py compare");
   std::cout << table << '\n';
   std::cout << "answered " << answered << "/" << suite.size()
             << ", certified " << certified_count
             << ", nodes_proved_optimal " << nodes_proved_optimal
             << ", nodes_within_eps " << nodes_within_eps << '\n';
 
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"anytime\",\n"
-      << "  \"answered\": " << answered << ",\n"
-      << "  \"case_count\": " << suite.size() << ",\n"
-      << "  \"audit_failures\": " << audit_failures << ",\n"
-      << "  \"nodes_proved_optimal\": " << nodes_proved_optimal << ",\n"
-      << "  \"nodes_within_eps\": " << nodes_within_eps << ",\n"
-      << "  \"cases\": [\n" << cases_json.str() << "\n  ]\n}\n";
+  // Every run is greedy-seeded, so every case must answer: the tier's
+  // whole claim, gated as a counter whose baseline is 0.
+  report.exact.set("audit_failures", audit_failures)
+      .set("unanswered", suite.size() - answered);
+  report.rises.set("nodes_proved_optimal", nodes_proved_optimal)
+      .set("nodes_within_eps", nodes_within_eps);
+  report.info.set("answered", answered).set("case_count", suite.size());
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
   return audit_failures == 0 && answered == suite.size() ? 0 : 1;
 }

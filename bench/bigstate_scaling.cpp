@@ -5,8 +5,9 @@
 // node exhausts a two-word key. This bench drives both searches, on the
 // bigstate subsystem (runtime-width keys, additive pattern databases,
 // greedy-seeded incumbents, memory-budgeted closed tables), across 42–56
-// node workloads under a stated memory budget, and logs to a JSON report
-// (default BENCH_bigstate.json, or argv[1]):
+// node workloads under a stated memory budget, and logs to a
+// bench/report.hpp report (default BENCH_bigstate.json, or argv[1]), one
+// case per run ("<instance>/<model>/<solver>"):
 //
 //  * nodes-proved-optimal — the largest instance both searches certified,
 //    the headline the PR-2/PR-3 baselines cap at 42;
@@ -28,13 +29,12 @@
 // are reported as data, not failures — runners differ.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/hda/hda_astar.hpp"
@@ -92,20 +92,23 @@ Run timed(Solve&& solve) {
   return run;
 }
 
-std::string json_str(const std::string& s) { return "\"" + s + "\""; }
-
-std::string json_run(const std::string& solver, const Run& run) {
-  std::ostringstream os;
-  os << "{\"solver\": " << json_str(solver)
-     << ", \"solved\": " << (run.solved ? "true" : "false")
-     << ", \"cost\": " << json_str(run.cost)
-     << ", \"expanded\": " << run.expanded
-     << ", \"table_bytes\": " << run.table_bytes
-     << ", \"spilled_states\": " << run.spilled_states
-     << ", \"spill_bytes\": " << run.spill_bytes
-     << ", \"merge_passes\": " << run.merge_passes
-     << ", \"ms\": " << format_double(run.ms, 1) << "}";
-  return os.str();
+void add_run(bench::Report& report, const Case& c, std::size_t r,
+             const std::string& solver, const Run& run) {
+  bench::Case& row =
+      report.add_case(c.name + "/" + c.model.name() + "/" + solver);
+  row.rises.set("solved", run.solved);
+  if (run.solved) row.exact.set("cost", run.cost);
+  // Sequential searches are deterministic, spilled or not; hda expansion
+  // counts vary with thread interleaving.
+  (solver.starts_with("exact-astar") ? row.falls : row.info)
+      .set("expanded", run.expanded);
+  row.timing.set("ms", run.ms, 1);
+  row.info.set("nodes", c.dag.node_count())
+      .set("r", r)
+      .set("table_bytes", run.table_bytes)
+      .set("spilled_states", run.spilled_states)
+      .set("spill_bytes", run.spill_bytes)
+      .set("merge_passes", run.merge_passes);
 }
 
 }  // namespace
@@ -136,8 +139,7 @@ int main(int argc, char** argv) {
                     "astar exp", "hda ms", "hda exp", "table MiB",
                     "spill@32m ms", "spill MiB"});
 
-  std::ostringstream cases_json;
-  bool first_case = true;
+  bench::Report report("bigstate");
   std::size_t mismatches = 0;
   std::size_t unsolved = 0;
   std::size_t nodes_proved_optimal = 0;
@@ -206,16 +208,10 @@ int main(int argc, char** argv) {
                                      hda_spill.spill_bytes)) /
                                      (1024.0 * 1024.0),
                                  1)});
-    if (!first_case) cases_json << ",\n";
-    first_case = false;
-    cases_json << "    {\"instance\": " << json_str(c.name)
-               << ", \"model\": " << json_str(c.model.name())
-               << ", \"nodes\": " << c.dag.node_count() << ", \"r\": " << r
-               << ",\n      \"runs\": [\n        "
-               << json_run("exact-astar", astar) << ",\n        "
-               << json_run("hda-astar", hda) << ",\n        "
-               << json_run("exact-astar@32m", astar_spill) << ",\n        "
-               << json_run("hda-astar@32m", hda_spill) << "\n      ]}";
+    add_run(report, c, r, "exact-astar", astar);
+    add_run(report, c, r, "hda-astar", hda);
+    add_run(report, c, r, "exact-astar@32m", astar_spill);
+    add_run(report, c, r, "hda-astar@32m", hda_spill);
   }
 
   table.add_note("every instance beyond 42 nodes was unreachable for the");
@@ -231,20 +227,17 @@ int main(int argc, char** argv) {
             << ", spill@32m solved: " << tight_solved
             << " (spilled " << tight_spilled << " states)" << '\n';
 
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"bigstate\",\n"
-      << "  \"budget_states\": " << kBudgetStates << ",\n"
-      << "  \"budget_memory_bytes\": " << kBudgetBytes << ",\n"
-      << "  \"tight_budget_memory_bytes\": " << kTightBudgetBytes << ",\n"
-      << "  \"tight_budget_disk_bytes\": " << kTightDiskBytes << ",\n"
-      << "  \"tight_solved\": " << tight_solved << ",\n"
-      << "  \"tight_spilled_states\": " << tight_spilled << ",\n"
-      << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"nodes_proved_optimal\": " << nodes_proved_optimal << ",\n"
-      << "  \"peak_table_bytes\": " << peak_table_bytes << ",\n"
-      << "  \"cost_mismatches\": " << mismatches << ",\n"
-      << "  \"unsolved\": " << unsolved << ",\n"
-      << "  \"cases\": [\n" << cases_json.str() << "\n  ]\n}\n";
+  report.exact.set("cost_mismatches", mismatches);
+  report.rises.set("nodes_proved_optimal", nodes_proved_optimal)
+      .set("tight_solved", tight_solved);
+  report.falls.set("unsolved", unsolved);
+  report.info.set("budget_states", kBudgetStates)
+      .set("budget_memory_bytes", kBudgetBytes)
+      .set("tight_budget_memory_bytes", kTightBudgetBytes)
+      .set("tight_budget_disk_bytes", kTightDiskBytes)
+      .set("tight_spilled_states", tight_spilled)
+      .set("peak_table_bytes", peak_table_bytes);
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
   // Exit on correctness, not wall clock: a small or single-core runner must
   // not fail the build for being slow.

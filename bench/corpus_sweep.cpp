@@ -10,11 +10,12 @@
 // is published, and every file under corpus/malformed/ must be REJECTED by
 // the parsers.
 //
-// The JSON report (default BENCH_corpus.json, or argv[1]) is gated by
-// tools/bench_check.py corpus:
+// The bench/report.hpp report (default BENCH_corpus.json, or argv[1]) has
+// one case per solve ("<file>/<model>/<solver>") and one per malformed file
+// ("malformed/<file>"), and is gated by tools/bench_check.py compare:
 //  * audited costs are exactly equal to the baseline's,
-//  * solved / certified / proved_optimal may only rise,
-//  * a malformed file once rejected must stay rejected.
+//  * solved / certified / proved_optimal may only rise, ε may only shrink,
+//  * every malformed file must be rejected.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/instances/spec.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/api.hpp"
@@ -70,16 +72,6 @@ std::vector<ManifestRow> read_manifest(const fs::path& path) {
   return rows;
 }
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out + "\"";
-}
-
 constexpr std::size_t kBudgetStates = 300'000;
 
 }  // namespace
@@ -104,12 +96,11 @@ int main(int argc, char** argv) {
               " manifest rows, budget " + std::to_string(kBudgetStates) +
               " states)");
   table.set_header({"file", "model", "R", "solver", "status", "cost", "eps"});
-  std::ostringstream cases_json;
+  bench::Report report("corpus");
   std::size_t solved = 0;
   std::size_t certified = 0;
   std::size_t proven = 0;
   std::size_t audit_failures = 0;
-  bool first = true;
   for (const ManifestRow& row : manifest) {
     // Solve the FILE through the same ingestion path as the CLI and the
     // serve tier — .rbg rows run off the mmap-ed image.
@@ -163,25 +154,20 @@ int main(int argc, char** argv) {
       table.add_row({row.file, row.model, std::to_string(row.red_limit),
                      token, to_string(result.status), cost,
                      epsilon.empty() ? "-" : epsilon});
-      if (!first) cases_json << ",\n";
-      first = false;
-      cases_json << "    {\"file\": " << json_str(row.file)
-                 << ", \"spec\": " << json_str(row.spec)
-                 << ", \"model\": " << json_str(row.model)
-                 << ", \"r\": " << row.red_limit
-                 << ", \"solver\": " << json_str(token)
-                 << ", \"nodes\": " << instance.dag.node_count()
-                 << ", \"solved\": "
-                 << (result.has_trace() && cost != "-" ? "true" : "false")
-                 << ", \"status\": " << json_str(to_string(result.status))
-                 << ", \"cost\": " << json_str(cost)
-                 << ", \"certified\": " << (case_certified ? "true" : "false")
-                 << ", \"proved_optimal\": " << (case_proven ? "true" : "false");
+      bench::Case& c =
+          report.add_case(row.file + "/" + row.model + "/" + token);
+      c.rises.set("solved", cost != "-")
+          .set("certified", case_certified)
+          .set("proved_optimal", case_proven);
+      if (cost != "-") c.exact.set("cost", cost);
       if (case_certified) {
-        cases_json << ", \"epsilon\": " << json_str(epsilon)
-                   << ", \"lower_bound\": " << json_str(lower_bound);
+        c.falls.set("epsilon", epsilon);
+        c.info.set("lower_bound", lower_bound);
       }
-      cases_json << "}";
+      c.info.set("spec", row.spec)
+          .set("r", row.red_limit)
+          .set("nodes", instance.dag.node_count())
+          .set("status", to_string(result.status));
     }
   }
   table.add_note("every cost above is a Verifier replay, not solver output");
@@ -196,9 +182,7 @@ int main(int argc, char** argv) {
     }
   }
   std::sort(malformed.begin(), malformed.end());
-  std::ostringstream rejected_json;
   std::size_t accepted_malformed = 0;
-  first = true;
   for (const std::string& name : malformed) {
     bool rejected = false;
     std::string error;
@@ -212,11 +196,7 @@ int main(int argc, char** argv) {
     if (!rejected) ++accepted_malformed;
     std::cout << (rejected ? "rejected: " : "ACCEPTED (BUG): ") << name
               << '\n';
-    if (!first) rejected_json << ",\n";
-    first = false;
-    rejected_json << "    {\"file\": " << json_str(name)
-                  << ", \"rejected\": " << (rejected ? "true" : "false")
-                  << "}";
+    report.add_case("malformed/" + name).rises.set("rejected", rejected);
   }
 
   std::cout << "solved " << solved << ", certified " << certified
@@ -224,15 +204,12 @@ int main(int argc, char** argv) {
             << ", malformed rejected " << (malformed.size() - accepted_malformed)
             << "/" << malformed.size() << '\n';
 
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"corpus\",\n"
-      << "  \"budget_states\": " << kBudgetStates << ",\n"
-      << "  \"audit_failures\": " << audit_failures << ",\n"
-      << "  \"solved\": " << solved << ",\n"
-      << "  \"certified\": " << certified << ",\n"
-      << "  \"proven\": " << proven << ",\n"
-      << "  \"cases\": [\n" << cases_json.str() << "\n  ],\n"
-      << "  \"rejected\": [\n" << rejected_json.str() << "\n  ]\n}\n";
+  report.exact.set("audit_failures", audit_failures);
+  report.rises.set("solved", solved)
+      .set("certified", certified)
+      .set("proven", proven);
+  report.info.set("budget_states", kBudgetStates);
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
   return audit_failures == 0 && accepted_malformed == 0 ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Exact-solver scaling: Dijkstra vs A* on the ≤21-node suite, and the
 // workloads beyond Dijkstra's cap that only A* can prove optimal.
 //
-// Two claims are measured and logged to a JSON report (default
+// Two claims are measured and logged to a bench/report.hpp report (default
 // BENCH_exact_astar.json, or argv[1]):
 //  * on every instance both searches finish, they agree on the optimal cost
 //    and A* expands fewer states — the admissible per-state bounds of
@@ -10,12 +10,11 @@
 //    outright (its 64-bit packed-state cap stops at 21 nodes).
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/instances/spec.hpp"
 #include "src/obs/introspect.hpp"
 #include "src/pebble/bounds.hpp"
@@ -55,6 +54,13 @@ struct RunOutcome {
   std::size_t expanded = 0;
 };
 
+/// One search's gated fields under `prefix`: its solved flag and its
+/// expansions (sequential, so deterministic even when the budget stops it).
+void record(bench::Case& c, const std::string& prefix, const RunOutcome& run) {
+  c.rises.set(prefix + "solved", run.solved);
+  c.falls.set(prefix + "expanded", run.expanded);
+}
+
 // --progress attaches a sink-less sampler to every A* run: the full
 // sampling + attribution path executes, nothing is consumed. bench_check.py
 // overhead holds this report byte-identical (minus walls) to the plain one —
@@ -81,8 +87,6 @@ RunOutcome run_search(bool astar, const Engine& engine,
   out.expanded = out.solved ? result->states_expanded : stats.states_expanded;
   return out;
 }
-
-std::string json_str(const std::string& s) { return "\"" + s + "\""; }
 
 }  // namespace
 
@@ -112,7 +116,7 @@ int main(int argc, char** argv) {
                      {}});
   }
 
-  std::ostringstream suite_json;
+  bench::Report report("exact_astar");
   Table table("Exact search: Dijkstra vs A* (suite budget " +
               std::to_string(kSuiteBudget) + " states)");
   table.set_header({"instance", "model", "n", "R", "cost", "dijkstra",
@@ -120,7 +124,6 @@ int main(int argc, char** argv) {
   std::size_t total_dijkstra = 0;
   std::size_t total_astar = 0;
   std::size_t mismatches = 0;
-  bool first = true;
   for (const Instance& instance : suite) {
     const std::size_t r = min_red_pebbles(instance.dag);
     for (const Model& model : all_models()) {
@@ -143,19 +146,12 @@ int main(int argc, char** argv) {
                                    static_cast<double>(dijkstra.expanded),
                                3)
                : "-"});
-      if (!first) suite_json << ",\n";
-      first = false;
-      suite_json << "    {\"instance\": " << json_str(instance.name)
-                 << ", \"model\": " << json_str(model.name())
-                 << ", \"nodes\": " << instance.dag.node_count()
-                 << ", \"r\": " << r
-                 << ", \"cost\": " << json_str(astar.cost)
-                 << ", \"dijkstra_expanded\": " << dijkstra.expanded
-                 << ", \"dijkstra_solved\": "
-                 << (dijkstra.solved ? "true" : "false")
-                 << ", \"astar_expanded\": " << astar.expanded
-                 << ", \"astar_solved\": " << (astar.solved ? "true" : "false")
-                 << "}";
+      bench::Case& row =
+          report.add_case(instance.name + "/" + model.name());
+      if (astar.solved) row.exact.set("cost", astar.cost);
+      record(row, "dijkstra_", dijkstra);
+      record(row, "astar_", astar);
+      row.info.set("nodes", instance.dag.node_count()).set("r", r);
     }
   }
   std::cout << table << '\n';
@@ -188,9 +184,7 @@ int main(int argc, char** argv) {
                     std::to_string(kLargeBudget) + " states)");
   large_table.set_header({"instance", "model", "n", "R", "status", "cost",
                           "expanded"});
-  std::ostringstream large_json;
   std::size_t large_solved = 0;
-  first = true;
   for (const LargeCase& c : large) {
     const std::size_t r = min_red_pebbles(c.dag);
     Engine engine(c.dag, c.model, r);
@@ -201,28 +195,21 @@ int main(int argc, char** argv) {
                          std::to_string(r),
                          astar.solved ? "optimal" : "budget-exhausted",
                          astar.cost, std::to_string(astar.expanded)});
-    if (!first) large_json << ",\n";
-    first = false;
-    large_json << "    {\"instance\": " << json_str(c.name)
-               << ", \"model\": " << json_str(c.model.name())
-               << ", \"nodes\": " << c.dag.node_count() << ", \"r\": " << r
-               << ", \"solved\": " << (astar.solved ? "true" : "false")
-               << ", \"cost\": " << json_str(astar.cost)
-               << ", \"expanded\": " << astar.expanded << "}";
+    bench::Case& row = report.add_case(c.name + "/" + c.model.name());
+    if (astar.solved) row.exact.set("cost", astar.cost);
+    record(row, "", astar);
+    row.info.set("nodes", c.dag.node_count()).set("r", r);
   }
   large_table.add_note("every instance here is inapplicable to --solver");
   large_table.add_note("exact: its packed state caps at 21 nodes");
   std::cout << large_table << '\n';
 
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"exact_astar\",\n"
-      << "  \"suite_budget_states\": " << kSuiteBudget << ",\n"
-      << "  \"suite\": [\n" << suite_json.str() << "\n  ],\n"
-      << "  \"totals\": {\"dijkstra_expanded\": " << total_dijkstra
-      << ", \"astar_expanded\": " << total_astar
-      << ", \"cost_mismatches\": " << mismatches << "},\n"
-      << "  \"large_budget_states\": " << kLargeBudget << ",\n"
-      << "  \"beyond_dijkstra_cap\": [\n" << large_json.str() << "\n  ]\n}\n";
+  report.exact.set("cost_mismatches", mismatches);
+  report.falls.set("astar_expanded", total_astar);
+  report.info.set("dijkstra_expanded", total_dijkstra)
+      .set("suite_budget_states", kSuiteBudget)
+      .set("large_budget_states", kLargeBudget);
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
   return mismatches == 0 && large_solved > 0 ? 0 : 1;
 }

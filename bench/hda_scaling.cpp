@@ -2,8 +2,9 @@
 // 1/2/4/8 worker threads on the 26–42-node workloads beyond the Dijkstra
 // cap, against the sequential exact-astar reference.
 //
-// Two claims are measured and logged to a JSON report (default
-// BENCH_hda_astar.json, or argv[1]):
+// Two claims are measured and logged to a bench/report.hpp report (default
+// BENCH_hda_astar.json, or argv[1]), one case per exact-astar reference run
+// ("<instance>/<model>") and one per thread count ("...@<N>t"):
 //  * correctness under concurrency — on every instance and at every thread
 //    count the certified cost equals exact-astar's (this is what the exit
 //    code enforces; the differential tests prove it on small instances,
@@ -13,13 +14,12 @@
 //    records hardware_concurrency so a single-core container's flat curve
 //    is not misread as an HDA* defect.
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/hda/hda_astar.hpp"
@@ -64,8 +64,6 @@ Run timed(Solve&& solve) {
   return run;
 }
 
-std::string json_str(const std::string& s) { return "\"" + s + "\""; }
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -95,8 +93,7 @@ int main(int argc, char** argv) {
   table.set_header({"instance", "model", "n", "R", "cost", "astar ms",
                     "hda@1", "hda@2", "hda@4", "hda@8", "8v1"});
 
-  std::ostringstream cases_json;
-  bool first_case = true;
+  bench::Report report("hda_astar");
   std::size_t mismatches = 0;
   std::size_t unsolved = 0;
   double best_speedup = 0.0;
@@ -107,10 +104,14 @@ int main(int argc, char** argv) {
     Run reference = timed(
         [&] { return try_solve_exact_astar(engine, kBudget); });
     if (!reference.solved) ++unsolved;
+    const std::string id = c.name + "/" + c.model.name();
+    bench::Case& ref = report.add_case(id);
+    if (reference.solved) ref.exact.set("astar_cost", reference.cost);
+    ref.falls.set("astar_expanded", reference.expanded);
+    ref.timing.set("astar_ms", reference.ms, 1);
+    ref.info.set("nodes", c.dag.node_count()).set("r", r);
 
     std::vector<Run> runs;
-    std::ostringstream runs_json;
-    bool first_run = true;
     for (std::size_t threads : kThreadCounts) {
       Run run = timed([&] {
         return try_solve_hda_astar(engine, threads, kBudget);
@@ -119,18 +120,21 @@ int main(int argc, char** argv) {
       if (run.solved && reference.solved && run.cost != reference.cost) {
         ++mismatches;  // the differential tests make this unreachable
       }
-      if (!first_run) runs_json << ",\n";
-      first_run = false;
-      runs_json << "        {\"threads\": " << threads
-                << ", \"solved\": " << (run.solved ? "true" : "false")
-                << ", \"cost\": " << json_str(run.cost)
-                << ", \"expanded\": " << run.expanded
-                << ", \"ms\": " << format_double(run.ms, 1) << "}";
+      bench::Case& row =
+          report.add_case(id + "@" + std::to_string(threads) + "t");
+      row.rises.set("solved", run.solved);
+      if (run.solved) row.exact.set("cost", run.cost);
+      // Only the single-worker run is deterministic; multi-thread
+      // expansion counts depend on incumbent timing.
+      (threads == 1 ? row.falls : row.info).set("expanded", run.expanded);
+      row.timing.set("ms", run.ms, 1);
+      row.info.set("threads", threads);
       runs.push_back(run);
     }
     const double speedup_8v1 =
         runs.back().ms > 0.0 ? runs.front().ms / runs.back().ms : 0.0;
     best_speedup = std::max(best_speedup, speedup_8v1);
+    ref.timing.set("speedup_8v1", speedup_8v1, 3);
 
     table.add_row({c.name, c.model.name(), std::to_string(c.dag.node_count()),
                    std::to_string(r), runs.front().cost,
@@ -138,16 +142,6 @@ int main(int argc, char** argv) {
                    format_double(runs[0].ms, 0), format_double(runs[1].ms, 0),
                    format_double(runs[2].ms, 0), format_double(runs[3].ms, 0),
                    format_double(speedup_8v1, 2)});
-    if (!first_case) cases_json << ",\n";
-    first_case = false;
-    cases_json << "    {\"instance\": " << json_str(c.name)
-               << ", \"model\": " << json_str(c.model.name())
-               << ", \"nodes\": " << c.dag.node_count() << ", \"r\": " << r
-               << ",\n      \"astar_ms\": " << format_double(reference.ms, 1)
-               << ", \"astar_cost\": " << json_str(reference.cost)
-               << ", \"astar_expanded\": " << reference.expanded
-               << ", \"speedup_8v1\": " << format_double(speedup_8v1, 3)
-               << ",\n      \"runs\": [\n" << runs_json.str() << "\n      ]}";
   }
 
   table.add_note("every instance is beyond the 21-node Dijkstra cap; costs");
@@ -157,14 +151,10 @@ int main(int argc, char** argv) {
             << ", best 8v1 speedup: " << format_double(best_speedup, 2)
             << ", cost mismatches: " << mismatches << '\n';
 
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"hda_astar\",\n"
-      << "  \"budget_states\": " << kBudget << ",\n"
-      << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"thread_counts\": [1, 2, 4, 8],\n"
-      << "  \"best_speedup_8v1\": " << format_double(best_speedup, 3) << ",\n"
-      << "  \"cost_mismatches\": " << mismatches << ",\n"
-      << "  \"cases\": [\n" << cases_json.str() << "\n  ]\n}\n";
+  report.exact.set("cost_mismatches", mismatches);
+  report.timing.set("best_speedup_8v1", best_speedup, 3);
+  report.info.set("budget_states", kBudget);
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
   // Exit on correctness, not machine-dependent speedup: a single-core
   // runner must not fail the build for lacking cores.

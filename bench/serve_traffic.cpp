@@ -5,7 +5,9 @@
 // over, while a long tail of one-offs trickles in. This bench drives the
 // serve Server with exactly that shape: a fixed pool of distinct instances
 // sampled Zipfian(s = 1.1) by closed-loop clients at 1, 8 and 64 ways of
-// concurrency, and reports to BENCH_serve.json (or argv[1]):
+// concurrency, and reports to BENCH_serve.json (or argv[1]) in the
+// bench/report.hpp schema, one case per client count ("clients=<N>") and
+// one per pool instance ("instance=<name>"):
 //
 //  * hit counts and hit rate — with a fresh per-run cache that never evicts
 //    (the pool is tiny), hits are DETERMINISTIC: every distinct instance is
@@ -24,15 +26,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "src/graph/dag_io.hpp"
 #include "src/instances/spec.hpp"
 #include "src/serve/server.hpp"
@@ -239,14 +240,11 @@ RunResult run_traffic(const std::vector<Instance>& pool, std::size_t clients) {
   return result;
 }
 
-std::string json_str(const std::string& s) { return "\"" + s + "\""; }
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_serve.json";
   const std::vector<Instance> pool = make_pool();
-  const unsigned hw = std::thread::hardware_concurrency();
 
   std::vector<RunResult> runs;
   for (const std::size_t clients : {std::size_t{1}, std::size_t{8},
@@ -280,47 +278,36 @@ int main(int argc, char** argv) {
     audit_failures += run.audit_failures;
   }
 
-  std::ostringstream cases_json;
-  bool first = true;
+  bench::Report report("serve");
+  // Byte-identity counters are absolute: any nonzero value means a served
+  // answer differed from a cold solve, which the subsystem exists to forbid.
+  report.exact.set("audit_failures", audit_failures)
+      .set("cost_mismatches", cost_mismatches)
+      .set("trace_mismatches", trace_mismatches);
+  report.rises.set("total_hits", total_hits);
+  report.info.set("requests_per_run", kRequests)
+      .set("pool_size", pool.size())
+      .set("zipf_s", kZipfS, 3);
   for (const RunResult& run : runs) {
-    if (!first) cases_json << ",\n";
-    first = false;
-    cases_json << "    {\"clients\": " << run.clients
-               << ", \"requests\": " << run.requests
-               << ", \"distinct\": " << run.distinct
-               << ", \"hits\": " << run.hits
-               << ", \"solves\": " << run.solves
-               << ", \"solved\": " << run.solved_ok
-               << ", \"hit_rate\": "
-               << (static_cast<double>(run.hits) /
-                   static_cast<double>(run.requests))
-               << ", \"p50_us\": " << run.p50_us
-               << ", \"p99_us\": " << run.p99_us
-               << ", \"throughput_rps\": " << run.throughput_rps
-               << ", \"wall_ms\": " << run.wall_ms << "}";
+    bench::Case& c = report.add_case("clients=" + std::to_string(run.clients));
+    // Hits are deterministic (fixed seed, single-flight, no eviction). More
+    // solves for the same traffic means the cache deduplicated less.
+    c.rises.set("hits", run.hits).set("solved", run.solved_ok);
+    c.falls.set("solves", run.solves);
+    c.timing.set("p50_us", run.p50_us)
+        .set("p99_us", run.p99_us)
+        .set("throughput_rps", run.throughput_rps, 2)
+        .set("wall_ms", run.wall_ms);
+    c.info.set("requests", run.requests)
+        .set("distinct", run.distinct)
+        .set("hit_rate",
+             static_cast<double>(run.hits) / static_cast<double>(run.requests),
+             5);
   }
-
-  std::ostringstream costs_json;
-  first = true;
   for (const auto& [name, cost] : reference_costs) {
-    if (!first) costs_json << ",\n";
-    first = false;
-    costs_json << "    {\"instance\": " << json_str(name)
-               << ", \"cost\": " << json_str(cost) << "}";
+    report.add_case("instance=" + name).exact.set("cost", cost);
   }
-
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"serve\",\n"
-      << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"requests_per_run\": " << kRequests << ",\n"
-      << "  \"pool_size\": " << pool.size() << ",\n"
-      << "  \"zipf_s\": " << kZipfS << ",\n"
-      << "  \"total_hits\": " << total_hits << ",\n"
-      << "  \"audit_failures\": " << audit_failures << ",\n"
-      << "  \"cost_mismatches\": " << cost_mismatches << ",\n"
-      << "  \"trace_mismatches\": " << trace_mismatches << ",\n"
-      << "  \"cases\": [\n" << cases_json.str() << "\n  ],\n"
-      << "  \"instances\": [\n" << costs_json.str() << "\n  ]\n}\n";
+  report.write(out_path);
   std::cout << "report written to " << out_path << '\n';
 
   // Exit on correctness, not wall clock: served answers must be

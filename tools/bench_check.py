@@ -1,51 +1,38 @@
 #!/usr/bin/env python3
 """Bench regression gate for the BENCH_*.json reports.
 
-CI publishes bench reports (exact_astar, hda_astar, bigstate, serve) but a
-published number nobody checks is a number that silently regresses. This
-tool compares a freshly generated report against the committed baseline on
-the *deterministic* counters and fails on regression:
+Every report has the one shape bench/report.hpp writes: a header
+{bench, cpu_model, hardware_concurrency}, five groups at report level, and
+`cases`, a list of {id, <the same five groups>}. The group a field sits in
+is its gate, applied to the report root and to every case:
 
-  * costs are proven optima — they must be exactly equal;
-  * sequential expansion counts (exact-astar, Dijkstra, hda at 1 thread,
-    and the @32m spill runs of the sequential search) are deterministic —
-    more expansions than the baseline is a regression, fewer is an
-    improvement worth a baseline refresh (reported, not failed);
-  * solved/proven counters (nodes_proved_optimal, tight_solved, per-case
-    solved flags) may only go up;
-  * wall-clock milliseconds are machine-dependent — printed for context,
-    never gated;
-  * serve reports gate the verified-cache invariants: byte-identity
-    counters (cost/trace mismatches, audit failures) must be zero, hits and
-    solved may only rise, solves may only fall, and latency percentiles are
-    informational.
+  exact   must equal the baseline (proven costs, and counters whose baseline
+          is 0: cost_mismatches, audit_failures, unanswered, ...);
+  rises   may only rise (solved and proved flags, headline counters);
+  falls   may only fall (deterministic expansion counts, epsilon);
+  timing  machine-dependent: printed, never gated by `compare`;
+  info    descriptive: printed when it changes, never gated by `compare`.
 
-A separate mode asserts the hda-astar scaling claim on multi-core runners
-(ROADMAP: "CI's multi-core runners are where the scaling claim is
-checked"): on the width-4 workloads, 8 threads must not be slower than 1.
+Booleans compare as 0/1 and "num/den" strings as exact fractions. A gated
+field or a case of the baseline that is missing from the fresh report
+fails, so a new bench is gated by the groups it writes, with no code here.
+Two checks are not field rules; they run on the fresh report as hooks:
 
-Anytime reports (BENCH_anytime.json) gate the certificate invariants in
-exact rational arithmetic (fractions.Fraction over the "num/den" strings):
-every fresh case must satisfy cost ≤ (1+ε)·lower_bound, the headline
-counters (nodes_proved_optimal, nodes_within_eps) may only rise, a case
-once proved optimal or certified must stay so, per-instance ε may only
-shrink, and proven-optimal costs are byte-identical. `selftest` feeds the
-comparator deliberately corrupted reports and fails unless every injected
-regression is caught.
+  certificate  a case with certified=true satisfies
+               cost <= (1 + epsilon) * lower_bound in exact rationals, and a
+               proved-optimal one has epsilon 0 (anytime, corpus);
+  rejection    a case with a `rejected` field has it true: every malformed
+               corpus file stays rejected, also one the baseline never saw.
 
-The `overhead` mode guards the flight recorder's compiled-in-but-disabled
-cost: it compares a report from the normal build (tracing compiled in,
-sink unset) against one from the -DRBPEB_OBS_NO_TRACE build of the same
-bench. Every deterministic field — costs, expansion counts, solved flags —
-must be byte-identical; wall-clock fields (keys containing ms/us/wall/
-throughput) only gate on ratio, within --wall-tolerance; hardware and
-timestamp fields are ignored.
-
-Usage:
-  bench_check.py compare --fresh NEW.json --baseline OLD.json
-  bench_check.py scaling BENCH_hda_astar.json [--tolerance 1.0]
-  bench_check.py overhead --traced A.json --notrace B.json [--wall-tolerance 1.5]
-  bench_check.py selftest
+Modes: `compare` applies those rules to a fresh report and its committed
+baseline. `overhead` holds reports of one bench from differently
+instrumented builds byte-identical in every group but timing, and timing
+within a +1-floored ratio; it ignores the header. `scaling` requires, on a
+multi-core hda_scaling report, that no r=4 case's `@8t` run is slower than
+its `@1t` run x tolerance. `selftest` pushes each gated field of every
+committed BENCH_*.json one step the bad way (must fail) and the good way
+(must pass) and drops each case (must fail), plus hand-written injections
+for the hooks, overhead and scaling.
 
 Exit status: 0 clean, 1 regression, 2 bad invocation/input.
 """
@@ -55,646 +42,358 @@ import copy
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-failures = []
-notes = []
-
-
-def fail(msg):
-    failures.append(msg)
-
-
-def note(msg):
-    notes.append(msg)
+GATED = ("exact", "rises", "falls")
+GROUPS = GATED + ("timing", "info")
+# Fields the certificate hook reads: a good-way step on one alone makes the
+# certificate incoherent, so the selftest moves them by hand instead.
+CERTIFICATE_FIELDS = ("cost", "lower_bound", "epsilon", "proved_optimal",
+                      "certified")
 
 
-def check_cost(where, fresh, baseline):
-    if fresh != baseline:
-        fail(f"{where}: cost changed {baseline!r} -> {fresh!r} "
-             "(proven optima must be identical)")
+class Gate:
+    """The failures and notes of one check."""
+
+    def __init__(self):
+        self.failures, self.notes = [], []
+        self.fail, self.note = self.failures.append, self.notes.append
+
+    def report(self, what):
+        for n in self.notes:
+            print(f"note: {n}")
+        for f in self.failures:
+            print(f"FAIL: {f}", file=sys.stderr)
+        print(f"bench_check {what}: " + (f"{len(self.failures)} regression(s)"
+                                         if self.failures else "clean"))
+        return 1 if self.failures else 0
 
 
-def check_counter_le(where, name, fresh, baseline):
-    """Deterministic work counter: more than baseline is a regression."""
-    if fresh > baseline:
-        fail(f"{where}: {name} regressed {baseline} -> {fresh}")
-    elif fresh < baseline:
-        note(f"{where}: {name} improved {baseline} -> {fresh} "
-             "(consider refreshing the baseline)")
+def cases_by_id(report):
+    cases = {case["id"]: case for case in report.get("cases", [])}
+    if len(cases) != len(report.get("cases", [])):
+        raise ValueError(f"duplicate case ids in {report.get('bench')!r}")
+    return cases
 
 
-def check_counter_ge(where, name, fresh, baseline):
-    """Achievement counter (solved/proven): less than baseline regresses."""
-    if fresh < baseline:
-        fail(f"{where}: {name} regressed {baseline} -> {fresh}")
-    elif fresh > baseline:
-        note(f"{where}: {name} improved {baseline} -> {fresh} "
-             "(consider refreshing the baseline)")
+def nodes(report):
+    """{where: node} for the report root and every case."""
+    return {"report": report,
+            **{f"case {cid}": c for cid, c in cases_by_id(report).items()}}
 
 
-def index_cases(cases, *keys):
-    indexed = {}
-    for case in cases:
-        indexed[tuple(case.get(k) for k in keys)] = case
-    return indexed
+def field(node, key):
+    """A field from whichever group of `node` holds it, else None."""
+    return next((node[g][key] for g in GROUPS if key in node.get(g, {})), None)
 
 
-def compare_exact_astar(fresh, baseline):
-    fresh_suite = index_cases(fresh["suite"], "instance", "model")
-    base_suite = index_cases(baseline["suite"], "instance", "model")
-    for key, base in base_suite.items():
-        where = f"exact_astar suite {key}"
-        new = fresh_suite.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
-            continue
-        for solver in ("dijkstra", "astar"):
-            if base.get(f"{solver}_solved") and not new.get(f"{solver}_solved"):
-                fail(f"{where}: {solver} no longer solves")
-            if base.get(f"{solver}_solved") and new.get(f"{solver}_solved"):
-                check_counter_le(where, f"{solver}_expanded",
-                                 new[f"{solver}_expanded"],
-                                 base[f"{solver}_expanded"])
-        if base.get("astar_solved") and new.get("astar_solved"):
-            check_cost(where, new["cost"], base["cost"])
-    totals_f, totals_b = fresh["totals"], baseline["totals"]
-    check_counter_le("exact_astar totals", "astar_expanded",
-                     totals_f["astar_expanded"], totals_b["astar_expanded"])
-    if totals_f["cost_mismatches"] != 0:
-        fail("exact_astar totals: cost_mismatches "
-             f"{totals_f['cost_mismatches']} != 0")
-    fresh_large = index_cases(fresh["beyond_dijkstra_cap"],
-                              "instance", "model")
-    for key, base in index_cases(baseline["beyond_dijkstra_cap"],
-                                 "instance", "model").items():
-        where = f"exact_astar beyond-cap {key}"
-        new = fresh_large.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
-            continue
-        if base["solved"] and not new["solved"]:
-            fail(f"{where}: no longer solves within the budget")
-        if base["solved"] and new["solved"]:
-            check_cost(where, new["cost"], base["cost"])
-            check_counter_le(where, "expanded",
-                             new["expanded"], base["expanded"])
-
-
-def compare_hda_astar(fresh, baseline):
-    if fresh["cost_mismatches"] != 0:
-        fail(f"hda_astar: cost_mismatches {fresh['cost_mismatches']} != 0")
-    fresh_cases = index_cases(fresh["cases"], "instance", "model")
-    for key, base in index_cases(baseline["cases"],
-                                 "instance", "model").items():
-        where = f"hda_astar {key}"
-        new = fresh_cases.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
-            continue
-        check_cost(where, new["astar_cost"], base["astar_cost"])
-        check_counter_le(where, "astar_expanded",
-                         new["astar_expanded"], base["astar_expanded"])
-        base_runs = {r["threads"]: r for r in base["runs"]}
-        for run in new["runs"]:
-            run_where = f"{where} @{run['threads']}t"
-            base_run = base_runs.get(run["threads"])
-            if base_run is None:
+def compare_node(where, fresh, base, gate):
+    for group in GATED:
+        new_group = fresh.get(group, {})
+        for key, old in base.get(group, {}).items():
+            name = f"{where}: {group}.{key}"
+            if key not in new_group:
+                gate.fail(f"{name} missing (baseline {old!r})")
                 continue
-            if base_run["solved"] and not run["solved"]:
-                fail(f"{run_where}: no longer solves")
-            if run["solved"]:
-                check_cost(run_where, run["cost"], new["astar_cost"])
-            # Only the single-worker run is deterministic; multi-thread
-            # expansion counts depend on incumbent timing.
-            if run["threads"] == 1 and run["solved"] and base_run["solved"]:
-                check_counter_le(run_where, "expanded",
-                                 run["expanded"], base_run["expanded"])
-            note(f"{run_where}: wall {base_run.get('ms', '?')} -> "
-                 f"{run.get('ms', '?')} ms (informational)")
-
-
-def compare_bigstate(fresh, baseline):
-    if fresh["cost_mismatches"] != 0:
-        fail(f"bigstate: cost_mismatches {fresh['cost_mismatches']} != 0")
-    check_counter_ge("bigstate", "nodes_proved_optimal",
-                     fresh["nodes_proved_optimal"],
-                     baseline["nodes_proved_optimal"])
-    check_counter_le("bigstate", "unsolved",
-                     fresh["unsolved"], baseline["unsolved"])
-    if "tight_solved" in baseline:
-        check_counter_ge("bigstate", "tight_solved",
-                         fresh.get("tight_solved", 0),
-                         baseline["tight_solved"])
-    fresh_cases = index_cases(fresh["cases"], "instance", "model")
-    for key, base in index_cases(baseline["cases"],
-                                 "instance", "model").items():
-        where = f"bigstate {key}"
-        new = fresh_cases.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
-            continue
-        base_runs = {r["solver"]: r for r in base["runs"]}
-        new_runs = {r["solver"]: r for r in new["runs"]}
-        for solver, base_run in base_runs.items():
-            run_where = f"{where} {solver}"
-            run = new_runs.get(solver)
-            if run is None:
-                fail(f"{run_where}: run disappeared from the fresh report")
+            new = new_group[key]
+            if group == "exact":
+                if new != old:
+                    gate.fail(f"{name} changed {old!r} -> {new!r}")
                 continue
-            if base_run["solved"] and not run["solved"]:
-                fail(f"{run_where}: no longer solves within the budget")
-            if base_run["solved"] and run["solved"]:
-                check_cost(run_where, run["cost"], base_run["cost"])
-                # Sequential searches are deterministic, spilled or not;
-                # hda expansion counts vary with thread interleaving.
-                if solver.startswith("exact-astar"):
-                    check_counter_le(run_where, "expanded",
-                                     run["expanded"], base_run["expanded"])
-            note(f"{run_where}: wall {base_run.get('ms', '?')} -> "
-                 f"{run.get('ms', '?')} ms (informational)")
+            delta = Fraction(new) - Fraction(old)
+            if delta < 0 if group == "rises" else delta > 0:
+                gate.fail(f"{name} regressed {old!r} -> {new!r} "
+                          f"(may only {group[:-1]})")
+            elif delta != 0:
+                gate.note(f"{name} improved {old!r} -> {new!r} "
+                          "(consider refreshing the baseline)")
+    for group in ("timing", "info"):
+        new_group, old_group = fresh.get(group, {}), base.get(group, {})
+        for key in sorted(set(new_group) | set(old_group)):
+            old, new = old_group.get(key, "-"), new_group.get(key, "-")
+            if group == "timing" or old != new:
+                gate.note(f"{where}: {group}.{key} {old} -> {new} (not gated)")
 
 
-def compare_serve(fresh, baseline):
-    # Byte-identity counters are absolute: any nonzero value means a served
-    # answer differed from a cold solve, which the subsystem exists to
-    # forbid.
-    for counter in ("cost_mismatches", "trace_mismatches", "audit_failures"):
-        if fresh.get(counter, 0) != 0:
-            fail(f"serve: {counter} {fresh[counter]} != 0")
-    # Hits are deterministic (fixed seed, single-flight, no eviction):
-    # hit-rate and solved may only rise.
-    check_counter_ge("serve", "total_hits",
-                     fresh["total_hits"], baseline["total_hits"])
-    fresh_cases = index_cases(fresh["cases"], "clients")
-    for key, base in index_cases(baseline["cases"], "clients").items():
-        where = f"serve @{key[0]} clients"
-        new = fresh_cases.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
+def certificate_hook(report, gate):
+    for cid, case in cases_by_id(report).items():
+        if field(case, "certified") is not True:
             continue
-        check_counter_ge(where, "hits", new["hits"], base["hits"])
-        check_counter_ge(where, "solved", new["solved"], base["solved"])
-        # More solves for the same traffic means the cache deduplicated
-        # less — a regression even when every request still succeeds.
-        check_counter_le(where, "solves", new["solves"], base["solves"])
-        note(f"{where}: p50 {base.get('p50_us', '?')} -> "
-             f"{new.get('p50_us', '?')} us, p99 {base.get('p99_us', '?')} -> "
-             f"{new.get('p99_us', '?')} us (informational)")
-    # Audited costs per instance: exactly equal, like every other bench.
-    fresh_instances = index_cases(fresh.get("instances", []), "instance")
-    for key, base in index_cases(baseline.get("instances", []),
-                                 "instance").items():
-        new = fresh_instances.get(key)
-        if new is None:
-            fail(f"serve instance {key}: disappeared from the fresh report")
+        values = [field(case, k) for k in ("cost", "lower_bound", "epsilon")]
+        if None in values:
+            gate.fail(f"case {cid}: certified without cost/lower_bound/eps")
             continue
-        check_cost(f"serve instance {key}", new["cost"], base["cost"])
+        cost, lower, eps = (Fraction(v) for v in values)
+        if cost > (1 + eps) * lower:
+            gate.fail(f"case {cid}: certificate violated: cost {values[0]} > "
+                      f"(1+{values[2]})*{values[1]}")
+        if field(case, "proved_optimal") is True and eps != 0:
+            gate.fail(f"case {cid}: proved optimal with epsilon {values[2]}")
 
 
-def compare_anytime(fresh, baseline):
-    # The bench audits every trace and certificate before publishing; a
-    # nonzero count means a corrupt certificate shipped.
-    if fresh.get("audit_failures", 0) != 0:
-        fail(f"anytime: audit_failures {fresh['audit_failures']} != 0")
-    # Every run is greedy-seeded, so every case must answer.
-    if fresh.get("answered", 0) != fresh.get("case_count", 0):
-        fail(f"anytime: answered {fresh.get('answered')} != case_count "
-             f"{fresh.get('case_count')} (the tier's whole claim)")
-    check_counter_ge("anytime", "nodes_proved_optimal",
-                     fresh["nodes_proved_optimal"],
-                     baseline["nodes_proved_optimal"])
-    check_counter_ge("anytime", "nodes_within_eps",
-                     fresh["nodes_within_eps"], baseline["nodes_within_eps"])
-    fresh_cases = index_cases(fresh["cases"], "instance", "model")
-    for key, new in fresh_cases.items():
-        # The defining inequality, re-checked in exact rationals — a report
-        # whose numbers do not cohere is corrupt regardless of the baseline.
-        if new.get("certified"):
-            cost = Fraction(new["cost"])
-            lower = Fraction(new["lower_bound"])
-            eps = Fraction(new["epsilon"])
-            if cost > (1 + eps) * lower:
-                fail(f"anytime {key}: certificate violated: cost {new['cost']}"
-                     f" > (1+{new['epsilon']})*{new['lower_bound']}")
-            if new.get("proved_optimal") and eps != 0:
-                fail(f"anytime {key}: proved_optimal with epsilon "
-                     f"{new['epsilon']} != 0")
-    for key, base in index_cases(baseline["cases"],
-                                 "instance", "model").items():
-        where = f"anytime {key}"
-        new = fresh_cases.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
+def rejection_hook(report, gate):
+    for cid, case in cases_by_id(report).items():
+        if field(case, "rejected") is False:
+            gate.fail(f"case {cid}: malformed input ACCEPTED by the parser")
+
+
+def compare(fresh, baseline, gate):
+    if fresh.get("bench") != baseline.get("bench"):
+        raise ValueError(f"bench kinds differ: fresh={fresh.get('bench')!r} "
+                         f"baseline={baseline.get('bench')!r}")
+    fresh_nodes, base_nodes = nodes(fresh), nodes(baseline)
+    for where, base in base_nodes.items():
+        if where not in fresh_nodes:
+            gate.fail(f"{where}: missing from the fresh report")
+        else:
+            compare_node(where, fresh_nodes[where], base, gate)
+    for where in fresh_nodes.keys() - base_nodes.keys():
+        gate.note(f"{where}: new in the fresh report")
+    certificate_hook(fresh, gate)
+    rejection_hook(fresh, gate)
+
+
+def overhead(a, b, tolerance, la, lb, gate):
+    """Instrumentation may cost time, never change what a search does."""
+    nodes_a, nodes_b = nodes(a), nodes(b)
+    for where in sorted(nodes_a.keys() | nodes_b.keys()):
+        if where not in nodes_a or where not in nodes_b:
+            gate.fail(f"{where}: present in only one report")
             continue
-        if base.get("proved_optimal") and not new.get("proved_optimal"):
-            fail(f"{where}: no longer proved optimal")
-        if base.get("certified") and not new.get("certified"):
-            fail(f"{where}: no longer certified")
-        if base.get("proved_optimal") and new.get("proved_optimal"):
-            check_cost(where, new["cost"], base["cost"])
-        if base.get("certified") and new.get("certified"):
-            base_eps = Fraction(base["epsilon"])
-            new_eps = Fraction(new["epsilon"])
-            if new_eps > base_eps:
-                fail(f"{where}: epsilon loosened {base['epsilon']} -> "
-                     f"{new['epsilon']}")
-            elif new_eps < base_eps:
-                note(f"{where}: epsilon tightened {base['epsilon']} -> "
-                     f"{new['epsilon']} (consider refreshing the baseline)")
+        for group in GROUPS:
+            ga, gb = (n[where].get(group, {}) for n in (nodes_a, nodes_b))
+            for key in sorted(ga.keys() | gb.keys()):
+                name = f"{where}: {group}.{key}"
+                x, y = ga.get(key), gb.get(key)
+                if key not in ga or key not in gb:
+                    gate.fail(f"{name} present in only one report")
+                elif group != "timing":
+                    if json.dumps(x) != json.dumps(y):
+                        gate.fail(f"{name} {la}={x!r} != {lb}={y!r}")
+                elif max(x + 1, y + 1) > min(x + 1, y + 1) * tolerance:
+                    gate.fail(f"{name} diverged {la}={x} {lb}={y} "
+                              f"(x{tolerance:.2f} tolerance)")
+                else:
+                    gate.note(f"{name} {la}={x} {lb}={y} ok")
 
 
-def compare_corpus(fresh, baseline):
-    # The sweep audits every trace before publishing; nonzero means a solver
-    # returned a trace whose replay disagreed with its claimed cost.
-    if fresh.get("audit_failures", 0) != 0:
-        fail(f"corpus: audit_failures {fresh['audit_failures']} != 0")
-    for counter in ("solved", "certified", "proven"):
-        check_counter_ge("corpus", counter,
-                         fresh.get(counter, 0), baseline.get(counter, 0))
-    fresh_cases = index_cases(fresh["cases"], "file", "model", "solver")
-    for key, new in fresh_cases.items():
-        # Certificate coherence in exact rationals, baseline-independent.
-        if new.get("certified"):
-            cost = Fraction(new["cost"])
-            lower = Fraction(new["lower_bound"])
-            eps = Fraction(new["epsilon"])
-            if cost > (1 + eps) * lower:
-                fail(f"corpus {key}: certificate violated: cost {new['cost']}"
-                     f" > (1+{new['epsilon']})*{new['lower_bound']}")
-    for key, base in index_cases(baseline["cases"],
-                                 "file", "model", "solver").items():
-        where = f"corpus {key}"
-        new = fresh_cases.get(key)
-        if new is None:
-            fail(f"{where}: case disappeared from the fresh report")
-            continue
-        if base.get("solved") and not new.get("solved"):
-            fail(f"{where}: no longer solves")
-        if base.get("solved") and new.get("solved"):
-            check_cost(where, new["cost"], base["cost"])
-        if base.get("certified") and not new.get("certified"):
-            fail(f"{where}: no longer certified")
-        if base.get("proved_optimal") and not new.get("proved_optimal"):
-            fail(f"{where}: no longer proved optimal")
-    # Parse rejections are the adversarial half of the gate: a malformed
-    # file that starts parsing is an ingestion regression even if nothing
-    # downstream notices.
-    fresh_rejected = index_cases(fresh.get("rejected", []), "file")
-    for key, base in index_cases(baseline.get("rejected", []),
-                                 "file").items():
-        where = f"corpus malformed {key[0]}"
-        new = fresh_rejected.get(key)
-        if new is None:
-            fail(f"{where}: disappeared from the fresh report")
-            continue
-        if base.get("rejected") and not new.get("rejected"):
-            fail(f"{where}: malformed file is now ACCEPTED by the parser")
-    for key, new in fresh_rejected.items():
-        if not new.get("rejected"):
-            fail(f"corpus malformed {key[0]}: accepted in the fresh report")
-
-
-COMPARATORS = {
-    "exact_astar": compare_exact_astar,
-    "hda_astar": compare_hda_astar,
-    "bigstate": compare_bigstate,
-    "serve": compare_serve,
-    "anytime": compare_anytime,
-    "corpus": compare_corpus,
-}
-
-
-def cmd_compare(args):
-    with open(args.fresh) as f:
-        fresh = json.load(f)
-    with open(args.baseline) as f:
-        baseline = json.load(f)
-    kind = baseline.get("bench")
-    if fresh.get("bench") != kind:
-        print(f"error: bench kinds differ: fresh={fresh.get('bench')!r} "
-              f"baseline={kind!r}", file=sys.stderr)
-        return 2
-    comparator = COMPARATORS.get(kind)
-    if comparator is None:
-        print(f"error: unknown bench kind {kind!r}", file=sys.stderr)
-        return 2
-    comparator(fresh, baseline)
-    return report(f"compare {kind}")
-
-
-def cmd_scaling(args):
-    with open(args.report) as f:
-        fresh = json.load(f)
-    hw = fresh.get("hardware_concurrency", 0)
+def scaling(report, tolerance, gate):
+    hw = report.get("hardware_concurrency", 0)
     if hw <= 1:
-        print(f"scaling: hardware_concurrency={hw}; single-core runner, "
-              "nothing to assert")
-        return 0
+        gate.note(f"hardware_concurrency={hw}: single-core, nothing to assert")
+        return
+    cases = cases_by_id(report)
     checked = 0
-    for case in fresh["cases"]:
-        if case.get("r") != 4:
+    for cid, case in cases.items():
+        if case.get("info", {}).get("r") != 4:
             continue  # the scaling claim is made on the width-4 workloads
-        runs = {r["threads"]: r for r in case["runs"]}
-        one, eight = runs.get(1), runs.get(8)
-        if not one or not eight or not one["solved"] or not eight["solved"]:
-            fail(f"scaling {case['instance']}/{case['model']}: missing or "
-                 "unsolved 1t/8t run")
+        one, eight = cases.get(f"{cid}@1t"), cases.get(f"{cid}@8t")
+        if not (one and eight and field(one, "solved") and
+                field(eight, "solved")):
+            gate.fail(f"scaling {cid}: missing or unsolved 1t/8t run")
             continue
         checked += 1
-        limit = one["ms"] * args.tolerance
-        if eight["ms"] > limit:
-            fail(f"scaling {case['instance']}/{case['model']}: 8-thread wall "
-                 f"{eight['ms']} ms exceeds 1-thread {one['ms']} ms "
-                 f"(x{args.tolerance:.2f} tolerance) on a {hw}-core runner")
+        ms1, ms8 = one["timing"]["ms"], eight["timing"]["ms"]
+        if ms8 > ms1 * tolerance:
+            gate.fail(f"scaling {cid}: 8-thread wall {ms8} ms exceeds 1-thread"
+                      f" {ms1} ms (x{tolerance:.2f}) on a {hw}-core runner")
         else:
-            note(f"scaling {case['instance']}/{case['model']}: "
-                 f"8t {eight['ms']} ms vs 1t {one['ms']} ms — ok")
+            gate.note(f"scaling {cid}: 8t {ms8} ms vs 1t {ms1} ms ok")
     if checked == 0:
-        fail("scaling: no width-4 (r=4) workloads found to check")
-    return report("scaling")
+        gate.fail("scaling: no width-4 (r=4) case found to check")
 
 
-WALL_KEY_MARKERS = ("ms", "us", "wall", "throughput", "elapsed")
-IGNORED_KEY_MARKERS = ("hardware", "timestamp", "date", "host")
+def step(value, up):
+    """`value` moved one step up or down; None when it cannot move."""
+    if isinstance(value, bool):
+        return None if value == up else up
+    if isinstance(value, str):
+        return str(Fraction(value) + (1 if up else -1))
+    return value + (1 if up else -1)
 
 
-def overhead_key_kind(key):
-    lower = key.lower()
-    parts = lower.replace("-", "_").split("_")
-    if any(marker in parts for marker in IGNORED_KEY_MARKERS):
-        return "ignored"
-    if any(marker in parts for marker in WALL_KEY_MARKERS):
-        return "wall"
-    return "exact"
+def changed(value):
+    """`value` moved one step, for a field that must not move at all."""
+    return step(value, not value if isinstance(value, bool) else True)
 
 
-def compare_overhead(traced, notrace, tolerance, path="$",
-                     labels=("traced", "notrace")):
-    """Recursive structural compare. Timing leaves gate on ratio; everything
-    else must be identical — instrumentation (the disabled recorder, or an
-    attached progress sampler) may cost nanoseconds, but it must not change
-    what the search *does*."""
-    la, lb = labels
-    if isinstance(traced, dict) and isinstance(notrace, dict):
-        for key in sorted(set(traced) | set(notrace)):
-            where = f"{path}.{key}"
-            if overhead_key_kind(key) == "ignored":
-                continue
-            if key not in traced or key not in notrace:
-                fail(f"{where}: present in only one report")
-                continue
-            if overhead_key_kind(key) == "wall":
-                a, b = traced[key], notrace[key]
-                if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                    # Symmetric ratio gate; the +1 floors the denominators so
-                    # sub-millisecond noise on tiny cases cannot trip it.
-                    if (a + 1) > (b + 1) * tolerance or \
-                       (b + 1) > (a + 1) * tolerance:
-                        fail(f"{where}: wall diverged {la}={a} {lb}={b} "
-                             f"(x{tolerance:.2f} tolerance)")
-                    else:
-                        note(f"{where}: wall {la}={a} {lb}={b} — ok")
-                    continue
-            compare_overhead(traced[key], notrace[key], tolerance, where,
-                             labels)
-    elif isinstance(traced, list) and isinstance(notrace, list):
-        if len(traced) != len(notrace):
-            fail(f"{path}: list length {len(traced)} != {len(notrace)}")
-            return
-        for i, (a, b) in enumerate(zip(traced, notrace)):
-            compare_overhead(a, b, tolerance, f"{path}[{i}]", labels)
-    else:
-        if traced != notrace:
-            fail(f"{path}: {la}={traced!r} != {lb}={notrace!r} (deterministic "
-                 "fields must be byte-identical under instrumentation)")
+def generated_injections(base):
+    """(label, mutate, must_fail) from the report's own annotations."""
+    def put(where, group, key, value):
+        return lambda r: nodes(r)[where][group].update({key: value})
+
+    def drop(where, group, key):
+        return lambda r: nodes(r)[where][group].pop(key)
+
+    for where, node in nodes(base).items():
+        for group in GATED:
+            for key, v in node.get(group, {}).items():
+                label, exact = f"{where}: {group}.{key}", group == "exact"
+                bad = changed(v) if exact else step(v, group == "falls")
+                good = None if exact else step(v, group == "rises")
+                yield f"{label} dropped", drop(where, group, key), True
+                if bad is not None:
+                    yield f"{label} bad", put(where, group, key, bad), True
+                if good is not None and key not in CERTIFICATE_FIELDS:
+                    yield f"{label} good", put(where, group, key, good), False
+    for i, c in enumerate(base.get("cases", [])):
+        yield f"case {c['id']} dropped", lambda r, i=i: r["cases"].pop(i), True
 
 
-def cmd_overhead(args):
-    with open(args.traced) as f:
-        traced = json.load(f)
-    with open(args.notrace) as f:
-        notrace = json.load(f)
-    compare_overhead(traced, notrace, args.wall_tolerance)
-    # Third leg: the same bench with a progress sampler attached to every
-    # search (exact_scaling --progress). The sampler's attribution probes run
-    # on every expansion — everything but walls must still match the plain
-    # instrumented run.
-    if getattr(args, "progress", None):
-        with open(args.progress) as f:
-            progress = json.load(f)
-        compare_overhead(traced, progress, args.wall_tolerance,
-                         labels=("plain", "progress"))
-    return report("overhead")
+def certified_case(report, optimal):
+    return next(c for c in report["cases"] if field(c, "certified") is True
+                and field(c, "proved_optimal") is optimal
+                and Fraction(field(c, "cost")) > 0)
 
 
-def cmd_selftest(args):
-    """Inject known regressions into synthetic anytime and corpus reports
-    and require the comparators to catch every one (and to pass the clean
-    pairs)."""
-    del args
-    base = {
-        "bench": "anytime",
-        "answered": 2, "case_count": 2, "audit_failures": 0,
-        "nodes_proved_optimal": 12, "nodes_within_eps": 204,
-        "cases": [
-            {"instance": "small", "model": "nodel", "nodes": 12,
-             "cost": "17", "lower_bound": "17", "epsilon": "0",
-             "proved_optimal": True, "certified": True},
-            {"instance": "big", "model": "compcost", "nodes": 192,
-             "cost": "9398/25", "lower_bound": "341/100",
-             "epsilon": "37251/341",
-             "proved_optimal": False, "certified": True},
-        ],
-    }
+def tighten(report):
+    # A smaller epsilon only with a lower bound that rose to match it.
+    c = certified_case(report, False)
+    eps = Fraction(c["falls"]["epsilon"]) / 2
+    c["falls"]["epsilon"] = str(eps)
+    c["info"]["lower_bound"] = str(Fraction(field(c, "cost")) / (1 + eps))
 
-    corpus_base = {
-        "bench": "corpus",
-        "audit_failures": 0, "solved": 2, "certified": 1, "proven": 1,
-        "cases": [
-            {"file": "a.txt", "model": "oneshot", "solver": "exact-astar",
-             "solved": True, "cost": "6", "certified": False,
-             "proved_optimal": True},
-            {"file": "b.rbg", "model": "nodel", "solver": "certified-greedy",
-             "solved": True, "cost": "47", "certified": True,
-             "proved_optimal": False,
-             "epsilon": "26/21", "lower_bound": "21"},
-        ],
-        "rejected": [
-            {"file": "junk.txt", "rejected": True},
-            {"file": "truncated.rbg", "rejected": True},
-        ],
-    }
 
-    def run_case(label, mutate, expect_failure, comparator=compare_anytime,
-                 report_base=None):
-        global failures, notes
-        failures, notes = [], []
-        if report_base is None:
-            report_base = base
-        fresh = copy.deepcopy(report_base)
+def scale(factor, keys=None):
+    """Every timing field, or the `keys` in any group, x `factor`."""
+    def mutate(report):
+        for node in nodes(report).values():
+            for group in GROUPS:
+                for key, value in node.get(group, {}).items():
+                    if (key in keys) if keys else group == "timing":
+                        node[group][key] = value * factor
+    return mutate
+
+
+def change_first(group):
+    def mutate(report):
+        node = next(n for n in nodes(report).values() if n.get(group))
+        key, value = next(iter(node[group].items()))
+        node[group][key] = changed(value)
+    return mutate
+
+
+def eight_threads(hw, factor):
+    """Every 8-thread run at `factor` x its 1-thread time, on `hw` cores."""
+    def mutate(report):
+        report["hardware_concurrency"] = hw
+        cases = cases_by_id(report)
+        for cid in (c[:-3] for c in cases if c.endswith("@8t")):
+            cases[f"{cid}@8t"]["timing"]["ms"] = \
+                cases[f"{cid}@1t"]["timing"]["ms"] * factor
+    return mutate
+
+
+def selftest():
+    root = Path(__file__).resolve().parent.parent
+    baselines = {p.name: json.loads(p.read_text())
+                 for p in sorted(root.glob("BENCH_*.json"))}
+    missed = []
+
+    def expect(label, base, mutate, must_fail, check=compare):
+        fresh = copy.deepcopy(base)
         mutate(fresh)
-        comparator(fresh, report_base)
-        caught = bool(failures)
-        if caught != expect_failure:
-            verdict = "missed" if expect_failure else "false positive"
-            print(f"selftest {label}: {verdict} "
-                  f"(failures={failures!r})", file=sys.stderr)
-            return False
-        print(f"selftest {label}: ok")
-        return True
+        gate = Gate()
+        check(fresh, base, gate)
+        if bool(gate.failures) != must_fail:
+            missed.append((label, must_fail))
 
-    def loosen_epsilon(r):
-        r["cases"][1]["epsilon"] = "38000/341"
+    generated = 0
+    for name, base in baselines.items():
+        expect(f"{name} clean", base, lambda r: None, False)
+        for label, mutate, must_fail in generated_injections(base):
+            expect(f"{name} {label}", base, mutate, must_fail)
+            generated += 1
 
-    def tighten_epsilon(r):
-        # ε may shrink — with cost fixed that means L rose; keep the report
-        # coherent so only the improvement is visible.
-        r["cases"][1]["epsilon"] = "90"
-        r["cases"][1]["lower_bound"] = "9398/2275"  # cost / (1+90), exactly
+    # Hooks run against the mutated report itself: no field rule can fire.
+    hooks_only = lambda f, b, gate: compare(f, copy.deepcopy(f), gate)
+    overhead_1_5 = lambda f, b, gate: overhead(b, f, 1.5, "b", "f", gate)
+    scaling_1_0 = lambda f, b, gate: scaling(f, 1.0, gate)
 
-    def violate_certificate(r):
-        r["cases"][1]["lower_bound"] = "1/100"  # cost > (1+eps)*lower now
+    anytime, corpus, hda = (baselines[f"BENCH_{name}.json"]
+                            for name in ("anytime", "corpus", "hda_astar"))
+    violate = lambda r: certified_case(r, False)["info"].update(
+        lower_bound="0")
+    hand = [  # (label, baseline, mutate, must_fail, check)
+        ("anytime certificate violated", anytime, violate, True, hooks_only),
+        ("anytime optimal with nonzero epsilon", anytime,
+         lambda r: certified_case(r, True)["falls"].update(epsilon="1/17"),
+         True, hooks_only),
+        ("anytime epsilon tightens", anytime, tighten, False, compare),
+        ("corpus certificate violated", corpus, violate, True, hooks_only),
+        ("corpus unseen malformed file accepted", corpus,
+         lambda r: r["cases"].append({"id": "malformed/unseen.txt",
+                                      "rises": {"rejected": False}}),
+         True, compare),
+        ("overhead: timing inside tolerance", hda, scale(1.2), False,
+         overhead_1_5),
+        ("overhead: timing beyond tolerance", hda, scale(2.0), True,
+         overhead_1_5),
+        # Speedups are ratios of wall times: they must sit in `timing`.
+        ("overhead: speedups are timing", hda,
+         scale(1.2, ("speedup_8v1", "best_speedup_8v1")), False, overhead_1_5),
+        ("overhead: header ignored", hda,
+         lambda r: r.update(bench="x", cpu_model="y", hardware_concurrency=64),
+         False, overhead_1_5),
+        ("scaling: 8t slower on 4 cores", hda, eight_threads(4, 2.0), True,
+         scaling_1_0),
+        ("scaling: single-core report", hda, eight_threads(1, 2.0), False,
+         scaling_1_0),
+    ] + [(f"overhead: {group} changed", hda, change_first(group), True,
+          overhead_1_5) for group in ("exact", "rises", "falls", "info")]
+    for label, base, mutate, must_fail, check in hand:
+        expect(label, base, mutate, must_fail, check)
 
-    def drop_optimality(r):
-        r["cases"][0]["proved_optimal"] = False
-        r["cases"][0]["epsilon"] = "1/17"
-        r["nodes_proved_optimal"] = 0
-
-    def optimal_with_nonzero_eps(r):
-        r["cases"][0]["epsilon"] = "1/17"
-
-    def change_proven_cost(r):
-        r["cases"][0]["cost"] = "18"
-        r["cases"][0]["lower_bound"] = "18"
-
-    def shrink_headline(r):
-        r["nodes_within_eps"] = 12
-
-    def lose_a_case(r):
-        r["cases"].pop()
-        r["case_count"] = 1
-        r["answered"] = 1
-        r["nodes_within_eps"] = 12
-
-    def unanswered(r):
-        r["answered"] = 1
-
-    def audit_failed(r):
-        r["audit_failures"] = 1
-
-    ok = True
-    ok &= run_case("clean", lambda r: None, expect_failure=False)
-    ok &= run_case("epsilon-tightens", tighten_epsilon, expect_failure=False)
-    ok &= run_case("epsilon-loosens", loosen_epsilon, expect_failure=True)
-    ok &= run_case("certificate-violated", violate_certificate,
-                   expect_failure=True)
-    ok &= run_case("optimality-lost", drop_optimality, expect_failure=True)
-    ok &= run_case("optimal-nonzero-eps", optimal_with_nonzero_eps,
-                   expect_failure=True)
-    ok &= run_case("proven-cost-changed", change_proven_cost,
-                   expect_failure=True)
-    ok &= run_case("headline-shrank", shrink_headline, expect_failure=True)
-    ok &= run_case("case-disappeared", lose_a_case, expect_failure=True)
-    ok &= run_case("unanswered-case", unanswered, expect_failure=True)
-    ok &= run_case("audit-failure", audit_failed, expect_failure=True)
-
-    # ---- corpus comparator injections ----------------------------------
-    def corpus_case(label, mutate, expect_failure):
-        return run_case(f"corpus-{label}", mutate, expect_failure,
-                        comparator=compare_corpus, report_base=corpus_base)
-
-    def corpus_accept_malformed(r):
-        r["rejected"][0]["rejected"] = False
-
-    def corpus_cost_changed(r):
-        r["cases"][0]["cost"] = "7"
-
-    def corpus_solve_lost(r):
-        r["cases"][0]["solved"] = False
-        r["cases"][0]["cost"] = "-"
-        r["cases"][0]["proved_optimal"] = False
-        r["solved"] = 1
-        r["proven"] = 0
-
-    def corpus_certificate_lost(r):
-        r["cases"][1]["certified"] = False
-        r["certified"] = 0
-
-    def corpus_certificate_violated(r):
-        r["cases"][1]["lower_bound"] = "1"  # 47 > (1+26/21)*1
-
-    def corpus_rejection_missing(r):
-        r["rejected"].pop(0)
-
-    def corpus_audit_failed(r):
-        r["audit_failures"] = 3
-
-    ok &= corpus_case("clean", lambda r: None, expect_failure=False)
-    ok &= corpus_case("malformed-accepted", corpus_accept_malformed,
-                      expect_failure=True)
-    ok &= corpus_case("cost-changed", corpus_cost_changed,
-                      expect_failure=True)
-    ok &= corpus_case("solve-lost", corpus_solve_lost, expect_failure=True)
-    ok &= corpus_case("certificate-lost", corpus_certificate_lost,
-                      expect_failure=True)
-    ok &= corpus_case("certificate-violated", corpus_certificate_violated,
-                      expect_failure=True)
-    ok &= corpus_case("rejection-missing", corpus_rejection_missing,
-                      expect_failure=True)
-    ok &= corpus_case("audit-failure", corpus_audit_failed,
-                      expect_failure=True)
-    if not ok:
-        print("bench_check selftest: FAILED", file=sys.stderr)
-        return 1
-    print("bench_check selftest: clean")
-    return 0
+    for label, must_fail in missed:
+        print(f"selftest {label}: " + ("missed" if must_fail else
+                                       "false positive"), file=sys.stderr)
+    print(f"bench_check selftest: {len(missed)} missed of {generated} "
+          f"generated and {len(hand)} hand-written injections and "
+          f"{len(baselines)} clean baselines")
+    return 1 if missed or not baselines else 0
 
 
-def report(what):
-    for n in notes:
-        print(f"note: {n}")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        print(f"bench_check {what}: {len(failures)} regression(s)",
-              file=sys.stderr)
-        return 1
-    print(f"bench_check {what}: clean")
-    return 0
+def load(path):
+    return json.loads(Path(path).read_text())
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    compare = sub.add_parser("compare", help="fresh report vs baseline")
-    compare.add_argument("--fresh", required=True)
-    compare.add_argument("--baseline", required=True)
-    compare.set_defaults(func=cmd_compare)
-    scaling = sub.add_parser("scaling", help="assert hda multi-core scaling")
-    scaling.add_argument("report")
-    scaling.add_argument("--tolerance", type=float, default=1.0,
-                         help="8t wall may be up to TOL x 1t wall (default 1.0)")
-    scaling.set_defaults(func=cmd_scaling)
-    overhead = sub.add_parser(
-        "overhead",
-        help="traced-but-disabled vs no-trace build of the same bench")
-    overhead.add_argument("--traced", required=True,
-                          help="report from the normal build (sink unset)")
-    overhead.add_argument("--notrace", required=True,
-                          help="report from the -DRBPEB_OBS_NO_TRACE build")
-    overhead.add_argument(
-        "--progress",
-        help="report from the progress-sampled run (exact_scaling "
-             "--progress); deterministic fields must match --traced")
-    overhead.add_argument(
-        "--wall-tolerance", type=float, default=1.5,
-        help="max ratio between wall-clock fields (default 1.5)")
-    overhead.set_defaults(func=cmd_overhead)
-    selftest = sub.add_parser(
-        "selftest", help="verify the anytime comparator catches regressions")
-    selftest.set_defaults(func=cmd_selftest)
+    p = sub.add_parser("compare", help="fresh report vs baseline")
+    p.add_argument("--fresh", required=True)
+    p.add_argument("--baseline", required=True)
+    p = sub.add_parser("scaling", help="assert hda multi-core scaling")
+    p.add_argument("report")
+    p.add_argument("--tolerance", type=float, default=1.0)
+    p = sub.add_parser("overhead", help="instrumented builds of one bench")
+    p.add_argument("--traced", required=True, help="normal build, sink unset")
+    p.add_argument("--notrace", required=True, help="-DRBPEB_OBS_NO_TRACE")
+    p.add_argument("--progress", help="exact_scaling --progress")
+    p.add_argument("--wall-tolerance", type=float, default=1.5)
+    sub.add_parser("selftest", help="inject regressions into the baselines")
     args = parser.parse_args()
-    sys.exit(args.func(args))
+    gate = Gate()
+    try:
+        if args.command == "selftest":
+            sys.exit(selftest())
+        elif args.command == "compare":
+            compare(load(args.fresh), load(args.baseline), gate)
+        elif args.command == "scaling":
+            scaling(load(args.report), args.tolerance, gate)
+        else:
+            traced = load(args.traced)
+            overhead(traced, load(args.notrace), args.wall_tolerance,
+                     "traced", "notrace", gate)
+            if args.progress:
+                overhead(traced, load(args.progress), args.wall_tolerance,
+                         "plain", "progress", gate)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(gate.report(args.command))
 
 
 if __name__ == "__main__":
