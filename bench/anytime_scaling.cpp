@@ -7,10 +7,13 @@
 // cost ≤ (1+ε)·lower_bound, and proves outright optimality wherever the
 // budget reaches. Runs are state-budget-only (no wall-clock dependence), so
 // every counter in the bench/report.hpp report (default BENCH_anytime.json,
-// or argv[1]) is deterministic and gated by tools/bench_check.py compare:
+// or argv[1]) is deterministic and gated by tools/bench_check.py compare
+// (each case's `timing` — search wall time and expansions per second — is
+// the one machine-dependent group, printed but never gated):
 //  * nodes_proved_optimal / nodes_within_eps may only rise,
 //  * per-instance ε may only shrink,
 //  * every certificate must satisfy its defining inequality.
+#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -91,7 +94,11 @@ int main(int argc, char** argv) {
     options.max_states = c.max_states;
     options.seed = greedy_seed(engine);
     ExactSearchStats stats;
+    const auto start = std::chrono::steady_clock::now();
     auto result = try_solve_anytime_astar(engine, options, {}, &stats);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
     RBPEB_ENSURE(result.has_value(),
                  "a seeded anytime run always has an answer");
     ++answered;
@@ -121,6 +128,12 @@ int main(int argc, char** argv) {
     // Only a proven optimum is unique; a certified cost may still improve.
     (result->optimal ? row.exact : row.info).set("cost", result->cost.str());
     if (result->certified) row.falls.set("epsilon", result->epsilon.str());
+    // Wall time of the search alone (PDB build included, greedy seed and
+    // audit excluded): machine-dependent, printed but never gated.
+    row.timing.set("ms", ms, 1).set(
+        "expansions_per_s",
+        ms > 0 ? static_cast<double>(result->states_expanded) * 1e3 / ms : 0.0,
+        0);
     row.info.set("nodes", c.dag.node_count())
         .set("r", r)
         .set("budget_states", c.max_states)

@@ -1,5 +1,6 @@
 #include "src/pebble/bounds.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -99,51 +100,39 @@ StateBoundEvaluator::StateBoundEvaluator(const Engine& engine)
       for (std::size_t w = 0; w < W; ++w) cone[w] |= pcone[w];
     }
   }
-  scratch_.assign(5 * W, 0);
+  scratch_.assign(3 * W, 0);
 }
 
+namespace {
+
+/// Node v's 3-bit configuration field (color | computed << 2) in `state`.
+template <std::size_t W>
+unsigned field_of(const Masks<W>& state, NodeId v) {
+  const std::size_t w = v >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+  unsigned f = (state.red()[w] & bit) != 0    ? 1u
+               : (state.blue()[w] & bit) != 0 ? 2u
+                                              : 0u;
+  if ((state.computed()[w] & bit) != 0) f |= 4u;
+  return f;
+}
+
+}  // namespace
+
+// Requirement closure, composed from the construction-time caches: a
+// frontier node whose whole ancestor cone is pebble-free contributes its
+// cached cone in one OR (every such ancestor is empty, hence also owed a
+// computation, and none of them can have blue inputs); anything else joins
+// alone, its predecessor mask joins PU, and its empty predecessors join the
+// frontier. Grows (closure, inputs) until the frontier is spent.
 template <std::size_t kWords>
-std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
-    const Masks<kWords>& state) {
-  RBPEB_REQUIRE(caches_.words != 0 && state.words() == caches_.words,
-                "mask width must be ceil(n/64) words for a DAG of at most "
-                "1024 nodes");
-  last_source_ = BoundSource::Counting;
-  const Model& model = engine_->model();
-  const PebblingConvention& conv = engine_->convention();
-  const Caches& caches = caches_;
+void StateBoundEvaluator::walk(const Masks<kWords>& state,
+                               std::uint64_t* __restrict frontier,
+                               std::uint64_t* __restrict closure,
+                               std::uint64_t* __restrict inputs) const {
   const std::size_t W = state.words();
   const std::uint64_t* red = state.red();
   const std::uint64_t* blue = state.blue();
-  const std::uint64_t* computed = state.computed();
-
-  // Scratch planes: pebbled, empty, frontier, closure, blue_inputs — on the
-  // stack at a fixed width, in the evaluator's buffer at the runtime width.
-  std::array<std::uint64_t, 5 * (kWords != 0 ? kWords : 1)> fixed{};
-  std::uint64_t* pebbled = kWords != 0 ? fixed.data() : scratch_.data();
-  std::uint64_t* empty = pebbled + W;
-  std::uint64_t* frontier = empty + W;
-  std::uint64_t* closure = frontier + W;
-  std::uint64_t* blue_inputs = closure + W;
-  // Seeds plus the stores owed by non-blue sinks under the blue convention.
-  std::int64_t sink_stores_owed = 0;
-  for (std::size_t w = 0; w < W; ++w) {
-    pebbled[w] = red[w] | blue[w];
-    empty[w] = ~pebbled[w];  // junk above bit n never enters
-    closure[w] = 0;
-    blue_inputs[w] = 0;
-    if (conv.sinks_end_blue) {
-      // blue arrives via Store
-      sink_stores_owed += std::popcount(caches.sinks[w] & ~blue[w]);
-    }
-    frontier[w] = caches.sinks[w] & empty[w];
-  }
-
-  // Requirement closure, composed from the construction-time caches: a
-  // frontier node whose whole ancestor cone is pebble-free contributes its
-  // cached cone in one OR (every such ancestor is empty, hence also owed a
-  // computation, and none of them can have blue inputs); anything else
-  // advances one cached predecessor word at a time.
   for (;;) {
     std::size_t w = 0;
     while (w < W && frontier[w] == 0) ++w;
@@ -153,62 +142,91 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
     const std::size_t v = (w << 6) | static_cast<std::size_t>(b);
     const std::uint64_t bit = std::uint64_t{1} << b;
     if ((closure[w] & bit) != 0) continue;
-    const std::uint64_t* cone = caches.cone.data() + v * W;
+    const std::uint64_t* cone = caches_.cone.data() + v * W;
     bool cone_unpebbled = true;
     for (std::size_t i = 0; i < W; ++i) {
-      if ((cone[i] & pebbled[i]) != 0) cone_unpebbled = false;
+      if ((cone[i] & (red[i] | blue[i])) != 0) cone_unpebbled = false;
     }
     if (cone_unpebbled) {
       for (std::size_t i = 0; i < W; ++i) closure[i] |= cone[i];
       continue;
     }
     closure[w] |= bit;
-    const std::uint64_t* preds = caches.pred.data() + v * W;
+    const std::uint64_t* preds = caches_.pred.data() + v * W;
     for (std::size_t i = 0; i < W; ++i) {
-      blue_inputs[i] |= preds[i] & blue[i];
-      frontier[i] |= preds[i] & empty[i] & ~closure[i];
+      inputs[i] |= preds[i];
+      frontier[i] |= preds[i] & ~(red[i] | blue[i]) & ~closure[i];
     }
   }
+}
 
-  // Dead states: a needed oneshot value already spent, or a needed (hence
-  // empty) Hong–Kung source — uncomputable and, with no pebble, unloadable.
+template <std::size_t kWords>
+void StateBoundEvaluator::walk_from_sinks(const Masks<kWords>& state,
+                                          std::uint64_t* frontier,
+                                          std::uint64_t* closure,
+                                          std::uint64_t* inputs) const {
+  for (std::size_t w = 0; w < state.words(); ++w) {
+    frontier[w] = caches_.sinks[w] & ~(state.red()[w] | state.blue()[w]);
+    closure[w] = 0;
+    inputs[w] = 0;
+  }
+  walk(state, frontier, closure, inputs);
+}
+
+template <std::size_t kWords, class PdbFloor>
+std::optional<std::int64_t> StateBoundEvaluator::tail(
+    const Masks<kWords>& state, const std::uint64_t* closure,
+    const std::uint64_t* inputs, PdbFloor&& pdb_floor) {
+  last_source_ = BoundSource::Counting;
+  const Model& model = engine_->model();
+  const PebblingConvention& conv = engine_->convention();
+  const bool oneshot = !model.allows_recompute();
+  const std::size_t W = state.words();
+  const std::uint64_t* red = state.red();
+  const std::uint64_t* blue = state.blue();
+  const std::uint64_t* computed = state.computed();
+  const std::uint64_t* sources = caches_.sources.data();
+
   std::int64_t closure_count = 0;
+  std::int64_t pebbled_count = 0;
+  std::int64_t blue_count = 0;
+  std::int64_t full_loads = 0;
+  std::int64_t cheap_loads = 0;
+  // Stores owed by non-blue sinks under the blue convention.
+  std::int64_t sink_stores_owed = 0;
   for (std::size_t w = 0; w < W; ++w) {
-    if (!model.allows_recompute() && (closure[w] & computed[w]) != 0) {
-      return std::nullopt;
-    }
-    if (conv.sources_start_blue && (closure[w] & caches.sources[w]) != 0) {
+    // Dead states: a needed oneshot value already spent, or a needed (hence
+    // empty) Hong–Kung source — uncomputable and, with no pebble,
+    // unloadable.
+    if (oneshot && (closure[w] & computed[w]) != 0) return std::nullopt;
+    if (conv.sources_start_blue && (closure[w] & sources[w]) != 0) {
       return std::nullopt;
     }
     closure_count += std::popcount(closure[w]);
-  }
-
-  std::int64_t bound = closure_count * eps_num_;
-  // Blue inputs that can never be recomputed owe a full Load; the rest owe
-  // whichever of reload / recompute is cheaper.
-  for (std::size_t w = 0; w < W; ++w) {
+    pebbled_count += std::popcount(red[w] | blue[w]);
+    blue_count += std::popcount(blue[w]);
+    if (conv.sinks_end_blue) {
+      // blue arrives via Store
+      sink_stores_owed += std::popcount(caches_.sinks[w] & ~blue[w]);
+    }
+    // Blue inputs that can never be recomputed owe a full Load; the rest
+    // owe whichever of reload / recompute is cheaper.
     std::uint64_t no_recompute = 0;
-    if (!model.allows_recompute()) no_recompute |= computed[w];
-    if (conv.sources_start_blue) no_recompute |= caches.sources[w];
-    bound += static_cast<std::int64_t>(
-                 std::popcount(blue_inputs[w] & no_recompute)) *
-             eps_den_;
-    bound += static_cast<std::int64_t>(
-                 std::popcount(blue_inputs[w] & ~no_recompute)) *
-             std::min(eps_num_, eps_den_);
+    if (oneshot) no_recompute |= computed[w];
+    if (conv.sources_start_blue) no_recompute |= sources[w];
+    const std::uint64_t blue_inputs = inputs[w] & blue[w];
+    full_loads += std::popcount(blue_inputs & no_recompute);
+    cheap_loads += std::popcount(blue_inputs & ~no_recompute);
   }
 
+  const std::int64_t bound = closure_count * eps_num_ +
+                             full_loads * eps_den_ +
+                             cheap_loads * std::min(eps_num_, eps_den_);
   std::int64_t stores_owed = sink_stores_owed;
   if (model.kind() == ModelKind::Nodel) {
     // No deletions: currently pebbled nodes and the closure all hold pebbles
     // at the end, at most R of them red. Stores minus loads equals the net
     // blue growth, so stores >= final_blue - current_blue.
-    std::int64_t pebbled_count = 0;
-    std::int64_t blue_count = 0;
-    for (std::size_t w = 0; w < W; ++w) {
-      pebbled_count += std::popcount(pebbled[w]);
-      blue_count += std::popcount(blue[w]);
-    }
     const std::int64_t final_pebbled = pebbled_count + closure_count;
     const std::int64_t r = static_cast<std::int64_t>(engine_->red_limit());
     // Max, not sum: this and the sink term lower-bound the same stores.
@@ -216,17 +234,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
   }
   std::int64_t total = bound + stores_owed * eps_den_;
   if (pdb_ != nullptr) {
-    // The pattern-database floor, read through each node's 3-bit
-    // color|computed field.
-    const std::optional<std::int64_t> floor = pdb_->sum_scaled([&](NodeId v) {
-      const std::size_t w = v >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-      unsigned f = (red[w] & bit) != 0    ? 1u
-                   : (blue[w] & bit) != 0 ? 2u
-                                                : 0u;
-      if ((computed[w] & bit) != 0) f |= 4u;
-      return f;
-    });
+    const std::optional<std::int64_t> floor = pdb_floor();
     if (!floor) {
       last_source_ = BoundSource::Pdb;  // a projection proved the state dead
       return std::nullopt;
@@ -239,12 +247,119 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
   return total;
 }
 
+template <std::size_t kWords>
+std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
+    const Masks<kWords>& state) {
+  RBPEB_REQUIRE(caches_.words != 0 && state.words() == caches_.words,
+                "mask width must be ceil(n/64) words for a DAG of at most "
+                "1024 nodes");
+  const std::size_t W = state.words();
+  // Scratch planes: frontier, closure, inputs — on the stack at a fixed
+  // width, in the evaluator's buffer at the runtime width.
+  std::array<std::uint64_t, 3 * (kWords != 0 ? kWords : 1)> fixed{};
+  std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
+  std::uint64_t* closure = frontier + W;
+  std::uint64_t* inputs = closure + W;
+  walk_from_sinks(state, frontier, closure, inputs);
+  return tail(state, closure, inputs, [&] {
+    return pdb_->sum_scaled([&](NodeId v) { return field_of(state, v); });
+  });
+}
+
+template <std::size_t kWords>
+void StateBoundEvaluator::enter_parent(const Masks<kWords>& state,
+                                       ParentBound<kWords>& parent) {
+  RBPEB_REQUIRE(caches_.words != 0 && state.words() == caches_.words &&
+                    parent.closure.words() == caches_.words,
+                "mask width must be ceil(n/64) words for a DAG of at most "
+                "1024 nodes");
+  std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
+  std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
+  walk_from_sinks(state, frontier, parent.closure.nodes(),
+                  parent.closure.inputs());
+  if (pdb_ == nullptr) return;
+  RBPEB_REQUIRE(parent.projection.size() == pdb_->term_count(),
+                "ParentBound must be sized for the attached PDB's terms");
+  std::int64_t sum = 0;
+  bool dead = false;
+  for (std::size_t t = 0; t < parent.projection.size(); ++t) {
+    const std::size_t index =
+        pdb_->projection(t, [&](NodeId v) { return field_of(state, v); });
+    const std::int32_t d = pdb_->distance(t, index);
+    parent.projection[t] = index;
+    parent.distance[t] = d;
+    if (d == PatternDatabase::kUnreachable) dead = true;
+    sum += d;
+  }
+  parent.pdb_sum = dead ? std::nullopt : std::optional<std::int64_t>(sum);
+}
+
+template <std::size_t kWords>
+std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
+    ParentBound<kWords>& parent, const Move& move,
+    const Masks<kWords>& child) {
+  const std::size_t W = child.words();
+  const NodeId v = move.node;
+  const std::size_t vw = v >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+  const std::uint64_t* closure = parent.closure.nodes();
+  const std::uint64_t* inputs = parent.closure.inputs();
+  const bool rewalk =
+      move.type == MoveType::Compute && (closure[vw] & bit) != 0;
+  const bool extend = move.type == MoveType::Delete &&
+                      ((inputs[vw] | caches_.sinks[vw]) & bit) != 0;
+  if (rewalk || extend) {
+    std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
+    std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
+    std::uint64_t* next_closure = parent.child.nodes();
+    std::uint64_t* next_inputs = parent.child.inputs();
+    if (rewalk) {
+      walk_from_sinks(child, frontier, next_closure, next_inputs);
+    } else {
+      // v joins the closure: continue the parent's walk from {v}.
+      std::copy_n(closure, W, next_closure);
+      std::copy_n(inputs, W, next_inputs);
+      std::fill_n(frontier, W, std::uint64_t{0});
+      frontier[vw] = bit;
+      walk(child, frontier, next_closure, next_inputs);
+    }
+    closure = next_closure;
+    inputs = next_inputs;
+  }
+  return tail(child, closure, inputs, [&]() -> std::optional<std::int64_t> {
+    if (!parent.pdb_sum) {
+      // A parent the PDB calls dead has no sum to patch.
+      return pdb_->sum_scaled([&](NodeId u) { return field_of(child, u); });
+    }
+    const PatternDatabase::NodeTerm term = pdb_->node_term(v);
+    if (term.term == PatternDatabase::kNoTerm) return parent.pdb_sum;
+    const std::size_t index =
+        (parent.projection[term.term] & ~(std::size_t{7} << term.shift)) |
+        (static_cast<std::size_t>(field_of(child, v)) << term.shift);
+    const std::int32_t d = pdb_->distance(term.term, index);
+    if (d == PatternDatabase::kUnreachable) return std::nullopt;
+    return *parent.pdb_sum - parent.distance[term.term] + d;
+  });
+}
+
 template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
     const Masks<0>&);
 template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
     const Masks<1>&);
 template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
     const Masks<2>&);
+template void StateBoundEvaluator::enter_parent(const Masks<0>&,
+                                                ParentBound<0>&);
+template void StateBoundEvaluator::enter_parent(const Masks<1>&,
+                                                ParentBound<1>&);
+template void StateBoundEvaluator::enter_parent(const Masks<2>&,
+                                                ParentBound<2>&);
+template std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
+    ParentBound<0>&, const Move&, const Masks<0>&);
+template std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
+    ParentBound<1>&, const Move&, const Masks<1>&);
+template std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
+    ParentBound<2>&, const Move&, const Masks<2>&);
 
 std::optional<Rational> state_cost_lower_bound(const Engine& engine,
                                                const GameState& state) {

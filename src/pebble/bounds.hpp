@@ -92,6 +92,8 @@ void check_mask_width(std::size_t words, std::size_t node_count);
 template <std::size_t W>
 class Masks {
  public:
+  static constexpr std::size_t kWords = W;
+
   Masks() = default;
 
   /// All-empty planes for an n-node DAG; throws when W does not fit n (see
@@ -166,6 +168,55 @@ class Masks {
       planes_{};
 };
 
+/// A state's requirement closure as two node-indexed planes at the width of
+/// Masks<W>: `nodes` is the closure C — the least set holding the empty
+/// sinks and the empty predecessors of its members — and `inputs` is PU,
+/// the union of the predecessor masks of the closure nodes the walk visits
+/// one at a time, so the state's blue inputs are PU ∩ blue.
+template <std::size_t W>
+class Closure {
+ public:
+  explicit Closure(std::size_t words) {
+    if constexpr (W == 0) planes_.assign(2 * words, 0);
+  }
+
+  std::size_t words() const {
+    if constexpr (W == 0) {
+      return planes_.size() / 2;
+    } else {
+      return W;
+    }
+  }
+  std::uint64_t* nodes() { return planes_.data(); }
+  std::uint64_t* inputs() { return planes_.data() + words(); }
+  const std::uint64_t* nodes() const { return planes_.data(); }
+  const std::uint64_t* inputs() const { return planes_.data() + words(); }
+
+ private:
+  std::conditional_t<W == 0, std::vector<std::uint64_t>,
+                     std::array<std::uint64_t, 2 * W>>
+      planes_{};
+};
+
+/// What StateBoundEvaluator::enter_parent records of a state being expanded
+/// so that successor_bound can price each successor as a delta from it.
+/// Construct once per search worker (caches().words and the attached
+/// PDB's term_count()); at W = 1 and 2 the planes are fixed arrays, and
+/// nothing is allocated per expansion at any width.
+template <std::size_t W>
+struct ParentBound {
+  ParentBound(std::size_t words, std::size_t pdb_terms)
+      : closure(words), child(words), projection(pdb_terms, 0),
+        distance(pdb_terms, 0) {}
+
+  Closure<W> closure;  ///< the parent's C and PU
+  Closure<W> child;    ///< scratch: a successor's, when its move changes them
+  std::vector<std::size_t> projection;  ///< per PDB term: projection index
+  std::vector<std::int32_t> distance;   ///< per PDB term: its table entry
+  /// The parent's PDB sum; nullopt when the PDB calls the parent dead.
+  std::optional<std::int64_t> pdb_sum;
+};
+
 /// Reusable per-state bound evaluator (holds scratch; not thread-safe —
 /// searches hold one per worker). Templated over anything with
 /// color(NodeId)/was_computed(NodeId) so the exact searches can evaluate
@@ -183,6 +234,36 @@ class Masks {
 /// width Masks<0> (≤ kVecMaskMaxNodes); past that cap nothing is cached and
 /// every evaluation throws PreconditionError. tests/pebble/test_bounds.cpp
 /// pins every width to the mark-and-walk oracle in tests/support.
+///
+/// A bound is two steps: the closure walk, which yields C and PU (see
+/// Closure), then an O(W) tail — dead checks, counts, blue inputs PU ∩ blue,
+/// the nodel and sink terms, the PDB floor. lower_bound_scaled runs both
+/// and is the one reference. The expansion kernel instead prices a parent
+/// once (enter_parent) and each successor of a move on v from it
+/// (successor_bound), re-walking only what the move can change:
+///
+///  * Load v, Store v, Compute v with v ∉ C, Delete v with v ∉ PU ∪ sinks:
+///    C and PU are the parent's, only the tail runs. Load and Store keep
+///    the pebbled set. A Compute on a node outside C pebbles no closure
+///    node, and every closure node whose cone holds v already had a pebbled
+///    cone (else v, an empty ancestor on an all-empty path, would be in C).
+///    A Delete of a node that is neither a sink nor a predecessor of a
+///    closure node leaves C closed under the rule, so C stays least.
+///  * Delete v with v ∈ PU ∪ sinks: v joins the closure; the walk continues
+///    from {v}, seeded with the parent's C and PU. Every newly closed node
+///    is an ancestor of v reached through empty nodes, or already in C.
+///  * Compute v with v ∈ C: the full walk.
+///  * PDB: the move changes only v's pattern, so sum' = sum − d(old
+///    projection) + d(new projection); an unreachable new projection makes
+///    the successor dead. A parent the PDB calls dead takes the full sum.
+///
+/// Why this is exact: C' is the fresh walk's C in every case. A seeded PU
+/// can hold extra predecessor masks only of closure nodes whose cones lost
+/// their last pebble; a node inside such a cone has only empty
+/// predecessors, so PU differs from a fresh walk only on empty nodes, which
+/// never meet `blue`. Every successor gets the same h and the same dead
+/// verdict as lower_bound_scaled; tests/solvers/test_expander.cpp pins
+/// that at every width, with and without a PDB.
 ///
 /// attach_pdb folds an additive pattern database (solvers/bigstate/pdb.hpp)
 /// into the bound: it becomes max(counting_bounds, pdb_sum), still
@@ -233,6 +314,20 @@ class StateBoundEvaluator {
   template <std::size_t W>
   std::optional<std::int64_t> lower_bound_scaled(const Masks<W>& state);
 
+  /// Record `state`'s closure, PU, PDB projections and PDB sum into
+  /// `parent` — once per expansion. `parent` must be sized for this
+  /// evaluator (see ParentBound); same width preconditions as
+  /// lower_bound_scaled.
+  template <std::size_t W>
+  void enter_parent(const Masks<W>& state, ParentBound<W>& parent);
+
+  /// lower_bound_scaled(child), where `child` is the entered parent after
+  /// the legal `move` — priced by the delta rules above.
+  template <std::size_t W>
+  std::optional<std::int64_t> successor_bound(ParentBound<W>& parent,
+                                              const Move& move,
+                                              const Masks<W>& child);
+
   /// The structural caches as flat node-major words, mask_words(n) words
   /// per entry: node v's predecessor mask and ancestor cone (v included)
   /// start at pred / cone + v·words; sinks and sources are one entry each.
@@ -251,6 +346,18 @@ class StateBoundEvaluator {
   void attach_pdb(const PatternDatabase* pdb) { pdb_ = pdb; }
 
  private:
+  template <std::size_t W>
+  void walk(const Masks<W>& state, std::uint64_t* frontier,
+            std::uint64_t* closure, std::uint64_t* inputs) const;
+  template <std::size_t W>
+  void walk_from_sinks(const Masks<W>& state, std::uint64_t* frontier,
+                       std::uint64_t* closure, std::uint64_t* inputs) const;
+  template <std::size_t W, class PdbFloor>
+  std::optional<std::int64_t> tail(const Masks<W>& state,
+                                   const std::uint64_t* closure,
+                                   const std::uint64_t* inputs,
+                                   PdbFloor&& pdb_floor);
+
   const Engine* engine_;
   std::int64_t eps_num_;
   std::int64_t eps_den_;

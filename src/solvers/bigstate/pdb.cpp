@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <tuple>
 
 #include "src/graph/dag_algorithms.hpp"
 #include "src/obs/metrics.hpp"
@@ -201,7 +203,13 @@ PatternDatabase::PatternDatabase(const Engine& engine,
   const std::size_t byte_budget =
       table_byte_budget == 0 ? kDefaultHashedTableBytes : table_byte_budget;
   const obs::TraceSpan build_span("pdb.build", "patterns", node_sets.size());
+  // Flat patterns of one shape play the same abstract game under this
+  // engine, so the first of them builds the table and the rest share it.
+  using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
+                           std::vector<bool>, std::vector<std::size_t>>;
+  std::map<Shape, std::size_t> flat_of_shape;
   patterns_.resize(node_sets.size());
+  node_terms_.assign(dag.node_count(), NodeTerm{kNoTerm, 0});
   for (std::size_t p = 0; p < node_sets.size(); ++p) {
     if (aborted_) break;
     const obs::TraceSpan pattern_span("pdb.pattern", "width",
@@ -221,14 +229,33 @@ PatternDatabase::PatternDatabase(const Engine& engine,
         }
       }
     }
+    // A sink-free pattern's abstract game requires nothing: every valid
+    // projection is a goal at distance 0. It builds no table and adds
+    // nothing to the sum.
+    if (pattern.sink_positions.empty()) continue;
+    const auto t = static_cast<std::uint32_t>(terms_.size());
+    for (std::size_t i = 0; i < width; ++i) {
+      node_terms_[pattern.nodes[i]] = {t, static_cast<std::uint32_t>(3 * i)};
+    }
     if (width > kMaxPatternSize || force_hashed) {
       pattern.hashed = true;
       build_pattern_hashed(engine, pattern, cost_cap, should_stop,
                            byte_budget);
-    } else {
-      build_pattern(engine, pattern, cost_cap, should_stop);
-      table_bytes_ += pattern.completion.size() * sizeof(std::int32_t);
+      terms_.push_back({p, nullptr});
+      continue;
     }
+    const auto [shape, fresh] = flat_of_shape.try_emplace(
+        Shape{pattern.pred_positions, pattern.is_source,
+              pattern.sink_positions},
+        flat_tables_.size());
+    if (fresh) {
+      flat_tables_.emplace_back();
+      build_pattern(engine, pattern, flat_tables_.back(), cost_cap,
+                    should_stop);
+      table_bytes_ += flat_tables_.back().size() * sizeof(std::int32_t);
+    }
+    // Growing flat_tables_ moves the tables, never their storage.
+    terms_.push_back({p, flat_tables_[shape->second].data()});
   }
   table_bytes_ += hashed_bytes_;
   auto& registry = obs::MetricsRegistry::instance();
@@ -236,7 +263,9 @@ PatternDatabase::PatternDatabase(const Engine& engine,
   registry.gauge("pdb.table_bytes").set(static_cast<std::int64_t>(table_bytes_));
 }
 
-void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
+void PatternDatabase::build_pattern(const Engine& engine,
+                                    const Pattern& pattern,
+                                    std::vector<std::int32_t>& completion,
                                     std::int64_t cost_cap,
                                     const StopPredicate& should_stop) {
   const Model& model = engine.model();
@@ -303,7 +332,7 @@ void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
   // Distances clamp at cost_cap (an underestimate, so still admissible —
   // and never reached in practice: cost_cap is the Section 3 universal
   // ceiling for the whole DAG).
-  pattern.completion.assign(table_size, kUnreachable);
+  completion.assign(table_size, kUnreachable);
   BucketQueue<std::uint32_t> queue(static_cast<std::size_t>(cost_cap) + 1);
   // The goal sweep and the Dijkstra below are the only unbounded loops in a
   // PDB build; both poll the cooperative stop hook so a cancelled solve is
@@ -317,7 +346,7 @@ void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
     }
     if (!valid_index(index, p)) continue;
     if (is_goal(index)) {
-      pattern.completion[index] = 0;
+      completion[index] = 0;
       queue.push(0, static_cast<std::uint32_t>(index));
     }
   }
@@ -326,7 +355,7 @@ void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
                    std::int64_t d, std::int64_t cost) {
     if (!legal(pre, i, type)) return;
     const std::int64_t nd = std::min(d + cost, cost_cap);
-    std::int32_t& entry = pattern.completion[pre];
+    std::int32_t& entry = completion[pre];
     if (entry != kUnreachable && entry <= nd) return;
     entry = static_cast<std::int32_t>(nd);
     queue.push(nd, static_cast<std::uint32_t>(pre));
@@ -340,7 +369,7 @@ void PatternDatabase::build_pattern(const Engine& engine, Pattern& pattern,
     }
     auto [d, popped] = queue.pop();
     const auto index = static_cast<std::size_t>(popped);
-    if (pattern.completion[index] != d) continue;  // stale duplicate
+    if (completion[index] != d) continue;  // stale duplicate
     for (std::size_t i = 0; i < p; ++i) {
       const unsigned f = field_at(index, i);
       const unsigned computed = f & 4u;
@@ -392,15 +421,6 @@ void PatternDatabase::build_pattern_hashed(const Engine& engine,
   const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
   const std::int64_t eps_num = model.epsilon().num();
   const std::int64_t eps_den = model.epsilon().den();
-
-  // A sink-free pattern's abstract game requires nothing: every valid
-  // projection is a goal at distance 0, exactly what the flat table holds
-  // for such patterns. Serve the constant instead of materializing it.
-  if (pattern.sink_positions.empty()) {
-    pattern.complete = false;
-    pattern.floor = 0;
-    return;
-  }
 
   auto red_in_pattern = [&](std::size_t index) {
     std::int64_t red = 0;

@@ -22,8 +22,14 @@
 //    legal abstract completion of the projected state with exactly the cost
 //    those moves contribute.
 //  * A backward Dijkstra from all complete abstract states (the shared Dial
-//    BucketQueue over pre-images) fills one flat 8^|P| table per pattern
-//    with the optimal abstract completion cost of every projection.
+//    BucketQueue over pre-images) fills a flat 8^|P| table with the optimal
+//    abstract completion cost of every projection — one table per distinct
+//    pattern shape, not per pattern. A pattern without a DAG sink requires
+//    nothing (every valid projection is a goal at distance 0), so it builds
+//    no table and stays out of the sum; flat patterns with equal width,
+//    in-pattern predecessor positions, source flags and sink positions play
+//    the same abstract game and share one table. Wider patterns build
+//    open-addressed hashed tables instead, one per pattern.
 //
 // Each concrete move is charged to exactly one pattern (moves touch one
 // node; patterns are disjoint), so the per-pattern optimal completion costs
@@ -115,49 +121,81 @@ class PatternDatabase {
                            std::size_t table_byte_budget = 0,
                            bool force_hashed = false);
 
+  // Terms point into the object's own tables: moves keep them valid,
+  // copies would not.
+  PatternDatabase(const PatternDatabase&) = delete;
+  PatternDatabase& operator=(const PatternDatabase&) = delete;
+  PatternDatabase(PatternDatabase&&) = default;
+  PatternDatabase& operator=(PatternDatabase&&) = default;
+
   /// True when should_stop ended the build early — the caller must discard
   /// the database and terminate with ExactTermination::Stopped.
   bool build_aborted() const { return aborted_; }
 
+  /// Every pattern of the partition, sink-free ones included: together
+  /// they cover each node exactly once.
   std::size_t pattern_count() const { return patterns_.size(); }
 
   const std::vector<NodeId>& pattern_nodes(std::size_t p) const {
     return patterns_[p].nodes;
   }
 
-  /// Total bytes held by the completion tables.
+  /// Total bytes held by the completion tables; a flat table shared by
+  /// several patterns counts once.
   std::size_t table_bytes() const { return table_bytes_; }
 
+  /// The sum's terms: one per pattern holding a DAG sink, in pattern order.
+  std::size_t term_count() const { return terms_.size(); }
+
+  /// Where node v's field enters the sum: its term, and the shift of its
+  /// 3-bit field within that term's projection index. term is kNoTerm when
+  /// v's pattern is sink-free — no field of it changes the sum.
+  struct NodeTerm {
+    std::uint32_t term;
+    std::uint32_t shift;
+  };
+  static constexpr std::uint32_t kNoTerm = ~std::uint32_t{0};
+  NodeTerm node_term(NodeId v) const { return node_terms_[v]; }
+
+  /// Term `t`'s projection index: each node's field(v) (color |
+  /// computed << 2) packed 3 bits per pattern position.
+  template <class FieldFn>
+  std::size_t projection(std::size_t t, FieldFn&& field) const {
+    const std::vector<NodeId>& nodes = patterns_[terms_[t].pattern].nodes;
+    std::size_t index = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      index |= static_cast<std::size_t>(field(nodes[i]) & 7u) << (3 * i);
+    }
+    return index;
+  }
+
+  /// Term `t`'s optimal abstract completion cost from projection `index`,
+  /// in scaled units; kUnreachable when no abstract completion exists (any
+  /// concrete state projecting there is dead).
+  std::int32_t distance(std::size_t t, std::size_t index) const {
+    const Term& term = terms_[t];
+    if (term.flat != nullptr) return term.flat[index];
+    const Pattern& pattern = patterns_[term.pattern];
+    const std::int32_t* d = pattern.table.find_settled(index);
+    if (d != nullptr) return *d;
+    // A completed backward Dijkstra enumerated every abstract state that
+    // can reach a goal, so an absent projection is provably dead; a
+    // truncated build serves its settled-distance floor instead.
+    return pattern.complete ? kUnreachable : pattern.floor;
+  }
+
   /// The additive heuristic in scaled units of 1/ε.den(): the sum over
-  /// patterns of the optimal abstract completion cost of the state's
+  /// terms of the optimal abstract completion cost of the state's
   /// projection. `field(v)` must return the node's 3-bit configuration
   /// field (color | computed << 2). nullopt when some projection is
   /// unreachable — the state is provably dead.
   template <class FieldFn>
   std::optional<std::int64_t> sum_scaled(FieldFn&& field) const {
     std::int64_t total = 0;
-    for (const Pattern& pattern : patterns_) {
-      std::size_t index = 0;
-      for (std::size_t i = 0; i < pattern.nodes.size(); ++i) {
-        index |= static_cast<std::size_t>(field(pattern.nodes[i]) & 7u)
-                 << (3 * i);
-      }
-      if (!pattern.hashed) {
-        const std::int32_t d = pattern.completion[index];
-        if (d == kUnreachable) return std::nullopt;
-        total += d;
-        continue;
-      }
-      const std::int32_t* d = pattern.table.find_settled(index);
-      if (d != nullptr) {
-        total += *d;
-      } else if (pattern.complete) {
-        // A completed backward Dijkstra enumerated every abstract state
-        // that can reach a goal; an absent projection is provably dead.
-        return std::nullopt;
-      } else {
-        total += pattern.floor;  // truncated build: the settled-distance floor
-      }
+    for (std::size_t t = 0; t < terms_.size(); ++t) {
+      const std::int32_t d = distance(t, projection(t, field));
+      if (d == kUnreachable) return std::nullopt;
+      total += d;
     }
     return total;
   }
@@ -246,10 +284,7 @@ class PatternDatabase {
     std::vector<std::vector<std::size_t>> pred_positions;
     std::vector<bool> is_source;  ///< in the whole DAG, per position
     std::vector<std::size_t> sink_positions;  ///< DAG sinks inside P
-    /// Optimal abstract completion cost per 3-bit-packed projection index,
-    /// kUnreachable where no completion exists. Empty for hashed patterns.
-    std::vector<std::int32_t> completion;
-    /// Wide patterns: sparse table instead of the dense array.
+    /// Wide patterns: a sparse table of the reached projections.
     bool hashed = false;
     HashedTable table;
     /// True when the backward Dijkstra drained — absent entries are then
@@ -261,7 +296,18 @@ class PatternDatabase {
     std::int32_t floor = 0;
   };
 
-  void build_pattern(const Engine& engine, Pattern& pattern,
+  /// One summand: a sink-bearing pattern and, when it is flat, its
+  /// (possibly shared) table.
+  struct Term {
+    std::size_t pattern;
+    const std::int32_t* flat;  ///< nullptr for hashed patterns
+  };
+
+  /// Fill `completion` with the optimal abstract completion cost per
+  /// 3-bit-packed projection index of `pattern`, kUnreachable where none
+  /// exists.
+  void build_pattern(const Engine& engine, const Pattern& pattern,
+                     std::vector<std::int32_t>& completion,
                      std::int64_t cost_cap, const StopPredicate& should_stop);
   void build_pattern_hashed(const Engine& engine, Pattern& pattern,
                             std::int64_t cost_cap,
@@ -269,6 +315,10 @@ class PatternDatabase {
                             std::size_t byte_budget);
 
   std::vector<Pattern> patterns_;
+  /// One flat table per distinct flat pattern shape; terms_ point into it.
+  std::vector<std::vector<std::int32_t>> flat_tables_;
+  std::vector<Term> terms_;
+  std::vector<NodeTerm> node_terms_;  ///< per node
   std::size_t table_bytes_ = 0;
   std::size_t hashed_bytes_ = 0;  ///< hashed share of table_bytes_
   bool aborted_ = false;

@@ -66,6 +66,7 @@ class Expander {
         n_(engine.dag().node_count()),
         red_limit_(engine.red_limit()),
         bound_(engine),
+        parent_(bound_.caches().words, pdb != nullptr ? pdb->term_count() : 0),
         tally_(tally),
         attribute_(attribute),
         oneshot_(!engine.model().allows_recompute()),
@@ -148,9 +149,11 @@ class Expander {
 
   /// Expand the entered state at cost `g`. Each legal move's successor is
   /// relaxed into `table` first when one is given (the sequential searches;
-  /// stale paths stop there), then priced; a dead successor counts a prune,
-  /// a live one goes to emit(move, next, next_g, h). False when the table
-  /// ran out of memory — the search must end.
+  /// stale paths stop there), then priced as a delta from the entered state
+  /// (StateBoundEvaluator::successor_bound, equal to its lower_bound_scaled);
+  /// a dead successor counts a prune, a live one goes to emit(move, next,
+  /// next_g, h). False when the table ran out of memory — the search must
+  /// end.
   template <class Emit>
   bool expand(std::int64_t g, Table* table, Emit&& emit) {
     if (attribute_) {
@@ -165,6 +168,7 @@ class Expander {
         ++tally_.attr_counting;
       }
     }
+    bound_.enter_parent(masks_, parent_);
     bool out_of_memory = false;
     for_each_legal_move([&](const Move& move) {
       if (out_of_memory) return;
@@ -184,7 +188,7 @@ class Expander {
       next_masks_ = masks_;
       next_masks_.apply(move);
       const std::optional<std::int64_t> h =
-          bound_.lower_bound_scaled(next_masks_);
+          bound_.successor_bound(parent_, move, next_masks_);
       if (!h) {
         ++tally_.dead_prunes;  // provably dead: prune
         return;
@@ -218,6 +222,7 @@ class Expander {
   std::size_t n_;
   std::size_t red_limit_;
   StateBoundEvaluator bound_;
+  ParentBound<Masks::kWords> parent_;
   ExactSearchStats& tally_;
   bool attribute_;
   bool oneshot_;

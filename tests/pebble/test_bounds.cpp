@@ -7,6 +7,7 @@
 
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/verifier.hpp"
+#include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
@@ -285,6 +286,120 @@ TEST(StateBounds, RejectsMasksOfTheWrongWidth) {
   EXPECT_THROW(big_eval.lower_bound_scaled(big_state), PreconditionError);
   EXPECT_THROW(state_cost_lower_bound(big_engine, big_state),
                PreconditionError);
+}
+
+// ---- successor pricing as a delta from the parent ------------------------
+//
+// One case per delta rule of StateBoundEvaluator::successor_bound, on a
+// five-node DAG (0,1 → 2; 2 → 3; 2,1 → 4; sinks 3 and 4): the parent's
+// planes must place the moved node where the rule says, and the delta price
+// must equal lower_bound_scaled of the successor and the mark-and-walk
+// oracle — with and without a pattern database, at a fixed and at the
+// runtime mask width.
+
+Dag delta_dag() {
+  DagBuilder b;
+  b.add_nodes(5);
+  b.add_edge(0, 2);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  b.add_edge(2, 4);
+  b.add_edge(1, 4);
+  return b.build();
+}
+
+/// Where the moved node sits in the parent, as the rules read it.
+enum class Where { Sink, Input, Elsewhere, InClosure, OutsideClosure, Any };
+
+struct DeltaCase {
+  const char* rule;
+  std::vector<Move> setup;  ///< from the empty start to the parent
+  Move move;
+  Where where;
+};
+
+/// The parent all but two cases use: 0 red, 1 blue, 2 red — closure
+/// {3, 4}, PU {1, 2}.
+std::vector<Move> delta_parent() {
+  return {compute(0), compute(1), compute(2), store(1)};
+}
+
+template <std::size_t W>
+void check_delta(const Engine& engine, const PatternDatabase* pdb,
+                 const DeltaCase& c) {
+  const std::size_t n = engine.dag().node_count();
+  SCOPED_TRACE(::testing::Message()
+               << c.rule << " " << engine.model().name() << " W=" << W
+               << (pdb != nullptr ? " pdb" : ""));
+  GameState parent = engine.initial_state();
+  Cost cost;
+  for (const Move& move : c.setup) engine.apply(parent, move, cost);
+  ASSERT_TRUE(engine.is_legal(parent, c.move));
+  GameState child = parent;
+  engine.apply(child, c.move, cost);
+
+  StateBoundEvaluator delta(engine);
+  StateBoundEvaluator reference(engine);
+  delta.attach_pdb(pdb);
+  reference.attach_pdb(pdb);
+  ParentBound<W> ctx(delta.caches().words,
+                     pdb != nullptr ? pdb->term_count() : 0);
+  delta.enter_parent(Masks<W>::from(parent, n), ctx);
+
+  const std::uint64_t bit = std::uint64_t{1} << c.move.node;
+  const bool sink = engine.dag().is_sink(c.move.node);
+  const bool in_closure = (ctx.closure.nodes()[0] & bit) != 0;
+  const bool in_inputs = (ctx.closure.inputs()[0] & bit) != 0;
+  switch (c.where) {
+    case Where::Sink: EXPECT_TRUE(sink); break;
+    case Where::Input: EXPECT_TRUE(in_inputs && !sink); break;
+    case Where::Elsewhere: EXPECT_TRUE(!in_inputs && !sink); break;
+    case Where::InClosure: EXPECT_TRUE(in_closure); break;
+    case Where::OutsideClosure: EXPECT_FALSE(in_closure); break;
+    case Where::Any: break;
+  }
+
+  const auto child_masks = Masks<W>::from(child, n);
+  const std::optional<std::int64_t> got =
+      delta.successor_bound(ctx, c.move, child_masks);
+  EXPECT_EQ(got, reference.lower_bound_scaled(child_masks));
+  if (pdb == nullptr) {
+    EXPECT_EQ(got, test_support::lower_bound_generic(engine, child));
+  }
+}
+
+TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
+  const Dag dag = delta_dag();
+  const std::vector<DeltaCase> cases = {
+      {"delete of a sink",
+       {compute(0), compute(1), compute(2), compute(3)},
+       erase(3),
+       Where::Sink},
+      {"delete of a closure predecessor", delta_parent(), erase(2),
+       Where::Input},
+      {"delete elsewhere", delta_parent(), erase(0), Where::Elsewhere},
+      {"compute inside the closure", delta_parent(), compute(3),
+       Where::InClosure},
+      {"compute of an empty node outside the closure",
+       {compute(0), compute(1), compute(2), compute(3), compute(4), erase(2)},
+       compute(2),
+       Where::OutsideClosure},
+      {"compute of a blue node", delta_parent(), compute(1),
+       Where::OutsideClosure},
+      {"load", delta_parent(), load(1), Where::Any},
+      {"store", delta_parent(), store(2), Where::Any},
+  };
+  for (const Model& model : {Model::base(), Model::compcost()}) {
+    const Engine engine(dag, model, 5);
+    const PatternDatabase pdb(engine, 2);
+    const PatternDatabase* none = nullptr;
+    for (const DeltaCase& c : cases) {
+      for (const PatternDatabase* attached : {none, &pdb}) {
+        check_delta<1>(engine, attached, c);
+        check_delta<0>(engine, attached, c);
+      }
+    }
+  }
 }
 
 TEST(Bounds, BaseModelHasNoLengthBound) {

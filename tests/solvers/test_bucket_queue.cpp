@@ -1,0 +1,141 @@
+// The Dial bucket queue against a std::map-of-stacks reference: random
+// pushes (some below the cursor) at priority strides of 1 and 100, the
+// gaps compcost's ε = 1/100 leaves between adjacent f-values, must pop the
+// same (priority, item) sequence — lowest bucket first, LIFO within one —
+// while bytes() tracks the spine plus every bucket's capacity and for_each
+// visits in ascending priority. Popping an empty queue is a precondition
+// failure, not a read past the buckets.
+#include "src/solvers/bucket_queue.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "src/support/check.hpp"
+#include "src/support/rng.hpp"
+
+namespace rbpeb {
+namespace {
+
+using Item = std::uint32_t;
+
+/// Reference: one stack per priority, plus, per priority, a vector fed the
+/// same push_back/pop_back sequence as the queue's bucket — its capacity is
+/// what the queue's bytes() must add up.
+struct Reference {
+  std::map<std::int64_t, std::vector<Item>> stacks;
+  std::vector<std::vector<Item>> mirror;
+  std::size_t size = 0;
+
+  explicit Reference(std::size_t buckets) : mirror(buckets) {}
+
+  void push(std::int64_t priority, Item item) {
+    stacks[priority].push_back(item);
+    mirror[static_cast<std::size_t>(priority)].push_back(item);
+    ++size;
+  }
+
+  std::pair<std::int64_t, Item> pop() {
+    auto lowest = stacks.begin();
+    const std::pair<std::int64_t, Item> top{lowest->first,
+                                            lowest->second.back()};
+    lowest->second.pop_back();
+    if (lowest->second.empty()) stacks.erase(lowest);
+    mirror[static_cast<std::size_t>(top.first)].pop_back();
+    --size;
+    return top;
+  }
+
+  std::size_t capacity_bytes() const {
+    std::size_t total = 0;
+    for (const std::vector<Item>& bucket : mirror) {
+      total += bucket.capacity() * sizeof(Item);
+    }
+    return total;
+  }
+};
+
+void expect_same_order(const BucketQueue<Item>& queue, const Reference& ref) {
+  std::vector<std::pair<std::int64_t, Item>> visited;
+  queue.for_each([&](std::int64_t priority, Item item) {
+    visited.push_back({priority, item});
+  });
+  std::vector<std::pair<std::int64_t, Item>> want;
+  for (const auto& [priority, stack] : ref.stacks) {
+    for (Item item : stack) want.push_back({priority, item});
+  }
+  EXPECT_EQ(visited, want);
+}
+
+void run(std::int64_t stride, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "stride " << stride);
+  constexpr std::int64_t kLevels = 200;  // 20000 buckets at stride 100
+  const auto buckets = static_cast<std::size_t>(kLevels * stride + 1);
+  BucketQueue<Item> queue(buckets);
+  Reference ref(buckets);
+  const std::size_t base_bytes = queue.bytes();
+  Rng rng(seed);
+  Item next_item = 0;
+  std::int64_t last_popped = 0;
+  std::size_t below_cursor = 0;
+  for (int op = 0; op < 12000; ++op) {
+    // Pushes outnumber pops 3:2, in bursts, so the queue grows and drains.
+    const bool push = ref.size == 0 || rng.next_below(5) < 3;
+    if (push) {
+      // Mostly near the last pop, sometimes anywhere — including below it.
+      const std::int64_t level =
+          rng.next_below(4) == 0
+              ? static_cast<std::int64_t>(rng.next_below(kLevels + 1))
+              : std::min<std::int64_t>(
+                    kLevels, last_popped / stride +
+                                 static_cast<std::int64_t>(rng.next_below(8)));
+      const std::int64_t priority = level * stride;
+      if (priority < last_popped) ++below_cursor;
+      queue.push(priority, next_item);
+      ref.push(priority, next_item);
+      ++next_item;
+    } else {
+      const auto got = queue.pop();
+      const auto want = ref.pop();
+      ASSERT_EQ(got, want) << "op " << op;
+      last_popped = got.first;
+    }
+    ASSERT_EQ(queue.size(), ref.size);
+    ASSERT_EQ(queue.empty(), ref.size == 0);
+    ASSERT_EQ(queue.bytes(), base_bytes + ref.capacity_bytes()) << "op " << op;
+    if (op % 997 == 0) expect_same_order(queue, ref);
+  }
+  expect_same_order(queue, ref);
+  while (!queue.empty()) ASSERT_EQ(queue.pop(), ref.pop());
+  EXPECT_EQ(queue.bytes(), base_bytes + ref.capacity_bytes());
+  EXPECT_GT(below_cursor, 0u);
+}
+
+TEST(BucketQueue, PopsLikeAMapOfStacksAtStrideOne) { run(1, 11); }
+
+TEST(BucketQueue, PopsLikeAMapOfStacksAtStrideOneHundred) { run(100, 12); }
+
+TEST(BucketQueue, SkipsWordsOfEmptyBucketsAndLandsOnTheLast) {
+  BucketQueue<Item> queue(1000);
+  queue.push(999, 1);
+  queue.push(64, 2);
+  queue.push(63, 3);
+  EXPECT_EQ(queue.pop(), (std::pair<std::int64_t, Item>{63, 3}));
+  EXPECT_EQ(queue.pop(), (std::pair<std::int64_t, Item>{64, 2}));
+  EXPECT_EQ(queue.pop(), (std::pair<std::int64_t, Item>{999, 1}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(BucketQueue, PopOnAnEmptyQueueIsAPreconditionFailure) {
+  BucketQueue<Item> queue(130);
+  EXPECT_THROW(queue.pop(), PreconditionError);
+  queue.push(129, 7);
+  EXPECT_EQ(queue.pop().second, 7u);
+  EXPECT_THROW(queue.pop(), PreconditionError);
+}
+
+}  // namespace
+}  // namespace rbpeb

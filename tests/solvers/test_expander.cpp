@@ -9,7 +9,12 @@
 // re-packing Engine::apply's state, price each one like the bound
 // evaluator, and agree with Engine::is_complete. Identical successors and
 // prices at every pair are what make costs and expansion counts independent
-// of the width the dispatch picks.
+// of the width the dispatch picks. The kernel prices successors as deltas
+// from their parent; every sweep runs without a pattern database and with
+// three attached to both sides — small flat tables (shared shapes and
+// sink-free patterns), force_hashed tables, and byte-truncated hashed
+// tables — so every delta rule, the PDB patch and its dead-parent full-sum
+// fallback are pinned to lower_bound_scaled.
 #include "src/solvers/expander.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "src/pebble/bounds.hpp"
+#include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/topo_baseline.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"
@@ -40,14 +46,44 @@ std::string label(const Engine& engine, const GameState& state) {
   return out;
 }
 
-/// Checks one state; returns whether it is complete.
+/// The pattern databases a sweep attaches, besides none.
+enum class Pdb { None, Flat, Hashed, Truncated };
+
+std::optional<PatternDatabase> make_pdb(const Engine& engine, Pdb kind) {
+  switch (kind) {
+    case Pdb::None:
+      return std::nullopt;
+    case Pdb::Flat:  // width 3: many equal shapes, many sink-free patterns
+      return std::optional<PatternDatabase>(std::in_place, engine, 3);
+    case Pdb::Hashed:
+      return std::optional<PatternDatabase>(
+          std::in_place, engine, 3, StopPredicate{}, PdbPartition::Cone,
+          /*table_byte_budget=*/0, /*force_hashed=*/true);
+    case Pdb::Truncated:  // 64 KiB: later patterns truncate or stay empty
+      return std::optional<PatternDatabase>(
+          std::in_place, engine, 5, StopPredicate{}, PdbPartition::Cone,
+          std::size_t{64} << 10, /*force_hashed=*/true);
+  }
+  return std::nullopt;
+}
+
+/// What a sweep met: complete states, and states the PDB calls dead.
+struct Met {
+  std::size_t complete = 0;
+  std::size_t pdb_dead = 0;
+};
+
+/// Checks one state; counts whether it is complete or PDB-dead.
 template <class Packed, class Masks>
-bool check_state(const Engine& engine, Expander<Packed, Masks>& expander,
-                 Eval& eval, ExactSearchStats& tally, const GameState& state) {
+void check_state(const Engine& engine, Expander<Packed, Masks>& expander,
+                 Eval& eval, const PatternDatabase* pdb,
+                 ExactSearchStats& tally, const GameState& state, Met& met) {
+  if (pdb != nullptr && !pdb->lower_bound_scaled(state)) ++met.pdb_dead;
   const std::string where = label(engine, state);
   const Packed packed = Packed::from_state(state);
   const bool complete = expander.enter(packed.key());
   EXPECT_EQ(complete, engine.is_complete(state)) << where;
+  met.complete += complete;
 
   const std::vector<Move> expected = legal_moves(engine, state);
   std::vector<Move> moves;
@@ -95,67 +131,83 @@ bool check_state(const Engine& engine, Expander<Packed, Masks>& expander,
     EXPECT_EQ(got[i].g, want[i].g) << where;
     EXPECT_EQ(got[i].h, want[i].h) << where << " " << to_string(got[i].move);
   }
-  return complete;
 }
 
-/// A seeded random walk, then the end of the topological baseline's trace;
-/// returns the number of complete states met.
+/// A seeded random walk, then the end of the topological baseline's trace,
+/// with `pdb` attached to both the kernel and the reference evaluator.
 template <class Packed, class Masks>
-std::size_t check_engine(const Engine& engine, std::uint64_t seed, int steps) {
+void check_engine(const Engine& engine, const PatternDatabase* pdb,
+                  std::uint64_t seed, int steps, Met& met) {
   ExactSearchStats tally;
-  Expander<Packed, Masks> expander(engine, nullptr, tally, false);
+  Expander<Packed, Masks> expander(engine, pdb, tally, false);
   Eval eval(engine);
+  eval.attach_pdb(pdb);
   EXPECT_TRUE(expander.start() == Packed::from_state(engine.initial_state()));
-  std::size_t complete = 0;
 
   Rng rng(seed);
-  GameState state = engine.initial_state();
-  for (int step = 0; step < steps; ++step) {
-    complete += check_state(engine, expander, eval, tally, state);
-    if (::testing::Test::HasFailure()) return complete;
-    const std::vector<Move> legal = legal_moves(engine, state);
-    if (legal.empty()) break;
-    Cost cost;
-    engine.apply(state, legal[rng.next_below(legal.size())], cost);
-  }
+  auto walk = [&](GameState state, int length) {
+    for (int step = 0; step < length; ++step) {
+      check_state(engine, expander, eval, pdb, tally, state, met);
+      if (::testing::Test::HasFailure()) return;
+      const std::vector<Move> legal = legal_moves(engine, state);
+      if (legal.empty()) break;
+      Cost cost;
+      engine.apply(state, legal[rng.next_below(legal.size())], cost);
+    }
+  };
+  walk(engine.initial_state(), steps);
 
   // The baseline computes sources, so it runs only under the default
   // source convention; storing its red sinks then completes the game under
   // either sink convention.
-  if (engine.convention().sources_start_blue) return complete;
-  state = engine.initial_state();
+  if (engine.convention().sources_start_blue) return;
+  GameState state = engine.initial_state();
   Cost cost;
   for (const Move& move : solve_topo_baseline(engine)) {
     engine.apply(state, move, cost);
   }
-  complete += check_state(engine, expander, eval, tally, state);
+  check_state(engine, expander, eval, pdb, tally, state, met);
   for (NodeId sink : engine.dag().sinks()) {
     if (state.is_red(sink)) engine.apply(state, store(sink), cost);
   }
-  complete += check_state(engine, expander, eval, tally, state);
-  return complete;
+  check_state(engine, expander, eval, pdb, tally, state, met);
+  // Walking on from the complete state deletes computed sinks, which in
+  // oneshot leaves parents the PDB calls dead.
+  walk(state, steps / 2);
 }
 
-/// Every model × convention × two red budgets on one DAG.
+/// Every model × convention × two red budgets on one DAG, without a PDB
+/// and with each kind of PDB attached.
 template <class Packed, class Masks>
 void sweep(const Dag& dag, std::uint64_t seed, int steps) {
-  std::size_t complete = 0;
-  for (const Model& model : all_models()) {
-    for (bool sources_blue : {false, true}) {
-      for (bool sinks_blue : {false, true}) {
-        for (std::size_t extra_r : {0u, 2u}) {
-          const Engine engine(dag, model, min_red_pebbles(dag) + extra_r,
-                              PebblingConvention{
-                                  .sources_start_blue = sources_blue,
-                                  .sinks_end_blue = sinks_blue});
-          complete += check_engine<Packed, Masks>(engine, ++seed, steps);
-          if (::testing::Test::HasFailure()) return;
+  for (Pdb kind : {Pdb::None, Pdb::Flat, Pdb::Hashed, Pdb::Truncated}) {
+    SCOPED_TRACE(::testing::Message() << "pdb kind " << static_cast<int>(kind));
+    // The same walks under every kind.
+    std::uint64_t walk_seed = seed;
+    Met met;
+    for (const Model& model : all_models()) {
+      for (bool sources_blue : {false, true}) {
+        for (bool sinks_blue : {false, true}) {
+          for (std::size_t extra_r : {0u, 2u}) {
+            const Engine engine(dag, model, min_red_pebbles(dag) + extra_r,
+                                PebblingConvention{
+                                    .sources_start_blue = sources_blue,
+                                    .sinks_end_blue = sinks_blue});
+            const std::optional<PatternDatabase> pdb = make_pdb(engine, kind);
+            check_engine<Packed, Masks>(engine, pdb ? &*pdb : nullptr,
+                                        ++walk_seed, steps, met);
+            if (::testing::Test::HasFailure()) return;
+          }
         }
       }
     }
+    // Both branches of the completeness test were exercised.
+    EXPECT_GT(met.complete, 0u) << "n=" << dag.node_count();
+    // Parents the PDB calls dead price their successors by the full sum.
+    if (kind == Pdb::Flat || kind == Pdb::Hashed) {
+      EXPECT_GT(met.pdb_dead, 0u) << "n=" << dag.node_count();
+    }
   }
-  // Both branches of the completeness test were exercised.
-  EXPECT_GT(complete, 0u) << "n=" << dag.node_count();
 }
 
 template <std::size_t K, std::size_t W>

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
@@ -74,10 +77,13 @@ TEST(HashedPdb, ForcedHashedTablesMatchFlatTablesEverywhere) {
 }
 
 /// The hashed tier holds only reached abstract states, so at equal width it
-/// must be no larger than the dense arrays it replaces.
+/// must be no larger than the dense arrays it replaces — and smaller where
+/// the abstract game has dead projections: a oneshot pattern with internal
+/// edges, whose spent-and-needed inputs reach no goal.
 TEST(HashedPdb, HashedTablesAreSparserThanFlatAtEqualWidth) {
-  Dag dag = make_chain_dag(16);
-  Engine engine(dag, Model::oneshot(), 3);
+  Dag dag = make_random_layered_dag({.layers = 4, .width = 4, .indegree = 2,
+                                     .seed = 7});  // 16 nodes, 2 patterns
+  Engine engine(dag, Model::oneshot(), min_red_pebbles(dag));
   PatternDatabase flat(engine, 8);
   PatternDatabase hashed(engine, 8, {}, PdbPartition::Cone, 0, true);
   EXPECT_GT(flat.table_bytes(), 0u);
@@ -111,6 +117,68 @@ TEST(HashedPdb, WidePatternsStayAdmissibleInTheSearch) {
   EXPECT_LE(wide_stats.states_expanded, narrow_stats.states_expanded);
   EXPECT_EQ(verify_or_throw(engine, wide_result->trace).total,
             wide_result->cost);
+}
+
+// ---- flat table reuse ------------------------------------------------------
+
+/// A DAG with repeated pattern shapes (the 96-node anytime instance), at
+/// the default width and at width 3: the flat tier builds one table per
+/// distinct sink-bearing shape and none for sink-free patterns, the
+/// partition still covers every node once, and the shared tables serve
+/// exactly what per-pattern (force_hashed) tables do.
+TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 16, .width = 6, .indegree = 2, .seed = 71});  // 96 nodes
+  using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
+                           std::vector<bool>, std::vector<std::size_t>>;
+  std::uint64_t seed = 700;
+  std::size_t shared = 0;
+  for (std::size_t width : {0u, 3u}) {
+    for (const Model& model : all_models()) {
+      SCOPED_TRACE(::testing::Message() << model.name() << " width " << width);
+      const Engine engine(dag, model, min_red_pebbles(dag));
+      const PatternDatabase flat(engine, width);
+      std::vector<int> seen(dag.node_count(), 0);
+      std::set<Shape> shapes;
+      std::size_t sink_bearing = 0;
+      std::size_t expected_bytes = 0;
+      for (std::size_t p = 0; p < flat.pattern_count(); ++p) {
+        const std::vector<NodeId>& nodes = flat.pattern_nodes(p);
+        Shape shape;
+        auto& [preds, sources, sinks] = shape;
+        preds.resize(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          ++seen[nodes[i]];
+          sources.push_back(dag.is_source(nodes[i]));
+          if (dag.is_sink(nodes[i])) sinks.push_back(i);
+          for (NodeId u : dag.predecessors(nodes[i])) {
+            for (std::size_t j = 0; j < nodes.size(); ++j) {
+              if (nodes[j] == u) preds[i].push_back(j);
+            }
+          }
+        }
+        if (sinks.empty()) continue;
+        ++sink_bearing;
+        if (shapes.insert(shape).second) {
+          expected_bytes += (std::size_t{1} << (3 * nodes.size())) *
+                            sizeof(std::int32_t);
+        }
+      }
+      for (std::size_t v = 0; v < dag.node_count(); ++v) {
+        EXPECT_EQ(seen[v], 1) << "node " << v;
+      }
+      EXPECT_EQ(flat.term_count(), sink_bearing);
+      EXPECT_LT(sink_bearing, flat.pattern_count());  // sink-free ones exist
+      shared += sink_bearing - shapes.size();
+      EXPECT_EQ(flat.table_bytes(), expected_bytes);
+
+      const PatternDatabase separate(engine, width, {}, PdbPartition::Cone,
+                                     /*table_byte_budget=*/0,
+                                     /*force_hashed=*/true);
+      walk_and_compare(engine, flat, separate, /*expect_equal=*/true, ++seed);
+    }
+  }
+  EXPECT_GT(shared, 0u) << "no table was shared; pick another instance";
 }
 
 // ---- the min-cut partitioner ---------------------------------------------
