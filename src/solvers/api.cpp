@@ -562,11 +562,13 @@ ExactSearchOptions parse_exact_search_options(const SolveRequest& request,
   sopt.max_disk_bytes = budget.max_disk_bytes;
   parse_spill_option(request.options, sopt);
   sopt.pdb = parse_pdb_mode(request.options);
-  sopt.pdb_pattern_size = so::get_size(request.options, "pdb-pattern", 0);
-  if (sopt.pdb_pattern_size > PatternDatabase::kMaxHashedPatternSize) {
+  sopt.pdb_pattern_size = so::get_size(request.options, "pdb-pattern",
+                                       PatternDatabase::kDefaultPatternSize);
+  if (sopt.pdb_pattern_size < 1 ||
+      sopt.pdb_pattern_size > PatternDatabase::kMaxPatternSize) {
     throw PreconditionError(
         "option 'pdb-pattern': pattern width must be between 1 and " +
-        std::to_string(PatternDatabase::kMaxHashedPatternSize) + "; got " +
+        std::to_string(PatternDatabase::kMaxPatternSize) + "; got " +
         std::to_string(sopt.pdb_pattern_size));
   }
   sopt.pdb_partition = parse_pdb_partition(request.options);

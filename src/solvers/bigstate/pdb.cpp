@@ -10,7 +10,6 @@
 #include "src/obs/trace.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/bucket_queue.hpp"
-#include "src/support/check.hpp"
 
 namespace rbpeb {
 
@@ -18,7 +17,7 @@ std::vector<std::vector<NodeId>> partition_into_patterns(
     const Dag& dag, std::size_t max_pattern_size) {
   const std::size_t cap =
       std::clamp<std::size_t>(max_pattern_size, 1,
-                              PatternDatabase::kMaxHashedPatternSize);
+                              PatternDatabase::kMaxPatternSize);
   const std::size_t n = dag.node_count();
   std::vector<std::vector<NodeId>> patterns;
   std::vector<std::size_t> pattern_of(n, static_cast<std::size_t>(-1));
@@ -61,7 +60,7 @@ std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
     const Dag& dag, std::size_t max_pattern_size) {
   const std::size_t cap =
       std::clamp<std::size_t>(max_pattern_size, 1,
-                              PatternDatabase::kMaxHashedPatternSize);
+                              PatternDatabase::kMaxPatternSize);
   const std::size_t n = dag.node_count();
   if (n == 0) return {};
   const std::vector<NodeId> order = topological_order(dag);
@@ -139,58 +138,10 @@ inline bool valid_index(std::size_t index, std::size_t p) {
 
 }  // namespace
 
-bool PatternDatabase::HashedTable::grow(std::size_t* total_bytes,
-                                        std::size_t byte_budget) {
-  const std::size_t new_cap = slots_.empty() ? 1024 : slots_.size() * 2;
-  // The rehash transient: the old and the new slot arrays coexist until the
-  // re-insertion below finishes, and both count against the budget.
-  const std::size_t old_bytes = bytes();
-  const std::size_t new_bytes = new_cap * sizeof(Slot);
-  if (*total_bytes + new_bytes > byte_budget) return false;
-  std::vector<Slot> old = std::move(slots_);
-  *total_bytes += new_bytes;
-  slots_.assign(new_cap, Slot{});
-  const std::size_t mask = new_cap - 1;
-  for (const Slot& slot : old) {
-    if (slot.key == kEmptyKey) continue;
-    std::size_t s = hash(slot.key) & mask;
-    while (slots_[s].key != kEmptyKey) s = (s + 1) & mask;
-    slots_[s] = slot;
-  }
-  old.clear();
-  old.shrink_to_fit();
-  *total_bytes -= old_bytes;
-  return true;
-}
-
-PatternDatabase::HashedTable::Slot* PatternDatabase::HashedTable::find_or_insert(
-    std::uint64_t key, std::size_t* total_bytes, std::size_t byte_budget) {
-  // Grow at 50% load (or on first insert) to keep probe chains short.
-  if (slots_.empty() || 2 * (size_ + 1) > slots_.size()) {
-    if (!grow(total_bytes, byte_budget)) {
-      // Lookups of existing entries must still work after a refused growth.
-      if (slots_.empty()) return nullptr;
-      if (2 * size_ >= slots_.size()) return nullptr;  // genuinely full
-    }
-  }
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t s = hash(key) & mask;; s = (s + 1) & mask) {
-    Slot& slot = slots_[s];
-    if (slot.key == key) return &slot;
-    if (slot.key == kEmptyKey) {
-      slot.key = key;
-      ++size_;
-      return &slot;
-    }
-  }
-}
-
 PatternDatabase::PatternDatabase(const Engine& engine,
                                  std::size_t max_pattern_size,
                                  const StopPredicate& should_stop,
-                                 PdbPartition partition,
-                                 std::size_t table_byte_budget,
-                                 bool force_hashed) {
+                                 PdbPartition partition) {
   const Dag& dag = engine.dag();
   const std::size_t size =
       max_pattern_size == 0 ? kDefaultPatternSize : max_pattern_size;
@@ -200,14 +151,12 @@ PatternDatabase::PatternDatabase(const Engine& engine,
           : partition_into_patterns(dag, size);
   const std::int64_t cost_cap =
       universal_search_ceiling_scaled(dag, engine.model());
-  const std::size_t byte_budget =
-      table_byte_budget == 0 ? kDefaultHashedTableBytes : table_byte_budget;
   const obs::TraceSpan build_span("pdb.build", "patterns", node_sets.size());
-  // Flat patterns of one shape play the same abstract game under this
-  // engine, so the first of them builds the table and the rest share it.
+  // Patterns of one shape play the same abstract game under this engine,
+  // so the first of them builds the table and the rest share it.
   using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
                            std::vector<bool>, std::vector<std::size_t>>;
-  std::map<Shape, std::size_t> flat_of_shape;
+  std::map<Shape, std::size_t> table_of_shape;
   patterns_.resize(node_sets.size());
   node_terms_.assign(dag.node_count(), NodeTerm{kNoTerm, 0});
   for (std::size_t p = 0; p < node_sets.size(); ++p) {
@@ -237,27 +186,18 @@ PatternDatabase::PatternDatabase(const Engine& engine,
     for (std::size_t i = 0; i < width; ++i) {
       node_terms_[pattern.nodes[i]] = {t, static_cast<std::uint32_t>(3 * i)};
     }
-    if (width > kMaxPatternSize || force_hashed) {
-      pattern.hashed = true;
-      build_pattern_hashed(engine, pattern, cost_cap, should_stop,
-                           byte_budget);
-      terms_.push_back({p, nullptr});
-      continue;
-    }
-    const auto [shape, fresh] = flat_of_shape.try_emplace(
+    const auto [shape, fresh] = table_of_shape.try_emplace(
         Shape{pattern.pred_positions, pattern.is_source,
               pattern.sink_positions},
-        flat_tables_.size());
+        tables_.size());
     if (fresh) {
-      flat_tables_.emplace_back();
-      build_pattern(engine, pattern, flat_tables_.back(), cost_cap,
-                    should_stop);
-      table_bytes_ += flat_tables_.back().size() * sizeof(std::int32_t);
+      tables_.emplace_back();
+      build_pattern(engine, pattern, tables_.back(), cost_cap, should_stop);
+      table_bytes_ += tables_.back().size() * sizeof(std::int32_t);
     }
-    // Growing flat_tables_ moves the tables, never their storage.
-    terms_.push_back({p, flat_tables_[shape->second].data()});
+    // Growing tables_ moves the tables, never their storage.
+    terms_.push_back({p, tables_[shape->second].data()});
   }
-  table_bytes_ += hashed_bytes_;
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("pdb.builds").add();
   registry.gauge("pdb.table_bytes").set(static_cast<std::int64_t>(table_bytes_));
@@ -407,182 +347,6 @@ void PatternDatabase::build_pattern(const Engine& engine,
           break;
       }
     }
-  }
-}
-
-void PatternDatabase::build_pattern_hashed(const Engine& engine,
-                                           Pattern& pattern,
-                                           std::int64_t cost_cap,
-                                           const StopPredicate& should_stop,
-                                           std::size_t byte_budget) {
-  const Model& model = engine.model();
-  const PebblingConvention& conv = engine.convention();
-  const std::size_t p = pattern.nodes.size();
-  const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
-  const std::int64_t eps_num = model.epsilon().num();
-  const std::int64_t eps_den = model.epsilon().den();
-
-  auto red_in_pattern = [&](std::size_t index) {
-    std::int64_t red = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if ((field_at(index, i) & 3u) ==
-          static_cast<unsigned>(PebbleColor::Red)) {
-        ++red;
-      }
-    }
-    return red;
-  };
-
-  // Identical abstract legality to the flat builder (see build_pattern).
-  auto legal = [&](std::size_t index, std::size_t i, MoveType type) {
-    const unsigned f = field_at(index, i);
-    const auto color = static_cast<PebbleColor>(f & 3u);
-    switch (type) {
-      case MoveType::Load:
-        return color == PebbleColor::Blue && red_in_pattern(index) < r;
-      case MoveType::Store:
-        return color == PebbleColor::Red;
-      case MoveType::Compute: {
-        if (conv.sources_start_blue && pattern.is_source[i]) return false;
-        if (!model.allows_recompute() && (f & 4u) != 0) return false;
-        if (color == PebbleColor::Red) return false;
-        for (std::size_t j : pattern.pred_positions[i]) {
-          if ((field_at(index, j) & 3u) !=
-              static_cast<unsigned>(PebbleColor::Red)) {
-            return false;
-          }
-        }
-        return red_in_pattern(index) < r;
-      }
-      case MoveType::Delete:
-        return model.allows_delete() && color != PebbleColor::None;
-    }
-    return false;
-  };
-
-  // Truncation state: once the byte budget refuses an insert, the build
-  // stops immediately. Everything settled so far is exact; every other
-  // abstract state's true completion cost is at least the distance being
-  // expanded when the budget hit (Dijkstra settles in nondecreasing
-  // order), so that distance becomes the admissible floor for absences.
-  bool truncated = false;
-  std::int64_t floor_d = 0;
-
-  BucketQueue<std::uint64_t> queue(static_cast<std::size_t>(cost_cap) + 1);
-  constexpr std::size_t kStopPollMask = 0xFFFu;
-
-  // Goal seeding by constructive enumeration: walk the product of each
-  // position's valid fields (6 per free position, the sink-constrained
-  // subset otherwise) instead of sweeping all 8^p dense indices.
-  std::vector<std::vector<unsigned>> choices(p);
-  std::vector<bool> is_sink_pos(p, false);
-  for (std::size_t i : pattern.sink_positions) is_sink_pos[i] = true;
-  for (std::size_t i = 0; i < p; ++i) {
-    constexpr unsigned kRed = static_cast<unsigned>(PebbleColor::Red);
-    constexpr unsigned kBlue = static_cast<unsigned>(PebbleColor::Blue);
-    constexpr unsigned kNone = static_cast<unsigned>(PebbleColor::None);
-    if (is_sink_pos[i]) {
-      choices[i] = conv.sinks_end_blue
-                       ? std::vector<unsigned>{kBlue, kBlue | 4u}
-                       : std::vector<unsigned>{kRed, kRed | 4u, kBlue,
-                                               kBlue | 4u};
-    } else {
-      choices[i] = {kNone, kNone | 4u, kRed, kRed | 4u, kBlue, kBlue | 4u};
-    }
-  }
-  std::vector<std::size_t> counter(p, 0);
-  std::size_t seeded = 0;
-  for (;;) {
-    if ((seeded++ & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
-    }
-    std::size_t index = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      index |= static_cast<std::size_t>(choices[i][counter[i]]) << (3 * i);
-    }
-    HashedTable::Slot* slot =
-        pattern.table.find_or_insert(index, &hashed_bytes_, byte_budget);
-    if (slot == nullptr) {
-      truncated = true;
-      floor_d = 0;
-      break;
-    }
-    slot->dist = 0;
-    queue.push(0, static_cast<std::uint64_t>(index));
-    // Odometer step.
-    std::size_t i = 0;
-    while (i < p && ++counter[i] == choices[i].size()) counter[i++] = 0;
-    if (i == p) break;
-  }
-
-  auto relax = [&](std::size_t pre, MoveType type, std::size_t i,
-                   std::int64_t d, std::int64_t cost) {
-    if (truncated || !legal(pre, i, type)) return;
-    const std::int64_t nd = std::min(d + cost, cost_cap);
-    HashedTable::Slot* slot =
-        pattern.table.find_or_insert(pre, &hashed_bytes_, byte_budget);
-    if (slot == nullptr) {
-      truncated = true;
-      floor_d = std::min(d, cost_cap);
-      return;
-    }
-    if (slot->settled) return;  // final already; Dijkstra never improves it
-    if (slot->dist != kUnreachable && slot->dist <= nd) return;
-    slot->dist = static_cast<std::int32_t>(nd);
-    queue.push(nd, static_cast<std::uint64_t>(pre));
-  };
-
-  std::size_t pops = 0;
-  while (!queue.empty() && !truncated) {
-    if ((pops++ & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
-    }
-    auto [d, popped] = queue.pop();
-    const auto index = static_cast<std::size_t>(popped);
-    HashedTable::Slot* slot = pattern.table.find(index);
-    RBPEB_ENSURE(slot != nullptr, "popped abstract state must be tabled");
-    if (slot->dist != d) continue;  // stale duplicate
-    slot->settled = true;
-    for (std::size_t i = 0; i < p; ++i) {
-      const unsigned f = field_at(index, i);
-      const unsigned computed = f & 4u;
-      switch (static_cast<PebbleColor>(f & 3u)) {
-        case PebbleColor::Red:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Blue) | computed),
-                MoveType::Load, i, d, eps_den);
-          if (computed != 0) {
-            for (unsigned prior_color :
-                 {static_cast<unsigned>(PebbleColor::None),
-                  static_cast<unsigned>(PebbleColor::Blue)}) {
-              for (unsigned prior_computed : {0u, 4u}) {
-                relax(with_field(index, i, prior_color | prior_computed),
-                      MoveType::Compute, i, d, eps_num);
-              }
-            }
-          }
-          break;
-        case PebbleColor::Blue:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Red) | computed),
-                MoveType::Store, i, d, eps_den);
-          break;
-        case PebbleColor::None:
-          for (unsigned prior_color :
-               {static_cast<unsigned>(PebbleColor::Red),
-                static_cast<unsigned>(PebbleColor::Blue)}) {
-            relax(with_field(index, i, prior_color | computed),
-                  MoveType::Delete, i, d, 0);
-          }
-          break;
-      }
-    }
-  }
-  if (truncated) {
-    pattern.complete = false;
-    pattern.floor = static_cast<std::int32_t>(floor_d);
   }
 }
 

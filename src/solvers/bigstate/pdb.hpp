@@ -26,10 +26,9 @@
 //    abstract completion cost of every projection — one table per distinct
 //    pattern shape, not per pattern. A pattern without a DAG sink requires
 //    nothing (every valid projection is a goal at distance 0), so it builds
-//    no table and stays out of the sum; flat patterns with equal width,
+//    no table and stays out of the sum; patterns with equal width,
 //    in-pattern predecessor positions, source flags and sink positions play
-//    the same abstract game and share one table. Wider patterns build
-//    open-addressed hashed tables instead, one per pattern.
+//    the same abstract game and share one table.
 //
 // Each concrete move is charged to exactly one pattern (moves touch one
 // node; patterns are disjoint), so the per-pattern optimal completion costs
@@ -53,7 +52,7 @@
 namespace rbpeb {
 
 /// Disjoint node patterns covering the whole DAG, each of size at most
-/// `max_pattern_size` (clamped to PatternDatabase::kMaxHashedPatternSize).
+/// `max_pattern_size` (clamped to PatternDatabase::kMaxPatternSize).
 /// Nodes are assigned in topological order to the pattern holding most of
 /// their direct predecessors, so ancestor cones stay together.
 std::vector<std::vector<NodeId>> partition_into_patterns(
@@ -69,15 +68,9 @@ std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
 
 class PatternDatabase {
  public:
-  /// Width cap of the *flat* 8^|P| tables: 8 nodes → 16.7M abstract states
-  /// per table, the largest dense build that stays sub-second. Wider
-  /// patterns switch to open-addressed hashed tables holding only the
-  /// abstract states the backward Dijkstra actually reaches.
+  /// Width cap of the flat 8^|P| tables: 8 nodes → 16.7M abstract states
+  /// per table, the largest dense build that stays sub-second.
   static constexpr std::size_t kMaxPatternSize = 8;
-
-  /// Hard cap on pattern width overall: 16 nodes × 3 bits = 48-bit packed
-  /// projection indices, comfortably inside the 64-bit hashed-table keys.
-  static constexpr std::size_t kMaxHashedPatternSize = 16;
 
   /// Default width: 8^6 = 262144 entries (1 MiB) per pattern.
   static constexpr std::size_t kDefaultPatternSize = 6;
@@ -86,14 +79,9 @@ class PatternDatabase {
   /// projecting onto it is provably dead.
   static constexpr std::int32_t kUnreachable = -1;
 
-  /// Default byte budget for the hashed tables when the caller sets none:
-  /// past it a build truncates (see below) instead of growing without bound.
-  static constexpr std::size_t kDefaultHashedTableBytes =
-      std::size_t{256} << 20;
-
   /// Build the database for `engine`'s instance: partition, then solve each
   /// abstract configuration graph exactly. `max_pattern_size` of 0 means
-  /// kDefaultPatternSize; widths past kMaxPatternSize build hashed tables.
+  /// kDefaultPatternSize; wider requests clamp to kMaxPatternSize.
   /// Read-only (and thread-safe) afterwards.
   ///
   /// `should_stop` is the same cooperative hook the searches poll: an 8-node
@@ -101,25 +89,10 @@ class PatternDatabase {
   /// build would pin a cancelled or past-deadline solve to a core. When it
   /// fires mid-build the constructor returns early with build_aborted() set;
   /// the tables are then incomplete and must not be consulted.
-  ///
-  /// `table_byte_budget` caps the hashed tables' total footprint (0 =
-  /// kDefaultHashedTableBytes; rehash transients — old plus new slot arrays
-  /// — are counted while they coexist). A build that hits the cap is
-  /// *truncated*, not failed: every state the Dijkstra settled keeps its
-  /// exact completion cost, and absent entries fall back to the last
-  /// settled distance — a floor every unsettled state's true cost reaches,
-  /// so the sum stays admissible. Truncated patterns no longer prove states
-  /// dead (an absent entry might merely be unexplored). Flat tables ignore
-  /// the budget, preserving the historical ≤8-wide behavior bit-for-bit.
-  ///
-  /// `force_hashed` is a testing hook: build hashed tables even at widths
-  /// the flat tables cover, for differential comparison.
   explicit PatternDatabase(const Engine& engine,
                            std::size_t max_pattern_size = 0,
                            const StopPredicate& should_stop = {},
-                           PdbPartition partition = PdbPartition::Cone,
-                           std::size_t table_byte_budget = 0,
-                           bool force_hashed = false);
+                           PdbPartition partition = PdbPartition::Cone);
 
   // Terms point into the object's own tables: moves keep them valid,
   // copies would not.
@@ -140,7 +113,7 @@ class PatternDatabase {
     return patterns_[p].nodes;
   }
 
-  /// Total bytes held by the completion tables; a flat table shared by
+  /// Total bytes held by the completion tables; a table shared by
   /// several patterns counts once.
   std::size_t table_bytes() const { return table_bytes_; }
 
@@ -173,15 +146,7 @@ class PatternDatabase {
   /// in scaled units; kUnreachable when no abstract completion exists (any
   /// concrete state projecting there is dead).
   std::int32_t distance(std::size_t t, std::size_t index) const {
-    const Term& term = terms_[t];
-    if (term.flat != nullptr) return term.flat[index];
-    const Pattern& pattern = patterns_[term.pattern];
-    const std::int32_t* d = pattern.table.find_settled(index);
-    if (d != nullptr) return *d;
-    // A completed backward Dijkstra enumerated every abstract state that
-    // can reach a goal, so an absent projection is provably dead; a
-    // truncated build serves its settled-distance floor instead.
-    return pattern.complete ? kUnreachable : pattern.floor;
+    return terms_[t].table[index];
   }
 
   /// The additive heuristic in scaled units of 1/ε.den(): the sum over
@@ -211,72 +176,6 @@ class PatternDatabase {
   }
 
  private:
-  /// Open-addressed (linear-probe, power-of-two) map from packed projection
-  /// index to its abstract completion cost, for patterns too wide for a
-  /// dense 8^|P| array. Only the states the backward Dijkstra reaches take
-  /// slots. The settled flag distinguishes final distances from tentative
-  /// ones: after a truncated build only settled entries are exact (a
-  /// tentative distance is an upper bound, which an admissible heuristic
-  /// must not serve).
-  class HashedTable {
-   public:
-    static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
-    /// Pointer to the settled distance for `key`, nullptr when the entry is
-    /// absent or still tentative.
-    const std::int32_t* find_settled(std::uint64_t key) const {
-      if (slots_.empty()) return nullptr;
-      const std::size_t mask = slots_.size() - 1;
-      for (std::size_t s = hash(key) & mask;; s = (s + 1) & mask) {
-        const Slot& slot = slots_[s];
-        if (slot.key == kEmptyKey) return nullptr;
-        if (slot.key == key) return slot.settled ? &slot.dist : nullptr;
-      }
-    }
-
-    struct Slot {
-      std::uint64_t key = kEmptyKey;
-      std::int32_t dist = kUnreachable;  ///< kUnreachable marks a fresh slot
-      bool settled = false;
-    };
-
-    /// Slot for `key`, inserting a fresh one (dist == kUnreachable) and
-    /// growing as needed. Returns nullptr when growth would push
-    /// `*total_bytes` past `byte_budget` — the old and the new slot arrays
-    /// coexist during the rehash, and both count while they do.
-    /// `*total_bytes` tracks the whole database's hashed footprint across
-    /// patterns.
-    Slot* find_or_insert(std::uint64_t key, std::size_t* total_bytes,
-                         std::size_t byte_budget);
-
-    /// Lookup without insertion or growth; nullptr when absent.
-    Slot* find(std::uint64_t key) {
-      if (slots_.empty()) return nullptr;
-      const std::size_t mask = slots_.size() - 1;
-      for (std::size_t s = hash(key) & mask;; s = (s + 1) & mask) {
-        Slot& slot = slots_[s];
-        if (slot.key == kEmptyKey) return nullptr;
-        if (slot.key == key) return &slot;
-      }
-    }
-
-    std::size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
-    std::size_t size() const { return size_; }
-
-   private:
-    static std::uint64_t hash(std::uint64_t key) {
-      // SplitMix64 finalizer — the same mix the spill key protocol uses.
-      std::uint64_t z = key + 0x9e3779b97f4a7c15ull;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      return z ^ (z >> 31);
-    }
-    bool grow(std::size_t* total_bytes, std::size_t byte_budget);
-
-    std::vector<Slot> slots_;
-    std::size_t size_ = 0;
-  };
-
   struct Pattern {
     std::vector<NodeId> nodes;
     /// Per position: which earlier/later positions are direct predecessors
@@ -284,23 +183,12 @@ class PatternDatabase {
     std::vector<std::vector<std::size_t>> pred_positions;
     std::vector<bool> is_source;  ///< in the whole DAG, per position
     std::vector<std::size_t> sink_positions;  ///< DAG sinks inside P
-    /// Wide patterns: a sparse table of the reached projections.
-    bool hashed = false;
-    HashedTable table;
-    /// True when the backward Dijkstra drained — absent entries are then
-    /// provably unreachable (dead). False after a budget truncation.
-    bool complete = true;
-    /// Admissible stand-in for absent entries of a truncated build: the
-    /// last distance the Dijkstra settled (every unsettled state's true
-    /// completion cost is at least it, by nondecreasing settle order).
-    std::int32_t floor = 0;
   };
 
-  /// One summand: a sink-bearing pattern and, when it is flat, its
-  /// (possibly shared) table.
+  /// One summand: a sink-bearing pattern and its (possibly shared) table.
   struct Term {
     std::size_t pattern;
-    const std::int32_t* flat;  ///< nullptr for hashed patterns
+    const std::int32_t* table;
   };
 
   /// Fill `completion` with the optimal abstract completion cost per
@@ -309,18 +197,14 @@ class PatternDatabase {
   void build_pattern(const Engine& engine, const Pattern& pattern,
                      std::vector<std::int32_t>& completion,
                      std::int64_t cost_cap, const StopPredicate& should_stop);
-  void build_pattern_hashed(const Engine& engine, Pattern& pattern,
-                            std::int64_t cost_cap,
-                            const StopPredicate& should_stop,
-                            std::size_t byte_budget);
 
   std::vector<Pattern> patterns_;
-  /// One flat table per distinct flat pattern shape; terms_ point into it.
-  std::vector<std::vector<std::int32_t>> flat_tables_;
+  /// One table per distinct sink-bearing pattern shape; terms_ point into
+  /// it.
+  std::vector<std::vector<std::int32_t>> tables_;
   std::vector<Term> terms_;
   std::vector<NodeTerm> node_terms_;  ///< per node
   std::size_t table_bytes_ = 0;
-  std::size_t hashed_bytes_ = 0;  ///< hashed share of table_bytes_
   bool aborted_ = false;
 };
 

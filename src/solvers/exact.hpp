@@ -140,9 +140,8 @@ struct ExactSearchOptions {
   /// ExactTermination::MemoryBudget and partial stats — never an OOM kill.
   std::size_t max_memory_bytes = 0;
   PdbMode pdb = PdbMode::Auto;
-  /// Pattern width for PdbMode::On/Auto; 0 = PatternDatabase default.
-  /// Widths past 8 switch the affected patterns to hashed tables
-  /// (solvers/bigstate/pdb.hpp).
+  /// Pattern width for PdbMode::On/Auto, 1–8; 0 = PatternDatabase default
+  /// (6). Every pattern builds a flat 8^|P| table (solvers/bigstate/pdb.hpp).
   std::size_t pdb_pattern_size = 0;
   /// Partitioner for PdbMode::On/Auto (see PdbPartition).
   PdbPartition pdb_partition = PdbPartition::Cone;

@@ -313,17 +313,15 @@ void summarize_open(obs::ProgressObservation& ob, const Queue& queue,
 }
 
 /// Build the pattern database `opt` asks for into `pdb` (left empty when
-/// off). Hashed tables (patterns wider than 8) take at most half of the
-/// memory budget, leaving the rest to the closed tables; their builds
-/// truncate admissibly at the cap instead of overshooting. False when the
-/// stop predicate aborted the build.
+/// off): flat tables of width opt.pdb_pattern_size (1–8, 0 = the default
+/// 6), one per distinct pattern shape. False when the stop predicate
+/// aborted the build.
 inline bool build_search_pdb(std::optional<PatternDatabase>& pdb,
                              const Engine& engine,
                              const ExactSearchOptions& opt) {
   if (!bigstate_pdb_enabled(opt, engine.dag().node_count())) return true;
   pdb.emplace(engine, opt.pdb_pattern_size, opt.should_stop,
-              opt.pdb_partition,
-              opt.max_memory_bytes != 0 ? opt.max_memory_bytes / 2 : 0);
+              opt.pdb_partition);
   return !pdb->build_aborted();
 }
 

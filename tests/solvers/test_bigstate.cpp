@@ -497,10 +497,24 @@ TEST(PatternDatabase, OutOfRangePatternWidthFailsLoudly) {
   Engine engine(dag, Model::oneshot(), 2);
   SolveRequest request;
   request.engine = &engine;
-  // Widths 9..16 are legal now (hashed tables); 17 is past the hashed cap.
-  request.options["pdb-pattern"] = "17";  // beyond kMaxHashedPatternSize
-  EXPECT_THROW(SolverRegistry::instance().at("exact-astar").run(request),
-               PreconditionError);
+  request.options["pdb"] = "on";
+  // 0 is no width and 9 is past kMaxPatternSize: both must fail naming
+  // the accepted range, not run some other width.
+  for (const char* width : {"0", "9"}) {
+    request.options["pdb-pattern"] = width;
+    try {
+      SolverRegistry::instance().at("exact-astar").run(request);
+      ADD_FAILURE() << "pdb-pattern=" << width << " was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("between 1 and 8"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  request.options["pdb-pattern"] = "8";
+  const SolveResult result =
+      SolverRegistry::instance().at("exact-astar").run(request);
+  EXPECT_EQ(result.status, SolveStatus::Optimal);
 }
 
 TEST(IncumbentSeed, AutoSeedsOnlyPastTheFixedWidthCap) {

@@ -11,10 +11,10 @@
 // prices at every pair are what make costs and expansion counts independent
 // of the width the dispatch picks. The kernel prices successors as deltas
 // from their parent; every sweep runs without a pattern database and with
-// three attached to both sides — small flat tables (shared shapes and
-// sink-free patterns), force_hashed tables, and byte-truncated hashed
-// tables — so every delta rule, the PDB patch and its dead-parent full-sum
-// fallback are pinned to lower_bound_scaled.
+// two attached to both sides — width-3 tables (many shared shapes and
+// sink-free patterns) and tables at the default width — so every delta
+// rule, the PDB patch and its dead-parent full-sum fallback are pinned to
+// lower_bound_scaled.
 #include "src/solvers/expander.hpp"
 
 #include <gtest/gtest.h>
@@ -47,22 +47,16 @@ std::string label(const Engine& engine, const GameState& state) {
 }
 
 /// The pattern databases a sweep attaches, besides none.
-enum class Pdb { None, Flat, Hashed, Truncated };
+enum class Pdb { None, Narrow, Default };
 
 std::optional<PatternDatabase> make_pdb(const Engine& engine, Pdb kind) {
   switch (kind) {
     case Pdb::None:
       return std::nullopt;
-    case Pdb::Flat:  // width 3: many equal shapes, many sink-free patterns
+    case Pdb::Narrow:  // width 3: many equal shapes, many sink-free patterns
       return std::optional<PatternDatabase>(std::in_place, engine, 3);
-    case Pdb::Hashed:
-      return std::optional<PatternDatabase>(
-          std::in_place, engine, 3, StopPredicate{}, PdbPartition::Cone,
-          /*table_byte_budget=*/0, /*force_hashed=*/true);
-    case Pdb::Truncated:  // 64 KiB: later patterns truncate or stay empty
-      return std::optional<PatternDatabase>(
-          std::in_place, engine, 5, StopPredicate{}, PdbPartition::Cone,
-          std::size_t{64} << 10, /*force_hashed=*/true);
+    case Pdb::Default:
+      return std::optional<PatternDatabase>(std::in_place, engine);
   }
   return std::nullopt;
 }
@@ -180,7 +174,7 @@ void check_engine(const Engine& engine, const PatternDatabase* pdb,
 /// and with each kind of PDB attached.
 template <class Packed, class Masks>
 void sweep(const Dag& dag, std::uint64_t seed, int steps) {
-  for (Pdb kind : {Pdb::None, Pdb::Flat, Pdb::Hashed, Pdb::Truncated}) {
+  for (Pdb kind : {Pdb::None, Pdb::Narrow, Pdb::Default}) {
     SCOPED_TRACE(::testing::Message() << "pdb kind " << static_cast<int>(kind));
     // The same walks under every kind.
     std::uint64_t walk_seed = seed;
@@ -204,7 +198,7 @@ void sweep(const Dag& dag, std::uint64_t seed, int steps) {
     // Both branches of the completeness test were exercised.
     EXPECT_GT(met.complete, 0u) << "n=" << dag.node_count();
     // Parents the PDB calls dead price their successors by the full sum.
-    if (kind == Pdb::Flat || kind == Pdb::Hashed) {
+    if (kind != Pdb::None) {
       EXPECT_GT(met.pdb_dead, 0u) << "n=" << dag.node_count();
     }
   }

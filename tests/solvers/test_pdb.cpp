@@ -1,0 +1,240 @@
+// The pattern database's flat tables: every entry must equal the optimal
+// completion cost of its pattern's abstract game (checked index by index
+// against a forward search that never goes through the shape map), a
+// pattern covering the whole DAG must reproduce the exact optimum, and the
+// min-cut partitioner must produce legal partitions that the search can
+// use.
+#include "src/solvers/bigstate/pdb.hpp"
+
+#include <gtest/gtest.h>
+
+#include <iterator>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "src/pebble/bounds.hpp"
+#include "src/solvers/exact.hpp"
+#include "src/solvers/exact_astar.hpp"
+#include "src/workloads/pyramid.hpp"
+#include "src/workloads/random_layered.hpp"
+#include "src/workloads/tree_reduction.hpp"
+#include "tests/support/abstract_game.hpp"
+
+namespace rbpeb {
+namespace {
+
+using test_support::abstract_completion_cost;
+
+/// Every source/sink convention pair the engine supports.
+const std::vector<PebblingConvention> kConventions = {
+    {false, false}, {true, false}, {false, true}, {true, true}};
+
+/// Check every valid projection of every term of `pdb` against the forward
+/// abstract-game search: equal cost, and kUnreachable exactly where no
+/// abstract completion exists.
+void expect_tables_match_abstract_games(const Engine& engine,
+                                        const PatternDatabase& pdb) {
+  std::size_t terms_seen = 0;
+  for (std::size_t p = 0; p < pdb.pattern_count(); ++p) {
+    const std::vector<NodeId>& nodes = pdb.pattern_nodes(p);
+    const std::uint32_t t = pdb.node_term(nodes[0]).term;
+    if (t == PatternDatabase::kNoTerm) continue;
+    ++terms_seen;
+    // Odometer over the six valid fields per position: colors None, Red
+    // and Blue, each with either computed flag.
+    constexpr unsigned kFields[] = {0, 1, 2, 4, 5, 6};
+    std::vector<std::size_t> digit(nodes.size(), 0);
+    for (;;) {
+      std::vector<unsigned> fields(nodes.size());
+      std::size_t index = 0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const PatternDatabase::NodeTerm term = pdb.node_term(nodes[i]);
+        ASSERT_EQ(term.term, t);
+        fields[i] = kFields[digit[i]];
+        index |= static_cast<std::size_t>(fields[i]) << term.shift;
+      }
+      const std::optional<std::int64_t> want =
+          abstract_completion_cost(engine, nodes, fields);
+      ASSERT_EQ(pdb.distance(t, index),
+                want ? *want : PatternDatabase::kUnreachable)
+          << "pattern " << p << " index " << index;
+      std::size_t i = 0;
+      while (i < nodes.size() && ++digit[i] == std::size(kFields)) {
+        digit[i++] = 0;
+      }
+      if (i == nodes.size()) break;
+    }
+  }
+  EXPECT_EQ(terms_seen, pdb.term_count());
+}
+
+// ---- flat table reuse ------------------------------------------------------
+
+/// A DAG with repeated pattern shapes (the 96-node anytime instance), at
+/// the default width and at width 3: the flat tier builds one table per
+/// distinct sink-bearing shape and none for sink-free patterns, the
+/// partition still covers every node once, and at width 3 every entry of
+/// every shared table is its own pattern's abstract completion cost under
+/// every convention.
+TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 16, .width = 6, .indegree = 2, .seed = 71});  // 96 nodes
+  using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
+                           std::vector<bool>, std::vector<std::size_t>>;
+  std::size_t shared = 0;
+  for (std::size_t width : {0u, 3u}) {
+    for (const Model& model : all_models()) {
+      SCOPED_TRACE(::testing::Message() << model.name() << " width " << width);
+      const Engine engine(dag, model, min_red_pebbles(dag));
+      const PatternDatabase flat(engine, width);
+      std::vector<int> seen(dag.node_count(), 0);
+      std::set<Shape> shapes;
+      std::size_t sink_bearing = 0;
+      std::size_t expected_bytes = 0;
+      for (std::size_t p = 0; p < flat.pattern_count(); ++p) {
+        const std::vector<NodeId>& nodes = flat.pattern_nodes(p);
+        Shape shape;
+        auto& [preds, sources, sinks] = shape;
+        preds.resize(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+          ++seen[nodes[i]];
+          sources.push_back(dag.is_source(nodes[i]));
+          if (dag.is_sink(nodes[i])) sinks.push_back(i);
+          for (NodeId u : dag.predecessors(nodes[i])) {
+            for (std::size_t j = 0; j < nodes.size(); ++j) {
+              if (nodes[j] == u) preds[i].push_back(j);
+            }
+          }
+        }
+        if (sinks.empty()) continue;
+        ++sink_bearing;
+        if (shapes.insert(shape).second) {
+          expected_bytes += (std::size_t{1} << (3 * nodes.size())) *
+                            sizeof(std::int32_t);
+        }
+      }
+      for (std::size_t v = 0; v < dag.node_count(); ++v) {
+        EXPECT_EQ(seen[v], 1) << "node " << v;
+      }
+      EXPECT_EQ(flat.term_count(), sink_bearing);
+      EXPECT_LT(sink_bearing, flat.pattern_count());  // sink-free ones exist
+      shared += sink_bearing - shapes.size();
+      EXPECT_EQ(flat.table_bytes(), expected_bytes);
+
+      if (width != 3) continue;
+      for (const PebblingConvention& convention : kConventions) {
+        SCOPED_TRACE(::testing::Message()
+                     << "sources-blue=" << convention.sources_start_blue
+                     << " sinks-blue=" << convention.sinks_end_blue);
+        const Engine with_convention(dag, model, min_red_pebbles(dag),
+                                     convention);
+        expect_tables_match_abstract_games(
+            with_convention, PatternDatabase(with_convention, width));
+      }
+    }
+  }
+  EXPECT_GT(shared, 0u) << "no table was shared; pick another instance";
+}
+
+// ---- whole-instance exactness ---------------------------------------------
+
+/// A pattern covering a whole DAG of at most kMaxPatternSize nodes makes the
+/// abstract game the concrete game, so the root bound is the exact optimum
+/// in every model and convention.
+TEST(FlatPdb, WholeInstancePatternIsTheExactOptimum) {
+  const std::vector<Dag> dags = {
+      make_tree_reduction_dag(4).dag,  // 7 nodes
+      make_pyramid_dag(3).dag,         // 6 nodes
+      make_random_layered_dag(
+          {.layers = 2, .width = 4, .indegree = 2, .seed = 1}),  // 8 nodes
+  };
+  for (const Dag& dag : dags) {
+    ASSERT_LE(dag.node_count(), PatternDatabase::kMaxPatternSize);
+    for (const Model& model : all_models()) {
+      for (const PebblingConvention& convention : kConventions) {
+        SCOPED_TRACE(::testing::Message()
+                     << model.name() << " n=" << dag.node_count()
+                     << " sources-blue=" << convention.sources_start_blue
+                     << " sinks-blue=" << convention.sinks_end_blue);
+        const Engine engine(dag, model, min_red_pebbles(dag), convention);
+        const PatternDatabase pdb(engine, PatternDatabase::kMaxPatternSize);
+        ASSERT_EQ(pdb.pattern_count(), 1u);
+        const std::optional<std::int64_t> bound =
+            pdb.lower_bound_scaled(engine.initial_state());
+        ASSERT_TRUE(bound.has_value());
+        const ExactResult optimum = solve_exact(engine);
+        EXPECT_EQ(Rational(*bound, model.epsilon().den()), optimum.cost);
+      }
+    }
+  }
+}
+
+// ---- the min-cut partitioner ---------------------------------------------
+
+TEST(MinCutPartition, CoversEveryNodeDisjointlyWithinTheSizeCap) {
+  for (std::size_t cap : {1u, 4u, 7u, 16u}) {
+    Dag dag = make_random_layered_dag({.layers = 6, .width = 5, .indegree = 3,
+                                       .seed = 53});
+    auto patterns = partition_into_patterns_mincut(dag, cap);
+    std::vector<int> seen(dag.node_count(), 0);
+    for (const auto& pattern : patterns) {
+      EXPECT_LE(pattern.size(), cap);
+      EXPECT_FALSE(pattern.empty());
+      for (NodeId v : pattern) ++seen[v];
+    }
+    for (std::size_t v = 0; v < dag.node_count(); ++v) {
+      EXPECT_EQ(seen[v], 1) << "node " << v << " cap " << cap;
+    }
+  }
+}
+
+/// On a chain every partitioner should find the obvious contiguous
+/// segmentation — and the min-cut DP must never cut more edges than the
+/// greedy cone partitioner on the same instance.
+TEST(MinCutPartition, CutsNoMoreEdgesThanTheGreedyConePartitioner) {
+  auto crossing_edges = [](const Dag& dag,
+                           const std::vector<std::vector<NodeId>>& patterns) {
+    std::vector<std::size_t> owner(dag.node_count(), 0);
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+      for (NodeId v : patterns[p]) owner[v] = p;
+    }
+    std::size_t crossing = 0;
+    for (std::size_t v = 0; v < dag.node_count(); ++v) {
+      for (NodeId u : dag.predecessors(static_cast<NodeId>(v))) {
+        if (owner[u] != owner[v]) ++crossing;
+      }
+    }
+    return crossing;
+  };
+  for (std::uint64_t seed : {54u, 55u, 56u}) {
+    Dag dag = make_random_layered_dag({.layers = 6, .width = 4, .indegree = 2,
+                                       .seed = seed});
+    const auto cone = partition_into_patterns(dag, 6);
+    const auto mincut = partition_into_patterns_mincut(dag, 6);
+    EXPECT_LE(crossing_edges(dag, mincut), crossing_edges(dag, cone))
+        << "seed " << seed;
+  }
+}
+
+/// The mincut partitioner is reachable end to end through the search
+/// options and changes no proven optimum.
+TEST(MinCutPartition, SearchWithMinCutPartitionAgreesWithCone) {
+  Dag dag = make_random_layered_dag({.layers = 5, .width = 3, .indegree = 2,
+                                     .seed = 57});  // 15 nodes
+  Engine engine(dag, Model::oneshot(), min_red_pebbles(dag));
+  ExactSearchOptions cone;
+  cone.max_states = 2'000'000;
+  cone.pdb = PdbMode::On;
+  cone.pdb_pattern_size = 5;
+  ExactSearchOptions mincut = cone;
+  mincut.pdb_partition = PdbPartition::MinCut;
+  auto cone_result = try_solve_exact_astar(engine, cone);
+  auto mincut_result = try_solve_exact_astar(engine, mincut);
+  ASSERT_TRUE(cone_result.has_value());
+  ASSERT_TRUE(mincut_result.has_value());
+  EXPECT_EQ(cone_result->cost, mincut_result->cost);
+}
+
+}  // namespace
+}  // namespace rbpeb
