@@ -128,6 +128,7 @@ int main(int argc, char** argv) {
     // Only a proven optimum is unique; a certified cost may still improve.
     (result->optimal ? row.exact : row.info).set("cost", result->cost.str());
     if (result->certified) row.falls.set("epsilon", result->epsilon.str());
+    if (stats.pdb_bytes != 0) row.falls.set("pdb_bytes", stats.pdb_bytes);
     // Wall time of the search alone (PDB build included, greedy seed and
     // audit excluded): machine-dependent, printed but never gated.
     row.timing.set("ms", ms, 1).set(

@@ -64,6 +64,7 @@ struct Run {
   std::string cost = "-";
   std::size_t expanded = 0;
   std::size_t table_bytes = 0;
+  std::size_t pdb_bytes = 0;
   std::size_t spilled_states = 0;
   std::size_t spill_bytes = 0;
   std::size_t merge_passes = 0;
@@ -81,6 +82,7 @@ Run timed(Solve&& solve) {
                .count();
   run.expanded = stats.states_expanded;
   run.table_bytes = stats.table_bytes;
+  run.pdb_bytes = stats.pdb_bytes;
   run.spilled_states = stats.spilled_states;
   run.spill_bytes = stats.spill_bytes;
   run.merge_passes = stats.merge_passes;
@@ -102,6 +104,9 @@ void add_run(bench::Report& report, const Case& c, std::size_t r,
   // counts vary with thread interleaving.
   (solver.starts_with("exact-astar") ? row.falls : row.info)
       .set("expanded", run.expanded);
+  // PDB tables are deterministic in every search; a table-size regression
+  // fails the gate.
+  if (run.pdb_bytes != 0) row.falls.set("pdb_bytes", run.pdb_bytes);
   row.timing.set("ms", run.ms, 1);
   row.info.set("nodes", c.dag.node_count())
       .set("r", r)

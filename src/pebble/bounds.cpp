@@ -105,16 +105,15 @@ StateBoundEvaluator::StateBoundEvaluator(const Engine& engine)
 
 namespace {
 
-/// Node v's 3-bit configuration field (color | computed << 2) in `state`.
+/// Node v's pattern-database digit (PatternDatabase::digit) in `state`.
 template <std::size_t W>
-unsigned field_of(const Masks<W>& state, NodeId v) {
+unsigned digit_of(const Masks<W>& state, NodeId v) {
   const std::size_t w = v >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-  unsigned f = (state.red()[w] & bit) != 0    ? 1u
-               : (state.blue()[w] & bit) != 0 ? 2u
-                                              : 0u;
-  if ((state.computed()[w] & bit) != 0) f |= 4u;
-  return f;
+  const PebbleColor color = (state.red()[w] & bit) != 0    ? PebbleColor::Red
+                            : (state.blue()[w] & bit) != 0 ? PebbleColor::Blue
+                                                           : PebbleColor::None;
+  return PatternDatabase::digit(color, (state.computed()[w] & bit) != 0);
 }
 
 }  // namespace
@@ -262,7 +261,7 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
   std::uint64_t* inputs = closure + W;
   walk_from_sinks(state, frontier, closure, inputs);
   return tail(state, closure, inputs, [&] {
-    return pdb_->sum_scaled([&](NodeId v) { return field_of(state, v); });
+    return pdb_->sum_scaled([&](NodeId v) { return digit_of(state, v); });
   });
 }
 
@@ -283,8 +282,9 @@ void StateBoundEvaluator::enter_parent(const Masks<kWords>& state,
   std::int64_t sum = 0;
   bool dead = false;
   for (std::size_t t = 0; t < parent.projection.size(); ++t) {
-    const std::size_t index =
-        pdb_->projection(t, [&](NodeId v) { return field_of(state, v); });
+    const std::size_t index = pdb_->projection(t, [&](NodeId v) {
+      return parent.digit[v] = static_cast<std::uint8_t>(digit_of(state, v));
+    });
     const std::int32_t d = pdb_->distance(t, index);
     parent.projection[t] = index;
     parent.distance[t] = d;
@@ -329,13 +329,13 @@ std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
   return tail(child, closure, inputs, [&]() -> std::optional<std::int64_t> {
     if (!parent.pdb_sum) {
       // A parent the PDB calls dead has no sum to patch.
-      return pdb_->sum_scaled([&](NodeId u) { return field_of(child, u); });
+      return pdb_->sum_scaled([&](NodeId u) { return digit_of(child, u); });
     }
     const PatternDatabase::NodeTerm term = pdb_->node_term(v);
     if (term.term == PatternDatabase::kNoTerm) return parent.pdb_sum;
-    const std::size_t index =
-        (parent.projection[term.term] & ~(std::size_t{7} << term.shift)) |
-        (static_cast<std::size_t>(field_of(child, v)) << term.shift);
+    const std::size_t index = parent.projection[term.term] +
+                              digit_of(child, v) * term.weight -
+                              parent.digit[v] * term.weight;
     const std::int32_t d = pdb_->distance(term.term, index);
     if (d == PatternDatabase::kUnreachable) return std::nullopt;
     return *parent.pdb_sum - parent.distance[term.term] + d;

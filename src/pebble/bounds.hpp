@@ -207,12 +207,15 @@ template <std::size_t W>
 struct ParentBound {
   ParentBound(std::size_t words, std::size_t pdb_terms)
       : closure(words), child(words), projection(pdb_terms, 0),
-        distance(pdb_terms, 0) {}
+        distance(pdb_terms, 0), digit(pdb_terms != 0 ? 64 * words : 0, 0) {}
 
   Closure<W> closure;  ///< the parent's C and PU
   Closure<W> child;    ///< scratch: a successor's, when its move changes them
   std::vector<std::size_t> projection;  ///< per PDB term: projection index
   std::vector<std::int32_t> distance;   ///< per PDB term: its table entry
+  /// Per node of a PDB term: its digit in the parent, so a successor's
+  /// index is the parent's patched by (new − old)·weight.
+  std::vector<std::uint8_t> digit;
   /// The parent's PDB sum; nullopt when the PDB calls the parent dead.
   std::optional<std::int64_t> pdb_sum;
 };

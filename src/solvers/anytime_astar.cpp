@@ -43,13 +43,13 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       make_spill_directory(opt);
 
   std::optional<PatternDatabase> pdb;
-  if (!build_search_pdb(pdb, engine, opt)) {
+  if (!build_search_pdb(pdb, engine, opt, stats)) {
     stats.termination = ExactTermination::Stopped;
     return std::nullopt;
   }
   Expander<Packed, Masks> expander(engine, pdb ? &*pdb : nullptr, stats,
                                    opt.progress != nullptr);
-  const std::size_t pdb_bytes = pdb ? pdb->table_bytes() : 0;
+  const std::size_t pdb_bytes = stats.pdb_bytes;
 
   const Packed start = expander.start();
   const std::optional<std::int64_t> start_h = expander.bound(start);

@@ -680,6 +680,7 @@ class ExactSearchSolver : public Solver {
       result.stats["max_states"] = std::to_string(sopt.max_states);
       if (!bigstate()) return;
       result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
+      result.stats["pdb_bytes"] = std::to_string(search_stats.pdb_bytes);
       result.stats["spilled_states"] =
           std::to_string(search_stats.spilled_states);
       result.stats["spill_bytes"] = std::to_string(search_stats.spill_bytes);
@@ -976,6 +977,7 @@ class AnytimeSolver final : public Solver {
       result.stats["anytime_passes"] =
           std::to_string(search_stats.anytime_passes);
       result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
+      result.stats["pdb_bytes"] = std::to_string(search_stats.pdb_bytes);
       result.stats["spilled_states"] =
           std::to_string(search_stats.spilled_states);
       result.stats["spill_bytes"] = std::to_string(search_stats.spill_bytes);

@@ -114,30 +114,6 @@ std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
   return patterns;
 }
 
-namespace {
-
-/// 3-bit field of position `i` inside a packed projection index.
-inline unsigned field_at(std::size_t index, std::size_t i) {
-  return static_cast<unsigned>((index >> (3 * i)) & 7u);
-}
-
-inline std::size_t with_field(std::size_t index, std::size_t i, unsigned f) {
-  const std::size_t shift = 3 * i;
-  return (index & ~(std::size_t{7} << shift)) |
-         (static_cast<std::size_t>(f) << shift);
-}
-
-/// Colors are 2 bits; 3 never occurs in a real projection. Indices holding
-/// it are skipped outright.
-inline bool valid_index(std::size_t index, std::size_t p) {
-  for (std::size_t i = 0; i < p; ++i) {
-    if ((field_at(index, i) & 3u) == 3u) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 PatternDatabase::PatternDatabase(const Engine& engine,
                                  std::size_t max_pattern_size,
                                  const StopPredicate& should_stop,
@@ -183,8 +159,9 @@ PatternDatabase::PatternDatabase(const Engine& engine,
     // nothing to the sum.
     if (pattern.sink_positions.empty()) continue;
     const auto t = static_cast<std::uint32_t>(terms_.size());
-    for (std::size_t i = 0; i < width; ++i) {
-      node_terms_[pattern.nodes[i]] = {t, static_cast<std::uint32_t>(3 * i)};
+    std::uint32_t weight = 1;
+    for (std::size_t i = 0; i < width; ++i, weight *= 6) {
+      node_terms_[pattern.nodes[i]] = {t, weight};
     }
     const auto [shape, fresh] = table_of_shape.try_emplace(
         Shape{pattern.pred_positions, pattern.is_source,
@@ -198,6 +175,8 @@ PatternDatabase::PatternDatabase(const Engine& engine,
     // Growing tables_ moves the tables, never their storage.
     terms_.push_back({p, tables_[shape->second].data()});
   }
+  // An aborted build's tables are discarded unread: it counts as no build.
+  if (aborted_) return;
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("pdb.builds").add();
   registry.gauge("pdb.table_bytes").set(static_cast<std::int64_t>(table_bytes_));
@@ -211,59 +190,24 @@ void PatternDatabase::build_pattern(const Engine& engine,
   const Model& model = engine.model();
   const PebblingConvention& conv = engine.convention();
   const std::size_t p = pattern.nodes.size();
-  const std::size_t table_size = std::size_t{1} << (3 * p);
   const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
   const std::int64_t eps_num = model.epsilon().num();
   const std::int64_t eps_den = model.epsilon().den();
+  constexpr unsigned kNone = digit(PebbleColor::None, false);
+  constexpr unsigned kRed = digit(PebbleColor::Red, false);
+  constexpr unsigned kBlue = digit(PebbleColor::Blue, false);
+  constexpr unsigned kComputed = digit(PebbleColor::None, true);
+  std::vector<std::size_t> weight(p + 1, 1);
+  for (std::size_t i = 0; i < p; ++i) weight[i + 1] = 6 * weight[i];
+  const std::size_t table_size = weight[p];
 
-  auto red_in_pattern = [&](std::size_t index) {
-    std::int64_t red = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      if ((field_at(index, i) & 3u) ==
-          static_cast<unsigned>(PebbleColor::Red)) {
-        ++red;
-      }
-    }
-    return red;
-  };
-
-  // Forward legality of a move on position `i` in abstract state `index`:
-  // every constraint of Engine::why_illegal that only mentions nodes of the
-  // pattern. A concrete-legal move on the node is always abstract-legal on
-  // the projection, which is what makes the table admissible.
-  auto legal = [&](std::size_t index, std::size_t i, MoveType type) {
-    const unsigned f = field_at(index, i);
-    const auto color = static_cast<PebbleColor>(f & 3u);
-    switch (type) {
-      case MoveType::Load:
-        return color == PebbleColor::Blue && red_in_pattern(index) < r;
-      case MoveType::Store:
-        return color == PebbleColor::Red;
-      case MoveType::Compute: {
-        if (conv.sources_start_blue && pattern.is_source[i]) return false;
-        if (!model.allows_recompute() && (f & 4u) != 0) return false;
-        if (color == PebbleColor::Red) return false;
-        for (std::size_t j : pattern.pred_positions[i]) {
-          if ((field_at(index, j) & 3u) !=
-              static_cast<unsigned>(PebbleColor::Red)) {
-            return false;
-          }
-        }
-        return red_in_pattern(index) < r;
-      }
-      case MoveType::Delete:
-        return model.allows_delete() && color != PebbleColor::None;
-    }
-    return false;
-  };
-
-  auto is_goal = [&](std::size_t index) {
+  // The digits of the state at hand: the goal sweep's odometer, then each
+  // popped state decoded once.
+  std::vector<unsigned> digits(p, 0);
+  auto is_goal = [&] {
     for (std::size_t i : pattern.sink_positions) {
-      const auto color = static_cast<PebbleColor>(field_at(index, i) & 3u);
-      if (conv.sinks_end_blue ? color != PebbleColor::Blue
-                              : color == PebbleColor::None) {
-        return false;
-      }
+      const unsigned color = digits[i] % 3;
+      if (conv.sinks_end_blue ? color != kBlue : color == kNone) return false;
     }
     return true;
   };
@@ -276,7 +220,7 @@ void PatternDatabase::build_pattern(const Engine& engine,
   BucketQueue<std::uint32_t> queue(static_cast<std::size_t>(cost_cap) + 1);
   // The goal sweep and the Dijkstra below are the only unbounded loops in a
   // PDB build; both poll the cooperative stop hook so a cancelled solve is
-  // never pinned behind an 8^8-entry table (the searches' poll cadence,
+  // never pinned behind a 6^8-entry table (the searches' poll cadence,
   // scaled up — these iterations are far cheaper than an expansion).
   constexpr std::size_t kStopPollMask = 0xFFFu;
   for (std::size_t index = 0; index < table_size; ++index) {
@@ -284,22 +228,12 @@ void PatternDatabase::build_pattern(const Engine& engine,
       aborted_ = true;
       return;
     }
-    if (!valid_index(index, p)) continue;
-    if (is_goal(index)) {
+    if (is_goal()) {
       completion[index] = 0;
       queue.push(0, static_cast<std::uint32_t>(index));
     }
+    for (std::size_t i = 0; i < p && ++digits[i] == 6; ++i) digits[i] = 0;
   }
-
-  auto relax = [&](std::size_t pre, MoveType type, std::size_t i,
-                   std::int64_t d, std::int64_t cost) {
-    if (!legal(pre, i, type)) return;
-    const std::int64_t nd = std::min(d + cost, cost_cap);
-    std::int32_t& entry = completion[pre];
-    if (entry != kUnreachable && entry <= nd) return;
-    entry = static_cast<std::int32_t>(nd);
-    queue.push(nd, static_cast<std::uint32_t>(pre));
-  };
 
   std::size_t pops = 0;
   while (!queue.empty()) {
@@ -310,40 +244,55 @@ void PatternDatabase::build_pattern(const Engine& engine,
     auto [d, popped] = queue.pop();
     const auto index = static_cast<std::size_t>(popped);
     if (completion[index] != d) continue;  // stale duplicate
+    std::int64_t red = 0;
+    for (std::size_t i = 0, rest = index; i < p; ++i, rest /= 6) {
+      digits[i] = static_cast<unsigned>(rest % 6);
+      if (digits[i] % 3 == kRed) ++red;
+    }
+    // Each pre-image differs from the popped state at position i alone, and
+    // is legal there under every rule of Engine::why_illegal that mentions
+    // only pattern nodes — so a concrete-legal move is always abstract-legal
+    // on the projection, which is what makes the table admissible.
     for (std::size_t i = 0; i < p; ++i) {
-      const unsigned f = field_at(index, i);
-      const unsigned computed = f & 4u;
-      switch (static_cast<PebbleColor>(f & 3u)) {
-        case PebbleColor::Red:
+      const unsigned to = digits[i];
+      const unsigned computed = to - to % 3;
+      auto relax = [&](unsigned from, std::int64_t cost) {
+        const std::size_t pre = index - to * weight[i] + from * weight[i];
+        const std::int64_t nd = std::min(d + cost, cost_cap);
+        std::int32_t& entry = completion[pre];
+        if (entry != kUnreachable && entry <= nd) return;
+        entry = static_cast<std::int32_t>(nd);
+        queue.push(nd, static_cast<std::uint32_t>(pre));
+      };
+      switch (to % 3) {
+        case kRed: {
+          // Load and Compute both need a free red pebble in the pre-image,
+          // which holds one red fewer.
+          if (red - 1 >= r) break;
           // Load lands on Red from Blue, computed untouched.
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Blue) | computed),
-                MoveType::Load, i, d, eps_den);
-          if (computed != 0) {
-            // Compute lands on Red+computed from None or Blue, either prior
-            // computed flag (legal() enforces the oneshot rule).
-            for (unsigned prior_color :
-                 {static_cast<unsigned>(PebbleColor::None),
-                  static_cast<unsigned>(PebbleColor::Blue)}) {
-              for (unsigned prior_computed : {0u, 4u}) {
-                relax(with_field(index, i, prior_color | prior_computed),
-                      MoveType::Compute, i, d, eps_num);
-              }
-            }
+          relax(kBlue + computed, eps_den);
+          // Compute lands on Red+computed from None or Blue, either prior
+          // computed flag unless recomputation is forbidden.
+          if (computed == 0) break;
+          if (conv.sources_start_blue && pattern.is_source[i]) break;
+          const bool preds_red = std::all_of(
+              pattern.pred_positions[i].begin(),
+              pattern.pred_positions[i].end(),
+              [&](std::size_t j) { return digits[j] % 3 == kRed; });
+          if (!preds_red) break;
+          for (unsigned from : {kNone, kBlue}) {
+            relax(from, eps_num);
+            if (model.allows_recompute()) relax(from + kComputed, eps_num);
           }
           break;
-        case PebbleColor::Blue:
-          relax(with_field(index, i,
-                           static_cast<unsigned>(PebbleColor::Red) | computed),
-                MoveType::Store, i, d, eps_den);
+        }
+        case kBlue:
+          relax(kRed + computed, eps_den);  // Store from Red
           break;
-        case PebbleColor::None:
-          for (unsigned prior_color :
-               {static_cast<unsigned>(PebbleColor::Red),
-                static_cast<unsigned>(PebbleColor::Blue)}) {
-            relax(with_field(index, i, prior_color | computed),
-                  MoveType::Delete, i, d, 0);
-          }
+        case kNone:
+          if (!model.allows_delete()) break;
+          relax(kRed + computed, 0);  // Delete from Red or Blue
+          relax(kBlue + computed, 0);
           break;
       }
     }

@@ -13,8 +13,8 @@
 //    join, in topological order, the pattern holding most of their direct
 //    predecessors (ancestor cones stay together, which is where pebbling
 //    interaction lives), opening a new pattern only when none has room.
-//  * For each pattern P the *abstract game* keeps only the 3-bit fields of
-//    P's nodes. Moves on nodes outside P are free; moves on v ∈ P keep
+//  * For each pattern P the *abstract game* keeps only the configurations
+//    of P's nodes. Moves on nodes outside P are free; moves on v ∈ P keep
 //    every constraint expressible inside P (blue/red preconditions,
 //    preds-in-P red for Compute, |red ∩ P| within the budget R, the oneshot
 //    and nodel rules, the Hong–Kung source/sink conventions). Any legal
@@ -22,11 +22,12 @@
 //    legal abstract completion of the projected state with exactly the cost
 //    those moves contribute.
 //  * A backward Dijkstra from all complete abstract states (the shared Dial
-//    BucketQueue over pre-images) fills a flat 8^|P| table with the optimal
-//    abstract completion cost of every projection — one table per distinct
-//    pattern shape, not per pattern. A pattern without a DAG sink requires
-//    nothing (every valid projection is a goal at distance 0), so it builds
-//    no table and stays out of the sum; patterns with equal width,
+//    BucketQueue over pre-images) fills a dense 6^|P| table — node i of P
+//    adds its digit (color + 3·computed) times 6^i to the index — with the
+//    optimal abstract completion cost of every projection: one table per
+//    distinct pattern shape, not per pattern. A pattern without a DAG sink
+//    requires nothing (every projection is a goal at distance 0), so it
+//    builds no table and stays out of the sum; patterns with equal width,
 //    in-pattern predecessor positions, source flags and sink positions play
 //    the same abstract game and share one table.
 //
@@ -68,11 +69,10 @@ std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
 
 class PatternDatabase {
  public:
-  /// Width cap of the flat 8^|P| tables: 8 nodes → 16.7M abstract states
-  /// per table, the largest dense build that stays sub-second.
+  /// Width cap of the dense 6^|P| tables: 6^8 = 1.68M entries per table.
   static constexpr std::size_t kMaxPatternSize = 8;
 
-  /// Default width: 8^6 = 262144 entries (1 MiB) per pattern.
+  /// Default width: 6^6 = 46,656 entries (182 KiB) per table.
   static constexpr std::size_t kDefaultPatternSize = 6;
 
   /// Entry meaning "no abstract completion exists" — any concrete state
@@ -85,7 +85,7 @@ class PatternDatabase {
   /// Read-only (and thread-safe) afterwards.
   ///
   /// `should_stop` is the same cooperative hook the searches poll: an 8-node
-  /// pattern builds a 16.7M-entry table, long enough that an un-interruptible
+  /// pattern builds a 1.68M-entry table, long enough that an un-interruptible
   /// build would pin a cancelled or past-deadline solve to a core. When it
   /// fires mid-build the constructor returns early with build_aborted() set;
   /// the tables are then incomplete and must not be consulted.
@@ -120,24 +120,29 @@ class PatternDatabase {
   /// The sum's terms: one per pattern holding a DAG sink, in pattern order.
   std::size_t term_count() const { return terms_.size(); }
 
-  /// Where node v's field enters the sum: its term, and the shift of its
-  /// 3-bit field within that term's projection index. term is kNoTerm when
-  /// v's pattern is sink-free — no field of it changes the sum.
+  /// A node's digit in a projection index, 0–5.
+  static constexpr unsigned digit(PebbleColor color, bool computed) {
+    return static_cast<unsigned>(color) + (computed ? 3u : 0u);
+  }
+
+  /// Where node v's digit enters the sum: its term, and its weight 6^i
+  /// (i its pattern position) in that term's projection index. term is
+  /// kNoTerm when v's pattern is sink-free — no digit of it changes the sum.
   struct NodeTerm {
     std::uint32_t term;
-    std::uint32_t shift;
+    std::uint32_t weight;
   };
   static constexpr std::uint32_t kNoTerm = ~std::uint32_t{0};
   NodeTerm node_term(NodeId v) const { return node_terms_[v]; }
 
-  /// Term `t`'s projection index: each node's field(v) (color |
-  /// computed << 2) packed 3 bits per pattern position.
-  template <class FieldFn>
-  std::size_t projection(std::size_t t, FieldFn&& field) const {
+  /// Term `t`'s projection index: the sum of each pattern node's
+  /// digit_of(v) times its weight.
+  template <class DigitFn>
+  std::size_t projection(std::size_t t, DigitFn&& digit_of) const {
     const std::vector<NodeId>& nodes = patterns_[terms_[t].pattern].nodes;
     std::size_t index = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      index |= static_cast<std::size_t>(field(nodes[i]) & 7u) << (3 * i);
+    for (std::size_t i = nodes.size(); i-- > 0;) {
+      index = 6 * index + digit_of(nodes[i]);
     }
     return index;
   }
@@ -151,14 +156,13 @@ class PatternDatabase {
 
   /// The additive heuristic in scaled units of 1/ε.den(): the sum over
   /// terms of the optimal abstract completion cost of the state's
-  /// projection. `field(v)` must return the node's 3-bit configuration
-  /// field (color | computed << 2). nullopt when some projection is
-  /// unreachable — the state is provably dead.
-  template <class FieldFn>
-  std::optional<std::int64_t> sum_scaled(FieldFn&& field) const {
+  /// projection, with `digit_of(v)` the node's digit(). nullopt when some
+  /// projection is unreachable — the state is provably dead.
+  template <class DigitFn>
+  std::optional<std::int64_t> sum_scaled(DigitFn&& digit_of) const {
     std::int64_t total = 0;
     for (std::size_t t = 0; t < terms_.size(); ++t) {
-      const std::int32_t d = distance(t, projection(t, field));
+      const std::int32_t d = distance(t, projection(t, digit_of));
       if (d == kUnreachable) return std::nullopt;
       total += d;
     }
@@ -168,11 +172,8 @@ class PatternDatabase {
   /// sum_scaled over anything with color(NodeId)/was_computed(NodeId).
   template <class StateLike>
   std::optional<std::int64_t> lower_bound_scaled(const StateLike& state) const {
-    return sum_scaled([&](NodeId v) {
-      unsigned f = static_cast<unsigned>(state.color(v));
-      if (state.was_computed(v)) f |= 4u;
-      return f;
-    });
+    return sum_scaled(
+        [&](NodeId v) { return digit(state.color(v), state.was_computed(v)); });
   }
 
  private:
@@ -192,8 +193,7 @@ class PatternDatabase {
   };
 
   /// Fill `completion` with the optimal abstract completion cost per
-  /// 3-bit-packed projection index of `pattern`, kUnreachable where none
-  /// exists.
+  /// projection index of `pattern`, kUnreachable where none exists.
   void build_pattern(const Engine& engine, const Pattern& pattern,
                      std::vector<std::int32_t>& completion,
                      std::int64_t cost_cap, const StopPredicate& should_stop);

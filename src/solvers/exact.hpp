@@ -43,6 +43,9 @@ struct ExactSearchStats {
   /// Peak closed-table footprint in bytes (A* searches; summed over shards
   /// for hda-astar). Zero for searches that do not account memory (exact).
   std::size_t table_bytes = 0;
+  /// Bytes of the pattern database's tables, charged to the memory budget
+  /// beside the closed table. Zero when the search built no PDB.
+  std::size_t pdb_bytes = 0;
   /// Workers the search actually ran (hda-astar; includes the automatic
   /// sequential fallback on serial instances). Zero elsewhere.
   std::size_t threads_used = 0;
@@ -141,7 +144,8 @@ struct ExactSearchOptions {
   std::size_t max_memory_bytes = 0;
   PdbMode pdb = PdbMode::Auto;
   /// Pattern width for PdbMode::On/Auto, 1–8; 0 = PatternDatabase default
-  /// (6). Every pattern builds a flat 8^|P| table (solvers/bigstate/pdb.hpp).
+  /// (6). Each pattern shape builds one dense 6^|P| table, indexed in mixed
+  /// radix 6 (solvers/bigstate/pdb.hpp).
   std::size_t pdb_pattern_size = 0;
   /// Partitioner for PdbMode::On/Auto (see PdbPartition).
   PdbPartition pdb_partition = PdbPartition::Cone;

@@ -52,7 +52,7 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
   BucketQueue<QueueItem> queue(static_cast<std::size_t>(ceiling) + 1);
 
   std::optional<PatternDatabase> pdb;
-  if (!build_search_pdb(pdb, engine, opt)) {
+  if (!build_search_pdb(pdb, engine, opt, stats)) {
     stats.termination = ExactTermination::Stopped;
     return std::nullopt;
   }
@@ -60,7 +60,7 @@ std::optional<ExactResult> astar_impl(const Engine& engine,
                                    opt.progress != nullptr);
   // PDB tables and the bucket arrays live inside the same memory budget as
   // the closed table; the queue share is refreshed at the poll checkpoints.
-  const std::size_t pdb_bytes = pdb ? pdb->table_bytes() : 0;
+  const std::size_t pdb_bytes = stats.pdb_bytes;
   table.set_overhead_bytes(pdb_bytes + queue.bytes());
 
   auto give_up = [&](ExactTermination why) -> std::optional<ExactResult> {

@@ -313,16 +313,19 @@ void summarize_open(obs::ProgressObservation& ob, const Queue& queue,
 }
 
 /// Build the pattern database `opt` asks for into `pdb` (left empty when
-/// off): flat tables of width opt.pdb_pattern_size (1–8, 0 = the default
-/// 6), one per distinct pattern shape. False when the stop predicate
-/// aborted the build.
+/// off): dense tables of width opt.pdb_pattern_size (1–8, 0 = the default
+/// 6), one per distinct pattern shape; its table bytes go to
+/// stats.pdb_bytes. False when the stop predicate aborted the build.
 inline bool build_search_pdb(std::optional<PatternDatabase>& pdb,
                              const Engine& engine,
-                             const ExactSearchOptions& opt) {
+                             const ExactSearchOptions& opt,
+                             ExactSearchStats& stats) {
   if (!bigstate_pdb_enabled(opt, engine.dag().node_count())) return true;
   pdb.emplace(engine, opt.pdb_pattern_size, opt.should_stop,
               opt.pdb_partition);
-  return !pdb->build_aborted();
+  if (pdb->build_aborted()) return false;
+  stats.pdb_bytes = pdb->table_bytes();
+  return true;
 }
 
 /// The optimal trace behind `goal`: tree edges walked back to `start`.

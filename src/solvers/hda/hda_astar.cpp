@@ -334,7 +334,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
       opt.seed ? std::min(ceiling + 1, opt.seed->g_scaled) : ceiling + 1;
 
   std::optional<PatternDatabase> pdb;
-  if (!build_search_pdb(pdb, engine, opt)) {
+  if (!build_search_pdb(pdb, engine, opt, stats)) {
     return give_up(ExactTermination::Stopped);
   }
 

@@ -291,11 +291,12 @@ TEST(StateBounds, RejectsMasksOfTheWrongWidth) {
 // ---- successor pricing as a delta from the parent ------------------------
 //
 // One case per delta rule of StateBoundEvaluator::successor_bound, on a
-// five-node DAG (0,1 → 2; 2 → 3; 2,1 → 4; sinks 3 and 4): the parent's
-// planes must place the moved node where the rule says, and the delta price
-// must equal lower_bound_scaled of the successor and the mark-and-walk
-// oracle — with and without a pattern database, at a fixed and at the
-// runtime mask width.
+// five-node DAG (0,1 → 2; 2 → 3; 2,1 → 4; sinks 3 and 4), in every model
+// that allows the rule: the parent's planes must place the moved node where
+// the rule says, and the delta price must equal lower_bound_scaled of the
+// successor and the mark-and-walk oracle — with no pattern database, a
+// width-2 one and a whole-DAG width-5 one, at a fixed and at the runtime
+// mask width.
 
 Dag delta_dag() {
   DagBuilder b;
@@ -380,6 +381,8 @@ TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
       {"delete elsewhere", delta_parent(), erase(0), Where::Elsewhere},
       {"compute inside the closure", delta_parent(), compute(3),
        Where::InClosure},
+      {"compute of a sink", {compute(0), compute(1), compute(2)}, compute(4),
+       Where::InClosure},
       {"compute of an empty node outside the closure",
        {compute(0), compute(1), compute(2), compute(3), compute(4), erase(2)},
        compute(2),
@@ -389,16 +392,36 @@ TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
       {"load", delta_parent(), load(1), Where::Any},
       {"store", delta_parent(), store(2), Where::Any},
   };
-  for (const Model& model : {Model::base(), Model::compcost()}) {
+  for (const Model& model : all_models()) {
     const Engine engine(dag, model, 5);
-    const PatternDatabase pdb(engine, 2);
+    // Width 2 splits the DAG into three patterns; width 5 is one whole-DAG
+    // term, so its patch runs at every weight up to 6^4.
+    const PatternDatabase narrow(engine, 2);
+    const PatternDatabase whole(engine, 5);
+    ASSERT_EQ(whole.term_count(), 1u);
     const PatternDatabase* none = nullptr;
+    std::size_t checked = 0;
+    bool top_weight_moved = false;
     for (const DeltaCase& c : cases) {
-      for (const PatternDatabase* attached : {none, &pdb}) {
+      // Skip a rule the model forbids (deletes in nodel, recomputes in
+      // oneshot), in the setup or in the move itself.
+      GameState state = engine.initial_state();
+      Cost cost;
+      bool legal = true;
+      for (const Move& move : c.setup) {
+        legal = legal && engine.is_legal(state, move);
+        if (legal) engine.apply(state, move, cost);
+      }
+      if (!legal || !engine.is_legal(state, c.move)) continue;
+      ++checked;
+      top_weight_moved |= whole.node_term(c.move.node).weight == 6 * 6 * 6 * 6;
+      for (const PatternDatabase* attached : {none, &narrow, &whole}) {
         check_delta<1>(engine, attached, c);
         check_delta<0>(engine, attached, c);
       }
     }
+    EXPECT_GE(checked, 4u) << model.name();
+    EXPECT_TRUE(top_weight_moved) << model.name();
   }
 }
 

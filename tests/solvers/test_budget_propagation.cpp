@@ -7,7 +7,7 @@
 //
 // The PDB gap is the regression this file pins down: PatternDatabase
 // construction used to be un-interruptible, so a cancelled bigstate solve
-// (>42 nodes, pdb=on) kept building 8^|P| tables after its caller had
+// (>42 nodes, pdb=on) kept building 6^|P| tables after its caller had
 // given up.
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <thread>
 
+#include "src/obs/metrics.hpp"
 #include "src/solvers/api.hpp"
 #include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/portfolio.hpp"
@@ -47,15 +48,29 @@ TEST(BudgetPropagation, PdbBuildHonorsTheStopPredicate) {
   const TreeReductionDag tree = make_tree_reduction_dag(32);
   const Engine engine(tree.dag, Model::oneshot(), 4);
 
+  // The build metrics count completed builds only: start the gauge at a
+  // value no build sets.
+  auto& registry = obs::MetricsRegistry::instance();
+  obs::Counter& builds = registry.counter("pdb.builds");
+  obs::Gauge& table_bytes = registry.gauge("pdb.table_bytes");
+  table_bytes.set(-1);
+  const std::uint64_t builds_before = builds.value();
+
   // An already-raised stop flag must abort the build almost immediately.
-  // Pattern size 6 keeps the 8^|P| tables small — the poll cadence under
-  // test is the same at every size.
+  // Pattern size 6 keeps the 6^|P| tables small — the poll cadence under
+  // test is the same at every size. The discarded tables count as no build.
   const PatternDatabase aborted(engine, 6, [] { return true; });
   EXPECT_TRUE(aborted.build_aborted());
+  EXPECT_EQ(builds.value(), builds_before);
+  EXPECT_EQ(table_bytes.value(), -1);
 
-  // And without one, the same build runs to completion.
+  // And without one, the same build runs to completion and is recorded.
   const PatternDatabase built(engine, 6, {});
   EXPECT_FALSE(built.build_aborted());
+  EXPECT_EQ(builds.value(), builds_before + 1);
+  EXPECT_EQ(table_bytes.value(),
+            static_cast<std::int64_t>(built.table_bytes()));
+  EXPECT_GT(built.table_bytes(), 0u);
 }
 
 TEST(BudgetPropagation, CancelledExactAstarStopsDuringThePdbBuild) {

@@ -1,18 +1,20 @@
-// The pattern database's flat tables: every entry must equal the optimal
+// The pattern database's dense tables: every entry must equal the optimal
 // completion cost of its pattern's abstract game (checked index by index
 // against a forward search that never goes through the shape map), a
-// pattern covering the whole DAG must reproduce the exact optimum, and the
-// min-cut partitioner must produce legal partitions that the search can
-// use.
+// pattern covering the whole DAG must reproduce the exact optimum, the
+// nodel sum can beat the counting bound, and the min-cut partitioner must
+// produce legal partitions that the search can use.
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <gtest/gtest.h>
 
-#include <iterator>
+#include <algorithm>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/exact_astar.hpp"
@@ -20,6 +22,7 @@
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/tree_reduction.hpp"
 #include "tests/support/abstract_game.hpp"
+#include "tests/support/bound_oracle.hpp"
 
 namespace rbpeb {
 namespace {
@@ -30,60 +33,78 @@ using test_support::abstract_completion_cost;
 const std::vector<PebblingConvention> kConventions = {
     {false, false}, {true, false}, {false, true}, {true, true}};
 
-/// Check every valid projection of every term of `pdb` against the forward
+/// Check every projection of every term of `pdb` against the forward
 /// abstract-game search: equal cost, and kUnreachable exactly where no
-/// abstract completion exists.
+/// abstract completion exists. The digit odometer must also visit each of
+/// a term's 6^|P| indices exactly once, the same through NodeTerm::weight
+/// and projection(): the mixed-radix index is a bijection onto the table.
+/// A `stride` above 1 runs the (quadratic) forward search only on indices
+/// divisible by it; a stride coprime to 6 still covers every digit at every
+/// position.
 void expect_tables_match_abstract_games(const Engine& engine,
-                                        const PatternDatabase& pdb) {
+                                        const PatternDatabase& pdb,
+                                        std::size_t stride = 1) {
   std::size_t terms_seen = 0;
   for (std::size_t p = 0; p < pdb.pattern_count(); ++p) {
     const std::vector<NodeId>& nodes = pdb.pattern_nodes(p);
     const std::uint32_t t = pdb.node_term(nodes[0]).term;
     if (t == PatternDatabase::kNoTerm) continue;
     ++terms_seen;
-    // Odometer over the six valid fields per position: colors None, Red
-    // and Blue, each with either computed flag.
-    constexpr unsigned kFields[] = {0, 1, 2, 4, 5, 6};
-    std::vector<std::size_t> digit(nodes.size(), 0);
+    std::size_t table_size = 1;
+    for (std::size_t i = 0; i < nodes.size(); ++i) table_size *= 6;
+    std::vector<int> visits(table_size, 0);
+    // Odometer over the six digits per position: colors None, Red and
+    // Blue, then the same three computed.
+    std::vector<unsigned> digit(nodes.size(), 0);
+    std::vector<unsigned> digit_of_node(engine.dag().node_count(), 0);
     for (;;) {
       std::vector<unsigned> fields(nodes.size());
       std::size_t index = 0;
       for (std::size_t i = 0; i < nodes.size(); ++i) {
         const PatternDatabase::NodeTerm term = pdb.node_term(nodes[i]);
         ASSERT_EQ(term.term, t);
-        fields[i] = kFields[digit[i]];
-        index |= static_cast<std::size_t>(fields[i]) << term.shift;
+        fields[i] = (digit[i] % 3) | (digit[i] / 3) << 2;
+        index += digit[i] * term.weight;
+        digit_of_node[nodes[i]] = digit[i];
       }
-      const std::optional<std::int64_t> want =
-          abstract_completion_cost(engine, nodes, fields);
-      ASSERT_EQ(pdb.distance(t, index),
-                want ? *want : PatternDatabase::kUnreachable)
-          << "pattern " << p << " index " << index;
+      ASSERT_EQ(pdb.projection(t, [&](NodeId v) { return digit_of_node[v]; }),
+                index);
+      ASSERT_LT(index, table_size);
+      ++visits[index];
+      if (index % stride == 0) {
+        const std::optional<std::int64_t> want =
+            abstract_completion_cost(engine, nodes, fields);
+        ASSERT_EQ(pdb.distance(t, index),
+                  want ? *want : PatternDatabase::kUnreachable)
+            << "pattern " << p << " index " << index;
+      }
       std::size_t i = 0;
-      while (i < nodes.size() && ++digit[i] == std::size(kFields)) {
-        digit[i++] = 0;
-      }
+      while (i < nodes.size() && ++digit[i] == 6) digit[i++] = 0;
       if (i == nodes.size()) break;
     }
+    EXPECT_EQ(std::count(visits.begin(), visits.end(), 1),
+              static_cast<std::ptrdiff_t>(table_size))
+        << "pattern " << p;
   }
   EXPECT_EQ(terms_seen, pdb.term_count());
 }
 
-// ---- flat table reuse ------------------------------------------------------
+// ---- table reuse -----------------------------------------------------------
 
 /// A DAG with repeated pattern shapes (the 96-node anytime instance), at
-/// the default width and at width 3: the flat tier builds one table per
-/// distinct sink-bearing shape and none for sink-free patterns, the
-/// partition still covers every node once, and at width 3 every entry of
-/// every shared table is its own pattern's abstract completion cost under
-/// every convention.
+/// the default width and at widths 1, 2, 3 and 5: the database builds one
+/// 6^|P| table per distinct sink-bearing shape and none for sink-free
+/// patterns, the partition still covers every node once, and at widths
+/// 1–5 every entry of every shared table (every 37th at width 5, which
+/// pins weights up to 6^4) is its own pattern's abstract completion cost
+/// under every convention.
 TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
   const Dag dag = make_random_layered_dag(
       {.layers = 16, .width = 6, .indegree = 2, .seed = 71});  // 96 nodes
   using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
                            std::vector<bool>, std::vector<std::size_t>>;
   std::size_t shared = 0;
-  for (std::size_t width : {0u, 3u}) {
+  for (std::size_t width : {0u, 1u, 2u, 3u, 5u}) {
     for (const Model& model : all_models()) {
       SCOPED_TRACE(::testing::Message() << model.name() << " width " << width);
       const Engine engine(dag, model, min_red_pebbles(dag));
@@ -110,8 +131,9 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
         if (sinks.empty()) continue;
         ++sink_bearing;
         if (shapes.insert(shape).second) {
-          expected_bytes += (std::size_t{1} << (3 * nodes.size())) *
-                            sizeof(std::int32_t);
+          std::size_t entries = 1;
+          for (std::size_t i = 0; i < nodes.size(); ++i) entries *= 6;
+          expected_bytes += entries * sizeof(std::int32_t);
         }
       }
       for (std::size_t v = 0; v < dag.node_count(); ++v) {
@@ -122,7 +144,7 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
       shared += sink_bearing - shapes.size();
       EXPECT_EQ(flat.table_bytes(), expected_bytes);
 
-      if (width != 3) continue;
+      if (width == 0) continue;
       for (const PebblingConvention& convention : kConventions) {
         SCOPED_TRACE(::testing::Message()
                      << "sources-blue=" << convention.sources_start_blue
@@ -130,7 +152,8 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
         const Engine with_convention(dag, model, min_red_pebbles(dag),
                                      convention);
         expect_tables_match_abstract_games(
-            with_convention, PatternDatabase(with_convention, width));
+            with_convention, PatternDatabase(with_convention, width),
+            width < 5 ? 1 : 37);
       }
     }
   }
@@ -168,6 +191,39 @@ TEST(FlatPdb, WholeInstancePatternIsTheExactOptimum) {
       }
     }
   }
+}
+
+// ---- nodel: the PDB sum against the counting bound ------------------------
+
+/// Nodel keeps its PDB: the sum can beat the counting bound, at the root
+/// and at the default width. An out-tree (0 → 1, 2; 1 → 3, 4; 3 → 5, 6)
+/// under R = 2 with sources starting and sinks ending blue: counting owes
+/// the source's load and one store per empty sink, max'd with the net blue
+/// growth, but cannot see that a two-pebble budget forces the interior
+/// values out to blue and back. A sweep of every reachable state of four
+/// seeded 8–10-node random DAGs (R = Δ+1 and Δ+2, widths 2, 3 and 6, all
+/// four conventions) found 3977 such states (ROADMAP item 2(c)).
+TEST(NodelPdb, SumCanExceedTheCountingBound) {
+  DagBuilder b;
+  b.add_nodes(7);
+  for (auto [u, v] : {std::pair{0, 1}, {0, 2}, {1, 3}, {1, 4}, {3, 5},
+                      {3, 6}}) {
+    b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+  }
+  const Dag dag = b.build();
+  const Engine engine(dag, Model::nodel(), 2, {true, true});
+  const PatternDatabase pdb(engine);
+  ASSERT_GT(pdb.pattern_count(), 1u);
+  const GameState root = engine.initial_state();
+  const std::optional<std::int64_t> counting =
+      test_support::lower_bound_generic(engine, root);
+  const std::optional<std::int64_t> sum = pdb.lower_bound_scaled(root);
+  ASSERT_TRUE(counting.has_value());
+  ASSERT_TRUE(sum.has_value());
+  EXPECT_EQ(*counting, 5);
+  EXPECT_EQ(*sum, 7);
+  // Still admissible: here it is the exact optimum.
+  EXPECT_EQ(solve_exact(engine).cost, Rational(7));
 }
 
 // ---- the min-cut partitioner ---------------------------------------------
