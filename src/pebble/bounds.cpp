@@ -304,25 +304,24 @@ std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
   const std::uint64_t bit = std::uint64_t{1} << (v & 63);
   const std::uint64_t* closure = parent.closure.nodes();
   const std::uint64_t* inputs = parent.closure.inputs();
-  const bool rewalk =
-      move.type == MoveType::Compute && (closure[vw] & bit) != 0;
-  const bool extend = move.type == MoveType::Delete &&
-                      ((inputs[vw] | caches_.sinks[vw]) & bit) != 0;
-  if (rewalk || extend) {
+  if (move.type == MoveType::Compute && (closure[vw] & bit) != 0) {
+    // v leaves C and nothing else moves: C' = C \ {v} with the parent's
+    // PU (see bounds.hpp).
+    std::copy_n(closure, W, parent.child.nodes());
+    parent.child.nodes()[vw] &= ~bit;
+    closure = parent.child.nodes();
+  } else if (move.type == MoveType::Delete &&
+             ((inputs[vw] | caches_.sinks[vw]) & bit) != 0) {
+    // v joins the closure: continue the parent's walk from {v}.
     std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
     std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
     std::uint64_t* next_closure = parent.child.nodes();
     std::uint64_t* next_inputs = parent.child.inputs();
-    if (rewalk) {
-      walk_from_sinks(child, frontier, next_closure, next_inputs);
-    } else {
-      // v joins the closure: continue the parent's walk from {v}.
-      std::copy_n(closure, W, next_closure);
-      std::copy_n(inputs, W, next_inputs);
-      std::fill_n(frontier, W, std::uint64_t{0});
-      frontier[vw] = bit;
-      walk(child, frontier, next_closure, next_inputs);
-    }
+    std::copy_n(closure, W, next_closure);
+    std::copy_n(inputs, W, next_inputs);
+    std::fill_n(frontier, W, std::uint64_t{0});
+    frontier[vw] = bit;
+    walk(child, frontier, next_closure, next_inputs);
     closure = next_closure;
     inputs = next_inputs;
   }

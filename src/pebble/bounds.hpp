@@ -2,6 +2,7 @@
 // plus per-state admissible lower bounds that drive the exact searches.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -106,18 +107,26 @@ class Masks {
   template <class StateLike>
   static Masks from(const StateLike& state, std::size_t node_count) {
     Masks m(node_count);
+    m.assign(state, node_count);
+    return m;
+  }
+
+  /// Overwrite these planes, sized for `node_count` nodes, with `state`'s;
+  /// unlike from(), nothing is allocated at the runtime width.
+  template <class StateLike>
+  void assign(const StateLike& state, std::size_t node_count) {
+    std::fill(planes_.begin(), planes_.end(), std::uint64_t{0});
     for (std::size_t v = 0; v < node_count; ++v) {
       const NodeId node = static_cast<NodeId>(v);
       const std::size_t w = v >> 6;
       const std::uint64_t bit = std::uint64_t{1} << (v & 63);
       switch (state.color(node)) {
-        case PebbleColor::Red: m.red()[w] |= bit; break;
-        case PebbleColor::Blue: m.blue()[w] |= bit; break;
+        case PebbleColor::Red: red()[w] |= bit; break;
+        case PebbleColor::Blue: blue()[w] |= bit; break;
         case PebbleColor::None: break;
       }
-      if (state.was_computed(node)) m.computed()[w] |= bit;
+      if (state.was_computed(node)) computed()[w] |= bit;
     }
-    return m;
   }
 
   std::size_t words() const {
@@ -255,18 +264,30 @@ struct ParentBound {
 ///  * Delete v with v ∈ PU ∪ sinks: v joins the closure; the walk continues
 ///    from {v}, seeded with the parent's C and PU. Every newly closed node
 ///    is an ancestor of v reached through empty nodes, or already in C.
-///  * Compute v with v ∈ C: the full walk.
+///  * Compute v with v ∈ C: no walk. v leaves C and nothing else does.
 ///  * PDB: the move changes only v's pattern, so sum' = sum − d(old
 ///    projection) + d(new projection); an unreachable new projection makes
 ///    the successor dead. A parent the PDB calls dead takes the full sum.
 ///
-/// Why this is exact: C' is the fresh walk's C in every case. A seeded PU
-/// can hold extra predecessor masks only of closure nodes whose cones lost
-/// their last pebble; a node inside such a cone has only empty
-/// predecessors, so PU differs from a fresh walk only on empty nodes, which
-/// never meet `blue`. Every successor gets the same h and the same dead
-/// verdict as lower_bound_scaled; tests/solvers/test_expander.cpp pins
-/// that at every width, with and without a PDB.
+/// Why this is exact. On a DAG the closure rule has one fixpoint: u ∈ C
+/// iff u is empty and its support — |succ(u) ∩ C|, plus one for an empty
+/// sink — is positive. PU meets `blue` exactly in the blue nodes with a
+/// successor in C: a node folded in with its unpebbled cone adds no
+/// predecessor mask to PU, but its predecessors are all empty. So the tail
+/// reads the same C and PU ∩ blue as a fresh walk when:
+///  * Compute v ∈ C: the decremental cascade would remove v and decrement
+///    its predecessors' support, dropping an empty one from C or a blue one
+///    from PU ∩ blue when its support reaches 0. Compute needs every
+///    predecessor of v red, so none is empty or blue, and the cascade stops
+///    at v: C' = C \ {v}, PU ∩ blue unchanged.
+///  * Delete v ∈ PU ∪ sinks: a seeded PU can hold extra predecessor masks
+///    only of closure nodes whose cones lost their last pebble; a node
+///    inside such a cone has only empty predecessors, so PU differs from a
+///    fresh walk only on empty nodes, which never meet `blue`.
+/// Every successor gets the same h and the same dead verdict as
+/// lower_bound_scaled; tests/pebble/test_bounds.cpp pins each rule and
+/// tests/solvers/test_expander.cpp every successor, at every width, with
+/// and without a PDB.
 ///
 /// attach_pdb folds an additive pattern database (solvers/bigstate/pdb.hpp)
 /// into the bound: it becomes max(counting_bounds, pdb_sum), still

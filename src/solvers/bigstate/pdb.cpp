@@ -1,6 +1,7 @@
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -128,52 +129,35 @@ PatternDatabase::PatternDatabase(const Engine& engine,
   const std::int64_t cost_cap =
       universal_search_ceiling_scaled(dag, engine.model());
   const obs::TraceSpan build_span("pdb.build", "patterns", node_sets.size());
-  // Patterns of one shape play the same abstract game under this engine,
-  // so the first of them builds the table and the rest share it.
-  using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
-                           std::vector<bool>, std::vector<std::size_t>>;
   std::map<Shape, std::size_t> table_of_shape;
-  patterns_.resize(node_sets.size());
+  patterns_ = std::move(node_sets);
   node_terms_.assign(dag.node_count(), NodeTerm{kNoTerm, 0});
-  for (std::size_t p = 0; p < node_sets.size(); ++p) {
+  for (std::size_t p = 0; p < patterns_.size(); ++p) {
     if (aborted_) break;
-    const obs::TraceSpan pattern_span("pdb.pattern", "width",
-                                      node_sets[p].size());
-    Pattern& pattern = patterns_[p];
-    pattern.nodes = std::move(node_sets[p]);
-    const std::size_t width = pattern.nodes.size();
-    pattern.pred_positions.resize(width);
-    pattern.is_source.resize(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      const NodeId v = pattern.nodes[i];
-      pattern.is_source[i] = dag.is_source(v);
-      if (dag.is_sink(v)) pattern.sink_positions.push_back(i);
-      for (NodeId u : dag.predecessors(v)) {
-        for (std::size_t j = 0; j < width; ++j) {
-          if (pattern.nodes[j] == u) pattern.pred_positions[i].push_back(j);
-        }
-      }
-    }
+    std::vector<NodeId>& nodes = patterns_[p];
+    const obs::TraceSpan pattern_span("pdb.pattern", "width", nodes.size());
     // A sink-free pattern's abstract game requires nothing: every valid
     // projection is a goal at distance 0. It builds no table and adds
     // nothing to the sum.
-    if (pattern.sink_positions.empty()) continue;
+    if (std::none_of(nodes.begin(), nodes.end(),
+                     [&](NodeId v) { return dag.is_sink(v); })) {
+      continue;
+    }
+    const Shape shape = canonicalize(dag, nodes);
     const auto t = static_cast<std::uint32_t>(terms_.size());
     std::uint32_t weight = 1;
-    for (std::size_t i = 0; i < width; ++i, weight *= 6) {
-      node_terms_[pattern.nodes[i]] = {t, weight};
+    for (std::size_t i = 0; i < nodes.size(); ++i, weight *= 6) {
+      node_terms_[nodes[i]] = {t, weight};
     }
-    const auto [shape, fresh] = table_of_shape.try_emplace(
-        Shape{pattern.pred_positions, pattern.is_source,
-              pattern.sink_positions},
-        tables_.size());
+    const auto [entry, fresh] =
+        table_of_shape.try_emplace(shape, tables_.size());
     if (fresh) {
       tables_.emplace_back();
-      build_pattern(engine, pattern, tables_.back(), cost_cap, should_stop);
+      build_pattern(engine, shape, tables_.back(), cost_cap, should_stop);
       table_bytes_ += tables_.back().size() * sizeof(std::int32_t);
     }
     // Growing tables_ moves the tables, never their storage.
-    terms_.push_back({p, tables_[shape->second].data()});
+    terms_.push_back({p, tables_[entry->second].data()});
   }
   // An aborted build's tables are discarded unread: it counts as no build.
   if (aborted_) return;
@@ -182,14 +166,123 @@ PatternDatabase::PatternDatabase(const Engine& engine,
   registry.gauge("pdb.table_bytes").set(static_cast<std::int64_t>(table_bytes_));
 }
 
+PatternDatabase::Shape PatternDatabase::canonicalize(
+    const Dag& dag, std::vector<NodeId>& nodes) {
+  const std::size_t p = nodes.size();
+  // In-pattern adjacency as bitmasks over the partition's positions.
+  std::array<unsigned, kMaxPatternSize> preds{};
+  std::array<unsigned, kMaxPatternSize> succs{};
+  for (std::size_t i = 0; i < p; ++i) {
+    for (NodeId u : dag.predecessors(nodes[i])) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (nodes[j] != u) continue;
+        preds[i] |= 1u << j;
+        succs[j] |= 1u << i;
+      }
+    }
+  }
+  // Depth: the longest in-pattern path ending at the node. It leads the
+  // invariants, so every candidate order is topological and a position's
+  // predecessor mask is final as soon as the position is filled.
+  std::array<int, kMaxPatternSize> depth{};
+  for (std::size_t round = 1; round < p; ++round) {
+    for (std::size_t i = 0; i < p; ++i) {
+      for (unsigned m = preds[i]; m != 0; m &= m - 1) {
+        depth[i] = std::max(depth[i], depth[std::countr_zero(m)] + 1);
+      }
+    }
+  }
+  // (depth, source, sink, in-pattern in-degree, in-pattern out-degree)
+  using Invariant = std::tuple<int, bool, bool, int, int>;
+  std::array<Invariant, kMaxPatternSize> invariant{};
+  for (std::size_t i = 0; i < p; ++i) {
+    invariant[i] = {depth[i], dag.is_source(nodes[i]), dag.is_sink(nodes[i]),
+                    std::popcount(preds[i]), std::popcount(succs[i])};
+  }
+  std::array<Invariant, kMaxPatternSize> slot = invariant;
+  std::sort(slot.begin(), slot.begin() + static_cast<std::ptrdiff_t>(p));
+  // Twins — same flags, same in-pattern predecessors and successors — swap
+  // by an automorphism, so only the first unused one of a class is tried at
+  // a position.
+  std::array<std::size_t, kMaxPatternSize> twin{};
+  for (std::size_t i = 0; i < p; ++i) {
+    twin[i] = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (invariant[j] == invariant[i] && preds[j] == preds[i] &&
+          succs[j] == succs[i]) {
+        twin[i] = twin[j];
+        break;
+      }
+    }
+  }
+
+  // Depth-first over the candidate orders — position k takes a node whose
+  // invariants are slot[k] — pruning any prefix whose predecessor masks
+  // already exceed the least complete order's (best, best_at). The order
+  // at hand is `at` (node per position), `position` (per placed node) and
+  // `key` (predecessor mask per position).
+  std::array<std::size_t, kMaxPatternSize> at{};
+  std::array<std::size_t, kMaxPatternSize> position{};
+  std::array<std::uint8_t, kMaxPatternSize> key{};
+  unsigned used = 0;
+  Shape best;
+  best.width = static_cast<std::uint8_t>(p);
+  std::array<std::size_t, kMaxPatternSize> best_at{};
+  bool found = false;
+  auto search = [&](auto& self, std::size_t k) -> void {
+    if (k == p) {
+      if (!found || key < best.preds) {
+        best.preds = key;
+        best_at = at;
+        found = true;
+      }
+      return;
+    }
+    unsigned tried = 0;  // twin classes already placed at position k
+    for (std::size_t i = 0; i < p; ++i) {
+      if ((used >> i & 1u) != 0 || invariant[i] != slot[k] ||
+          (tried >> twin[i] & 1u) != 0) {
+        continue;
+      }
+      tried |= 1u << twin[i];
+      unsigned mask = 0;
+      for (unsigned m = preds[i]; m != 0; m &= m - 1) {
+        mask |= 1u << position[std::countr_zero(m)];
+      }
+      key[k] = static_cast<std::uint8_t>(mask);
+      if (found && std::lexicographical_compare(
+                       best.preds.begin(), best.preds.begin() + k + 1,
+                       key.begin(), key.begin() + k + 1)) {
+        continue;
+      }
+      at[k] = i;
+      position[i] = k;
+      used |= 1u << i;
+      self(self, k + 1);
+      used &= ~(1u << i);
+    }
+  };
+  search(search, 0);
+
+  std::array<NodeId, kMaxPatternSize> partition_order{};
+  std::copy(nodes.begin(), nodes.end(), partition_order.begin());
+  for (std::size_t k = 0; k < p; ++k) {
+    nodes[k] = partition_order[best_at[k]];
+    // Every candidate order puts the same flags at position k: slot[k]'s.
+    if (std::get<1>(slot[k])) best.sources |= 1u << k;
+    if (std::get<2>(slot[k])) best.sinks |= 1u << k;
+  }
+  return best;
+}
+
 void PatternDatabase::build_pattern(const Engine& engine,
-                                    const Pattern& pattern,
+                                    const Shape& shape,
                                     std::vector<std::int32_t>& completion,
                                     std::int64_t cost_cap,
                                     const StopPredicate& should_stop) {
   const Model& model = engine.model();
   const PebblingConvention& conv = engine.convention();
-  const std::size_t p = pattern.nodes.size();
+  const std::size_t p = shape.width;
   const std::int64_t r = static_cast<std::int64_t>(engine.red_limit());
   const std::int64_t eps_num = model.epsilon().num();
   const std::int64_t eps_den = model.epsilon().den();
@@ -205,8 +298,8 @@ void PatternDatabase::build_pattern(const Engine& engine,
   // popped state decoded once.
   std::vector<unsigned> digits(p, 0);
   auto is_goal = [&] {
-    for (std::size_t i : pattern.sink_positions) {
-      const unsigned color = digits[i] % 3;
+    for (unsigned m = shape.sinks; m != 0; m &= m - 1) {
+      const unsigned color = digits[std::countr_zero(m)] % 3;
       if (conv.sinks_end_blue ? color != kBlue : color == kNone) return false;
     }
     return true;
@@ -244,11 +337,12 @@ void PatternDatabase::build_pattern(const Engine& engine,
     auto [d, popped] = queue.pop();
     const auto index = static_cast<std::size_t>(popped);
     if (completion[index] != d) continue;  // stale duplicate
-    std::int64_t red = 0;
+    unsigned red_at = 0;  // positions holding a red pebble
     for (std::size_t i = 0, rest = index; i < p; ++i, rest /= 6) {
       digits[i] = static_cast<unsigned>(rest % 6);
-      if (digits[i] % 3 == kRed) ++red;
+      if (digits[i] % 3 == kRed) red_at |= 1u << i;
     }
+    const std::int64_t red = std::popcount(red_at);
     // Each pre-image differs from the popped state at position i alone, and
     // is legal there under every rule of Engine::why_illegal that mentions
     // only pattern nodes — so a concrete-legal move is always abstract-legal
@@ -274,12 +368,8 @@ void PatternDatabase::build_pattern(const Engine& engine,
           // Compute lands on Red+computed from None or Blue, either prior
           // computed flag unless recomputation is forbidden.
           if (computed == 0) break;
-          if (conv.sources_start_blue && pattern.is_source[i]) break;
-          const bool preds_red = std::all_of(
-              pattern.pred_positions[i].begin(),
-              pattern.pred_positions[i].end(),
-              [&](std::size_t j) { return digits[j] % 3 == kRed; });
-          if (!preds_red) break;
+          if (conv.sources_start_blue && (shape.sources >> i & 1u) != 0) break;
+          if ((shape.preds[i] & ~red_at) != 0) break;  // an input not red
           for (unsigned from : {kNone, kBlue}) {
             relax(from, eps_num);
             if (model.allows_recompute()) relax(from + kComputed, eps_num);

@@ -24,12 +24,18 @@
 //  * A backward Dijkstra from all complete abstract states (the shared Dial
 //    BucketQueue over pre-images) fills a dense 6^|P| table — node i of P
 //    adds its digit (color + 3·computed) times 6^i to the index — with the
-//    optimal abstract completion cost of every projection: one table per
-//    distinct pattern shape, not per pattern. A pattern without a DAG sink
-//    requires nothing (every projection is a goal at distance 0), so it
-//    builds no table and stays out of the sum; patterns with equal width,
-//    in-pattern predecessor positions, source flags and sink positions play
-//    the same abstract game and share one table.
+//    optimal abstract completion cost of every projection. A pattern
+//    without a DAG sink requires nothing (every projection is a goal at
+//    distance 0), so it builds no table and stays out of the sum.
+//  * One table per isomorphism class, not per pattern. Before its table is
+//    looked up, a sink-bearing pattern's nodes are put in a canonical order:
+//    the least relabelled shape (in-pattern predecessor positions, source
+//    and sink positions) over the orderings that sort the nodes by
+//    invariants (in-pattern depth, source, sink, in-pattern in- and
+//    out-degree). That candidate set maps onto itself under isomorphism, so
+//    isomorphic patterns reach the same shape and share one table;
+//    relabelling is a game isomorphism, so each reads its own projection
+//    through its own weights. pattern_nodes() is that table-position order.
 //
 // Each concrete move is charged to exactly one pattern (moves touch one
 // node; patterns are disjoint), so the per-pattern optimal completion costs
@@ -43,6 +49,8 @@
 // admissibility against exhaustively solved instances.
 #pragma once
 
+#include <array>
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -109,12 +117,15 @@ class PatternDatabase {
   /// they cover each node exactly once.
   std::size_t pattern_count() const { return patterns_.size(); }
 
+  /// Pattern p's nodes in table-position order: node i has weight 6^i. A
+  /// sink-bearing pattern's order is its canonical one, not the
+  /// partition's.
   const std::vector<NodeId>& pattern_nodes(std::size_t p) const {
-    return patterns_[p].nodes;
+    return patterns_[p];
   }
 
-  /// Total bytes held by the completion tables; a table shared by
-  /// several patterns counts once.
+  /// Total bytes held by the completion tables: one per isomorphism class
+  /// of sink-bearing patterns.
   std::size_t table_bytes() const { return table_bytes_; }
 
   /// The sum's terms: one per pattern holding a DAG sink, in pattern order.
@@ -139,7 +150,7 @@ class PatternDatabase {
   /// digit_of(v) times its weight.
   template <class DigitFn>
   std::size_t projection(std::size_t t, DigitFn&& digit_of) const {
-    const std::vector<NodeId>& nodes = patterns_[terms_[t].pattern].nodes;
+    const std::vector<NodeId>& nodes = patterns_[terms_[t].pattern];
     std::size_t index = 0;
     for (std::size_t i = nodes.size(); i-- > 0;) {
       index = 6 * index + digit_of(nodes[i]);
@@ -177,14 +188,21 @@ class PatternDatabase {
   }
 
  private:
-  struct Pattern {
-    std::vector<NodeId> nodes;
-    /// Per position: which earlier/later positions are direct predecessors
-    /// of this node inside the pattern.
-    std::vector<std::vector<std::size_t>> pred_positions;
-    std::vector<bool> is_source;  ///< in the whole DAG, per position
-    std::vector<std::size_t> sink_positions;  ///< DAG sinks inside P
+  /// A sink-bearing pattern's abstract game in its canonical position
+  /// order, as bitmasks over positions: each position's in-pattern
+  /// predecessors, and the positions of DAG sources and sinks. Equal shapes
+  /// play the same game under one engine and share one table.
+  struct Shape {
+    std::uint8_t width = 0;
+    std::array<std::uint8_t, kMaxPatternSize> preds{};
+    std::uint8_t sources = 0;
+    std::uint8_t sinks = 0;
+    auto operator<=>(const Shape&) const = default;
   };
+
+  /// Reorder a sink-bearing pattern's `nodes` into its canonical order and
+  /// return its shape in that order.
+  static Shape canonicalize(const Dag& dag, std::vector<NodeId>& nodes);
 
   /// One summand: a sink-bearing pattern and its (possibly shared) table.
   struct Term {
@@ -193,14 +211,13 @@ class PatternDatabase {
   };
 
   /// Fill `completion` with the optimal abstract completion cost per
-  /// projection index of `pattern`, kUnreachable where none exists.
-  void build_pattern(const Engine& engine, const Pattern& pattern,
+  /// projection index of `shape`, kUnreachable where none exists.
+  void build_pattern(const Engine& engine, const Shape& shape,
                      std::vector<std::int32_t>& completion,
                      std::int64_t cost_cap, const StopPredicate& should_stop);
 
-  std::vector<Pattern> patterns_;
-  /// One table per distinct sink-bearing pattern shape; terms_ point into
-  /// it.
+  std::vector<std::vector<NodeId>> patterns_;
+  /// One table per distinct shape; terms_ point into it.
   std::vector<std::vector<std::int32_t>> tables_;
   std::vector<Term> terms_;
   std::vector<NodeTerm> node_terms_;  ///< per node

@@ -72,7 +72,8 @@ class Expander {
         oneshot_(!engine.model().allows_recompute()),
         allows_delete_(engine.model().allows_delete()),
         sources_blue_(engine.convention().sources_start_blue),
-        sinks_blue_(engine.convention().sinks_end_blue) {
+        sinks_blue_(engine.convention().sinks_end_blue),
+        masks_(n_) {
     if (pdb != nullptr) bound_.attach_pdb(pdb);
     for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
                           MoveType::Delete}) {
@@ -92,8 +93,10 @@ class Expander {
   /// Load a popped key as the state to expand; true when it is complete
   /// (every sink pebbled, or blue under sinks-blue).
   bool enter(const Key& key) {
-    current_ = Packed::from_key(key, n_);
-    masks_ = Masks::from(current_, n_);
+    // Copy-assigned and refilled in place: runtime-width keys and masks
+    // reuse their storage.
+    current_ = key;
+    masks_.assign(current_, n_);
     const std::uint64_t* red = masks_.red();
     const std::uint64_t* blue = masks_.blue();
     const std::uint64_t* sinks = bound_.caches().sinks.data();
@@ -172,12 +175,14 @@ class Expander {
     bool out_of_memory = false;
     for_each_legal_move([&](const Move& move) {
       if (out_of_memory) return;
-      const Packed next = current_.apply(move);
+      // Built in scratch: only the table and the queue copy a key.
+      next_ = current_;
+      next_.apply_in_place(move);
       const std::int64_t next_g =
           g + cost_[static_cast<std::size_t>(move.type)];
       if (table != nullptr) {
         const auto relaxed =
-            table->relax(next.key(), next_g, current_.key(), move);
+            table->relax(next_.key(), next_g, current_.key(), move);
         if (relaxed == Table::Relax::OutOfMemory) {
           out_of_memory = true;
           return;
@@ -193,7 +198,7 @@ class Expander {
         ++tally_.dead_prunes;  // provably dead: prune
         return;
       }
-      emit(move, next, next_g, *h);
+      emit(move, next_, next_g, *h);
     });
     return !out_of_memory;
   }
@@ -231,6 +236,7 @@ class Expander {
   bool sinks_blue_;
   std::array<std::int64_t, 4> cost_{};
   Packed current_{};
+  Packed next_{};
   Masks masks_{};
   Masks next_masks_{};
 };
@@ -314,7 +320,7 @@ void summarize_open(obs::ProgressObservation& ob, const Queue& queue,
 
 /// Build the pattern database `opt` asks for into `pdb` (left empty when
 /// off): dense tables of width opt.pdb_pattern_size (1–8, 0 = the default
-/// 6), one per distinct pattern shape; its table bytes go to
+/// 6), one per isomorphism class of patterns; its table bytes go to
 /// stats.pdb_bytes. False when the stop predicate aborted the build.
 inline bool build_search_pdb(std::optional<PatternDatabase>& pdb,
                              const Engine& engine,

@@ -100,33 +100,35 @@ class PackedKey {
   /// still the caller's job; this only transcribes the transition.
   PackedKey apply(const Move& move) const {
     PackedKey next = *this;
+    next.apply_in_place(move);
+    return next;
+  }
+
+  /// apply() on this configuration itself: no copy, so no allocation at
+  /// the runtime width.
+  void apply_in_place(const Move& move) {
     const unsigned computed = field(move.node) & 4u;
     const auto red = static_cast<unsigned>(PebbleColor::Red);
     switch (move.type) {
       case MoveType::Load:
-        next.set_field(move.node, computed | red);
+        set_field(move.node, computed | red);
         break;
       case MoveType::Store:
-        next.set_field(move.node,
-                       computed | static_cast<unsigned>(PebbleColor::Blue));
+        set_field(move.node,
+                  computed | static_cast<unsigned>(PebbleColor::Blue));
         break;
       case MoveType::Compute:
-        next.set_field(move.node, 4u | red);
+        set_field(move.node, 4u | red);
         break;
       case MoveType::Delete:
-        next.set_field(move.node, computed);
+        set_field(move.node, computed);
         break;
     }
-    return next;
   }
 
   // ---- key protocol (closed tables, spill runs, hda routing) ------------
 
   const Key& key() const { return *this; }
-
-  static PackedKey from_key(const Key& key, std::size_t /*node_count*/) {
-    return key;
-  }
 
   static std::size_t hash_key(const Key& key) {
     return static_cast<std::size_t>(key.hash());

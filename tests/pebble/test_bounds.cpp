@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/verifier.hpp"
@@ -290,22 +293,37 @@ TEST(StateBounds, RejectsMasksOfTheWrongWidth) {
 
 // ---- successor pricing as a delta from the parent ------------------------
 //
-// One case per delta rule of StateBoundEvaluator::successor_bound, on a
-// five-node DAG (0,1 → 2; 2 → 3; 2,1 → 4; sinks 3 and 4), in every model
-// that allows the rule: the parent's planes must place the moved node where
-// the rule says, and the delta price must equal lower_bound_scaled of the
-// successor and the mark-and-walk oracle — with no pattern database, a
-// width-2 one and a whole-DAG width-5 one, at a fixed and at the runtime
-// mask width.
+// One case per delta rule of StateBoundEvaluator::successor_bound, in every
+// model and convention that allows the rule: the parent's planes must place
+// the moved node where the rule says, and the delta price must equal
+// lower_bound_scaled of the successor and the mark-and-walk oracle — with no
+// pattern database, a width-2 one and a width-5 one. After the case's move,
+// every other legal move of the parent is priced from the same ParentBound,
+// so a rule that leaves the parent's planes changed fails on its siblings.
+// Each DAG also runs behind 64 and 130 isolated nodes, which puts the rules'
+// nodes in the second and third mask word: two-word masks, and runtime-width
+// masks of three words.
 
-Dag delta_dag() {
+/// `pad` isolated nodes, then five more (0,1 → 2; 2 → 3; 2,1 → 4; sinks 3
+/// and 4), numbered from `pad`.
+Dag delta_dag(std::size_t pad) {
   DagBuilder b;
-  b.add_nodes(5);
-  b.add_edge(0, 2);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  b.add_edge(2, 4);
-  b.add_edge(1, 4);
+  b.add_nodes(pad + 5);
+  for (auto [u, v] : {std::pair{0, 2}, {1, 2}, {2, 3}, {2, 4}, {1, 4}}) {
+    b.add_edge(static_cast<NodeId>(pad + u), static_cast<NodeId>(pad + v));
+  }
+  return b.build();
+}
+
+/// `pad` isolated nodes, then seven more for Compute v ∈ C, numbered from
+/// `pad`: 0 → 2 → 3 → 6; 1 → 4 → 6; 0 → 5 → 6; sink 6.
+Dag compute_dag(std::size_t pad) {
+  DagBuilder b;
+  b.add_nodes(pad + 7);
+  for (auto [u, v] : {std::pair{0, 2}, {2, 3}, {3, 6}, {1, 4}, {4, 6}, {0, 5},
+                      {5, 6}}) {
+    b.add_edge(static_cast<NodeId>(pad + u), static_cast<NodeId>(pad + v));
+  }
   return b.build();
 }
 
@@ -319,59 +337,37 @@ struct DeltaCase {
   Where where;
 };
 
-/// The parent all but two cases use: 0 red, 1 blue, 2 red — closure
+/// The delta_dag parent most cases use: 0 red, 1 blue, 2 red — closure
 /// {3, 4}, PU {1, 2}.
 std::vector<Move> delta_parent() {
   return {compute(0), compute(1), compute(2), store(1)};
 }
 
-template <std::size_t W>
-void check_delta(const Engine& engine, const PatternDatabase* pdb,
-                 const DeltaCase& c) {
-  const std::size_t n = engine.dag().node_count();
-  SCOPED_TRACE(::testing::Message()
-               << c.rule << " " << engine.model().name() << " W=" << W
-               << (pdb != nullptr ? " pdb" : ""));
-  GameState parent = engine.initial_state();
-  Cost cost;
-  for (const Move& move : c.setup) engine.apply(parent, move, cost);
-  ASSERT_TRUE(engine.is_legal(parent, c.move));
-  GameState child = parent;
-  engine.apply(child, c.move, cost);
-
-  StateBoundEvaluator delta(engine);
-  StateBoundEvaluator reference(engine);
-  delta.attach_pdb(pdb);
-  reference.attach_pdb(pdb);
-  ParentBound<W> ctx(delta.caches().words,
-                     pdb != nullptr ? pdb->term_count() : 0);
-  delta.enter_parent(Masks<W>::from(parent, n), ctx);
-
-  const std::uint64_t bit = std::uint64_t{1} << c.move.node;
-  const bool sink = engine.dag().is_sink(c.move.node);
-  const bool in_closure = (ctx.closure.nodes()[0] & bit) != 0;
-  const bool in_inputs = (ctx.closure.inputs()[0] & bit) != 0;
-  switch (c.where) {
-    case Where::Sink: EXPECT_TRUE(sink); break;
-    case Where::Input: EXPECT_TRUE(in_inputs && !sink); break;
-    case Where::Elsewhere: EXPECT_TRUE(!in_inputs && !sink); break;
-    case Where::InClosure: EXPECT_TRUE(in_closure); break;
-    case Where::OutsideClosure: EXPECT_FALSE(in_closure); break;
-    case Where::Any: break;
-  }
-
-  const auto child_masks = Masks<W>::from(child, n);
-  const std::optional<std::int64_t> got =
-      delta.successor_bound(ctx, c.move, child_masks);
-  EXPECT_EQ(got, reference.lower_bound_scaled(child_masks));
-  if (pdb == nullptr) {
-    EXPECT_EQ(got, test_support::lower_bound_generic(engine, child));
-  }
+/// Compute v ∈ C on compute_dag. Parent A: 0 and 2 red, 1 blue — closure
+/// {3, 4, 5, 6}, blue input 1 (through 4). Parent B: 2 red, 1 blue, 0
+/// deleted — closure {0, 3, 4, 5, 6}, where 0 is an empty ancestor of 3
+/// (through red 2) that 5 keeps in the closure.
+const std::vector<DeltaCase>& compute_cases() {
+  static const std::vector<DeltaCase> cases = {
+      {"compute of an interior closure node beside a blue input",
+       {compute(0), compute(2), compute(1), store(1)},
+       compute(3),
+       Where::InClosure},
+      {"compute of a closure node whose red input has an empty ancestor "
+       "another member keeps",
+       {compute(0), compute(2), erase(0), compute(1), store(1)},
+       compute(3),
+       Where::InClosure},
+      {"compute of an empty source in the closure",
+       {compute(0), compute(2), erase(0), compute(1), store(1)},
+       compute(0),
+       Where::InClosure},
+  };
+  return cases;
 }
 
-TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
-  const Dag dag = delta_dag();
-  const std::vector<DeltaCase> cases = {
+const std::vector<DeltaCase>& delta_cases() {
+  static const std::vector<DeltaCase> cases = {
       {"delete of a sink",
        {compute(0), compute(1), compute(2), compute(3)},
        erase(3),
@@ -392,36 +388,156 @@ TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
       {"load", delta_parent(), load(1), Where::Any},
       {"store", delta_parent(), store(2), Where::Any},
   };
-  for (const Model& model : all_models()) {
-    const Engine engine(dag, model, 5);
-    // Width 2 splits the DAG into three patterns; width 5 is one whole-DAG
-    // term, so its patch runs at every weight up to 6^4.
-    const PatternDatabase narrow(engine, 2);
-    const PatternDatabase whole(engine, 5);
-    ASSERT_EQ(whole.term_count(), 1u);
-    const PatternDatabase* none = nullptr;
-    std::size_t checked = 0;
-    bool top_weight_moved = false;
-    for (const DeltaCase& c : cases) {
-      // Skip a rule the model forbids (deletes in nodel, recomputes in
-      // oneshot), in the setup or in the move itself.
-      GameState state = engine.initial_state();
-      Cost cost;
-      bool legal = true;
-      for (const Move& move : c.setup) {
-        legal = legal && engine.is_legal(state, move);
-        if (legal) engine.apply(state, move, cost);
-      }
-      if (!legal || !engine.is_legal(state, c.move)) continue;
-      ++checked;
-      top_weight_moved |= whole.node_term(c.move.node).weight == 6 * 6 * 6 * 6;
-      for (const PatternDatabase* attached : {none, &narrow, &whole}) {
-        check_delta<1>(engine, attached, c);
-        check_delta<0>(engine, attached, c);
+  return cases;
+}
+
+/// `move` on the node `pad` places later. Under sources-blue a source
+/// starts blue and cannot be computed, so a setup's Compute of a source
+/// becomes the Load that reddens it there.
+Move shifted(const Engine& engine, Move move, std::size_t pad, bool setup) {
+  move.node = static_cast<NodeId>(move.node + pad);
+  if (setup && move.type == MoveType::Compute &&
+      engine.convention().sources_start_blue &&
+      engine.dag().is_source(move.node)) {
+    move.type = MoveType::Load;
+  }
+  return move;
+}
+
+/// The parent `c` sets up, shifted by `pad`; nullopt when the model or
+/// convention forbids a setup move or the case's move.
+std::optional<GameState> delta_parent_state(const Engine& engine,
+                                            const DeltaCase& c,
+                                            std::size_t pad) {
+  GameState state = engine.initial_state();
+  Cost cost;
+  for (const Move& move : c.setup) {
+    const Move m = shifted(engine, move, pad, true);
+    if (!engine.is_legal(state, m)) return std::nullopt;
+    engine.apply(state, m, cost);
+  }
+  if (!engine.is_legal(state, shifted(engine, c.move, pad, false))) {
+    return std::nullopt;
+  }
+  return state;
+}
+
+template <std::size_t W>
+void check_delta(const Engine& engine, const PatternDatabase* pdb,
+                 const DeltaCase& c, const GameState& parent,
+                 std::size_t pad) {
+  const std::size_t n = engine.dag().node_count();
+  SCOPED_TRACE(::testing::Message()
+               << c.rule << " " << engine.model().name() << " W=" << W
+               << " pad=" << pad << (pdb != nullptr ? " pdb" : ""));
+  StateBoundEvaluator delta(engine);
+  StateBoundEvaluator reference(engine);
+  delta.attach_pdb(pdb);
+  reference.attach_pdb(pdb);
+  ParentBound<W> ctx(delta.caches().words,
+                     pdb != nullptr ? pdb->term_count() : 0);
+  const Masks<W> parent_masks = Masks<W>::from(parent, n);
+  delta.enter_parent(parent_masks, ctx);
+
+  const Move move = shifted(engine, c.move, pad, false);
+  const std::size_t w = move.node >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (move.node & 63);
+  const bool sink = engine.dag().is_sink(move.node);
+  const bool in_closure = (ctx.closure.nodes()[w] & bit) != 0;
+  const bool in_inputs = (ctx.closure.inputs()[w] & bit) != 0;
+  switch (c.where) {
+    case Where::Sink: EXPECT_TRUE(sink); break;
+    case Where::Input: EXPECT_TRUE(in_inputs && !sink); break;
+    case Where::Elsewhere: EXPECT_TRUE(!in_inputs && !sink); break;
+    case Where::InClosure: EXPECT_TRUE(in_closure); break;
+    case Where::OutsideClosure: EXPECT_FALSE(in_closure); break;
+    case Where::Any: break;
+  }
+
+  std::vector<Move> moves = {move};
+  for (const Move& sibling : test_support::legal_moves(engine, parent)) {
+    if (!(sibling == move)) moves.push_back(sibling);
+  }
+  for (const Move& m : moves) {
+    SCOPED_TRACE(::testing::Message() << "priced move " << to_string(m));
+    if (m.type == MoveType::Compute &&
+        (ctx.closure.nodes()[m.node >> 6] >> (m.node & 63) & 1u) != 0) {
+      // Why Compute v ∈ C needs no cascade: every input of v is red.
+      for (NodeId u : engine.dag().predecessors(m.node)) {
+        EXPECT_TRUE(parent.is_red(u)) << "input " << u;
       }
     }
-    EXPECT_GE(checked, 4u) << model.name();
-    EXPECT_TRUE(top_weight_moved) << model.name();
+    GameState child = parent;
+    Cost cost;
+    engine.apply(child, m, cost);
+    const auto child_masks = Masks<W>::from(child, n);
+    const std::optional<std::int64_t> got =
+        delta.successor_bound(ctx, m, child_masks);
+    EXPECT_EQ(got, reference.lower_bound_scaled(child_masks));
+    if (pdb == nullptr) {
+      EXPECT_EQ(got, test_support::lower_bound_generic(engine, child));
+    }
+  }
+}
+
+/// What check_delta_cases ran under one model and convention: how many
+/// cases, and whether one moved the node of weight 6^4 of a width-5
+/// database that is a single whole-DAG term.
+struct CasesRan {
+  std::size_t cases = 0;
+  bool top_weight_moved = false;
+};
+
+/// Every case on `make_dag(pad)` in every model and convention; at pad 0
+/// also at the runtime mask width.
+template <std::size_t W, class MakeDag>
+std::vector<CasesRan> check_delta_cases(MakeDag make_dag, std::size_t pad,
+                                        const std::vector<DeltaCase>& cases) {
+  const Dag dag = make_dag(pad);
+  std::vector<CasesRan> ran;
+  for (const Model& model : all_models()) {
+    for (const PebblingConvention& convention :
+         {PebblingConvention{false, false}, PebblingConvention{true, false},
+          PebblingConvention{false, true}, PebblingConvention{true, true}}) {
+      const Engine engine(dag, model, 5, convention);
+      const PatternDatabase narrow(engine, 2);
+      const PatternDatabase wide(engine, 5);
+      const PatternDatabase* none = nullptr;
+      CasesRan& here = ran.emplace_back();
+      for (const DeltaCase& c : cases) {
+        const std::optional<GameState> parent =
+            delta_parent_state(engine, c, pad);
+        if (!parent) continue;
+        ++here.cases;
+        const NodeId moved = shifted(engine, c.move, pad, false).node;
+        here.top_weight_moved |= wide.term_count() == 1 &&
+                                 wide.node_term(moved).weight == 6 * 6 * 6 * 6;
+        for (const PatternDatabase* attached : {none, &narrow, &wide}) {
+          check_delta<W>(engine, attached, c, *parent, pad);
+          if (pad == 0) check_delta<0>(engine, attached, c, *parent, pad);
+        }
+      }
+    }
+  }
+  return ran;
+}
+
+TEST(StateBounds, SuccessorDeltaMatchesTheReferenceForEveryRule) {
+  for (const CasesRan& ran :
+       check_delta_cases<1>(delta_dag, 0, delta_cases())) {
+    EXPECT_GE(ran.cases, 4u);
+    EXPECT_TRUE(ran.top_weight_moved);
+  }
+  check_delta_cases<2>(delta_dag, 64, delta_cases());
+  check_delta_cases<0>(delta_dag, 130, delta_cases());
+}
+
+TEST(StateBounds, ComputeInsideTheClosureMatchesTheReferenceAtEveryWidth) {
+  for (const std::vector<CasesRan>& ran :
+       {check_delta_cases<1>(compute_dag, 0, compute_cases()),
+        check_delta_cases<2>(compute_dag, 64, compute_cases()),
+        check_delta_cases<0>(compute_dag, 130, compute_cases())}) {
+    for (const CasesRan& here : ran) EXPECT_GE(here.cases, 1u);
   }
 }
 

@@ -1,14 +1,16 @@
 // The pattern database's dense tables: every entry must equal the optimal
 // completion cost of its pattern's abstract game (checked index by index
-// against a forward search that never goes through the shape map), a
-// pattern covering the whole DAG must reproduce the exact optimum, the
-// nodel sum can beat the counting bound, and the min-cut partitioner must
-// produce legal partitions that the search can use.
+// against a forward search that never goes through the shape map), there
+// is one table per isomorphism class of sink-bearing patterns, a pattern
+// covering the whole DAG must reproduce the exact optimum, the nodel sum
+// can beat the counting bound, and the min-cut partitioner must produce
+// legal partitions that the search can use.
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -91,18 +93,46 @@ void expect_tables_match_abstract_games(const Engine& engine,
 
 // ---- table reuse -----------------------------------------------------------
 
+/// A pattern's shape up to isomorphism, computed without the database's
+/// canonical order: the least (predecessor positions, source flags, sink
+/// flags) over every ordering of the node set.
+using BruteShape = std::tuple<std::vector<std::vector<std::size_t>>,
+                              std::vector<bool>, std::vector<bool>>;
+
+BruteShape brute_force_canonical_shape(const Dag& dag,
+                                       std::vector<NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  std::optional<BruteShape> best;
+  do {
+    BruteShape shape;
+    auto& [preds, sources, sinks] = shape;
+    preds.resize(nodes.size());
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      sources.push_back(dag.is_source(nodes[i]));
+      sinks.push_back(dag.is_sink(nodes[i]));
+      for (NodeId u : dag.predecessors(nodes[i])) {
+        for (std::size_t j = 0; j < nodes.size(); ++j) {
+          if (nodes[j] == u) preds[i].push_back(j);
+        }
+      }
+      std::sort(preds[i].begin(), preds[i].end());
+    }
+    if (!best || shape < *best) best = std::move(shape);
+  } while (std::next_permutation(nodes.begin(), nodes.end()));
+  return *best;
+}
+
 /// A DAG with repeated pattern shapes (the 96-node anytime instance), at
 /// the default width and at widths 1, 2, 3 and 5: the database builds one
-/// 6^|P| table per distinct sink-bearing shape and none for sink-free
+/// 6^|P| table per isomorphism class of sink-bearing patterns (classes
+/// found by brute force over every node ordering) and none for sink-free
 /// patterns, the partition still covers every node once, and at widths
 /// 1–5 every entry of every shared table (every 37th at width 5, which
 /// pins weights up to 6^4) is its own pattern's abstract completion cost
 /// under every convention.
-TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
+TEST(FlatPdb, BuildsOneTablePerIsomorphismClassOfSinkBearingPatterns) {
   const Dag dag = make_random_layered_dag(
       {.layers = 16, .width = 6, .indegree = 2, .seed = 71});  // 96 nodes
-  using Shape = std::tuple<std::vector<std::vector<std::size_t>>,
-                           std::vector<bool>, std::vector<std::size_t>>;
   std::size_t shared = 0;
   for (std::size_t width : {0u, 1u, 2u, 3u, 5u}) {
     for (const Model& model : all_models()) {
@@ -110,27 +140,18 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
       const Engine engine(dag, model, min_red_pebbles(dag));
       const PatternDatabase flat(engine, width);
       std::vector<int> seen(dag.node_count(), 0);
-      std::set<Shape> shapes;
+      std::set<BruteShape> classes;
       std::size_t sink_bearing = 0;
       std::size_t expected_bytes = 0;
       for (std::size_t p = 0; p < flat.pattern_count(); ++p) {
         const std::vector<NodeId>& nodes = flat.pattern_nodes(p);
-        Shape shape;
-        auto& [preds, sources, sinks] = shape;
-        preds.resize(nodes.size());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-          ++seen[nodes[i]];
-          sources.push_back(dag.is_source(nodes[i]));
-          if (dag.is_sink(nodes[i])) sinks.push_back(i);
-          for (NodeId u : dag.predecessors(nodes[i])) {
-            for (std::size_t j = 0; j < nodes.size(); ++j) {
-              if (nodes[j] == u) preds[i].push_back(j);
-            }
-          }
+        for (NodeId v : nodes) ++seen[v];
+        if (std::none_of(nodes.begin(), nodes.end(),
+                         [&](NodeId v) { return dag.is_sink(v); })) {
+          continue;
         }
-        if (sinks.empty()) continue;
         ++sink_bearing;
-        if (shapes.insert(shape).second) {
+        if (classes.insert(brute_force_canonical_shape(dag, nodes)).second) {
           std::size_t entries = 1;
           for (std::size_t i = 0; i < nodes.size(); ++i) entries *= 6;
           expected_bytes += entries * sizeof(std::int32_t);
@@ -141,7 +162,7 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
       }
       EXPECT_EQ(flat.term_count(), sink_bearing);
       EXPECT_LT(sink_bearing, flat.pattern_count());  // sink-free ones exist
-      shared += sink_bearing - shapes.size();
+      shared += sink_bearing - classes.size();
       EXPECT_EQ(flat.table_bytes(), expected_bytes);
 
       if (width == 0) continue;
@@ -158,6 +179,63 @@ TEST(FlatPdb, BuildsOneTablePerDistinctSinkBearingShape) {
     }
   }
   EXPECT_GT(shared, 0u) << "no table was shared; pick another instance";
+}
+
+/// Each DAG holds two copies of one 5-node pattern, numbered so the
+/// partitioner lists them in different orders:
+///  * s → a, b; a → c, d; b → c as [s, a, b, c, d] and [s, b, a, d, c],
+///    where a and b (and c and d) differ in degree;
+///  * s1 → a; s2 → b → c as [s1, s2, a, b, c] and [s2, s1, b, a, c], where
+///    the sources share every invariant and only their successors tell
+///    them apart.
+/// The copies' shapes differ position by position but are isomorphic, so
+/// the database builds one table. Each copy reads it through its own
+/// canonical order, which must map one copy onto the other edge for edge —
+/// and the shared table must be each copy's own abstract game (every 37th
+/// entry), so a wrong permutation fails the oracle.
+TEST(FlatPdb, IsomorphicPatternsInDifferentOrdersShareOneTable) {
+  const std::vector<std::vector<std::pair<int, int>>> edge_lists = {
+      {{0, 1}, {0, 2}, {1, 3}, {1, 4}, {2, 3},
+       {5, 7}, {5, 6}, {7, 9}, {7, 8}, {6, 9}},
+      {{0, 2}, {1, 3}, {3, 4}, {5, 7}, {7, 9}, {6, 8}},
+  };
+  for (const auto& edges : edge_lists) {
+    DagBuilder b;
+    b.add_nodes(10);
+    for (auto [u, v] : edges) {
+      b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    }
+    const Dag dag = b.build();
+    const std::vector<std::vector<NodeId>> partition =
+        partition_into_patterns(dag, 5);
+    ASSERT_EQ(partition.size(), 2u);
+    ASSERT_EQ(partition[0], (std::vector<NodeId>{0, 1, 2, 3, 4}));
+    ASSERT_EQ(partition[1], (std::vector<NodeId>{5, 6, 7, 8, 9}));
+
+    for (const Model& model : all_models()) {
+      for (const PebblingConvention& convention : kConventions) {
+        SCOPED_TRACE(::testing::Message()
+                     << model.name() << " edges " << edges.size()
+                     << " sources-blue=" << convention.sources_start_blue
+                     << " sinks-blue=" << convention.sinks_end_blue);
+        const Engine engine(dag, model, min_red_pebbles(dag), convention);
+        const PatternDatabase pdb(engine, 5);
+        ASSERT_EQ(pdb.term_count(), 2u);
+        EXPECT_EQ(pdb.table_bytes(),
+                  6u * 6 * 6 * 6 * 6 * sizeof(std::int32_t));
+        const std::vector<NodeId>& first = pdb.pattern_nodes(0);
+        const std::vector<NodeId>& second = pdb.pattern_nodes(1);
+        for (std::size_t i = 0; i < 5; ++i) {
+          for (std::size_t j = 0; j < 5; ++j) {
+            EXPECT_EQ(dag.has_edge(first[i], first[j]),
+                      dag.has_edge(second[i], second[j]))
+                << "positions " << i << ", " << j;
+          }
+        }
+        expect_tables_match_abstract_games(engine, pdb, 37);
+      }
+    }
+  }
 }
 
 // ---- whole-instance exactness ---------------------------------------------
