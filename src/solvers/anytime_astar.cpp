@@ -20,6 +20,7 @@ template <typename Packed, typename Masks>
 std::optional<AnytimeResult> anytime_impl(const Engine& engine,
                                           const ExactSearchOptions& opt,
                                           const AnytimeOptions& any,
+                                          const AstarTraceNames& names,
                                           ExactSearchStats& stats) {
   using Key = typename Packed::Key;
   using Table = SpillingClosedTable<Packed>;
@@ -27,7 +28,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   const Model& model = engine.model();
   const std::size_t n = dag.node_count();
   const std::int64_t eps_den = model.epsilon().den();
-  const obs::TraceSpan search_span("anytime.search", "nodes", n);
+  const obs::TraceSpan search_span(names.search, "nodes", n);
 
   const std::int64_t ceiling = universal_search_ceiling_scaled(dag, model);
 
@@ -70,9 +71,14 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   }
 
   auto finish = [&](ExactTermination term) -> std::optional<AnytimeResult> {
-    stats.termination = term;
     stats.lower_bound_scaled = L;
-    if (!have_trace) return std::nullopt;
+    if (!have_trace) {
+      // Closing the gap without a trace proves that nothing completes.
+      stats.termination =
+          term == ExactTermination::Solved ? ExactTermination::Exhausted : term;
+      return std::nullopt;
+    }
+    stats.termination = term;
     stats.incumbent_scaled = C;
     stats.seed_won = incumbent_from_seed && C == L;
     AnytimeResult result;
@@ -103,34 +109,43 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   struct QueueItem {
     Key key;
     std::int64_t g;  ///< g at push time; stale when it no longer matches.
-    std::int64_t f;  ///< unweighted g + h at push time — the certificate
-                     ///< currency: pruning and frontier bounds read it, the
-                     ///< weighted priority never does.
   };
   std::size_t& expanded = stats.states_expanded;
-  SearchCheckpoint checkpoint("anytime.checkpoint", expanded, opt.should_stop,
+  SearchCheckpoint checkpoint(names.checkpoint, expanded, opt.should_stop,
                               opt.progress);
 
   for (std::size_t pass = 0; pass < schedule.size(); ++pass) {
     if (C <= L) return finish(ExactTermination::Solved);
     // Stopping rule only — the certificate already meets the target.
     if (epsilon_target_met()) return finish(ExactTermination::StateBudget);
-    if (expanded >= opt.max_states) break;
+    // The first pass always runs, so even a zero budget tests the start.
+    if (pass > 0 && expanded >= opt.max_states) break;
 
     const AnytimeWeight w = schedule[pass];
-    const obs::TraceSpan pass_span("anytime.pass", "pass", pass);
+    // At weight 1 items pop in unweighted-f order, so the first completion
+    // popped is optimal — the A* argument — and ends the pass.
+    const bool unit = w.num == w.den;
+    const obs::TraceSpan pass_span(names.pass, "pass", pass);
     // Fresh table and queue per pass: the previous pass's footprint is
     // released before this one is charged against the memory budget.
     Table table(n, opt.max_memory_bytes, spill_dir ? spill_dir->path() : "",
                 opt.max_disk_bytes);
-    // Pushed items satisfy g + h < C ≤ ceiling + 1, so g and h each stay
-    // within the ceiling and the weighted priority within (1 + w)·ceiling.
-    // The clamp is defensive — priorities only order expansion, the
-    // certificate never reads them.
-    const std::int64_t max_priority = ceiling + (ceiling * w.num) / w.den + 2;
+    // Pushed items satisfy g + h < C <= ceiling + 1, and w >= 1 gives
+    // g + floor(w·h) <= floor(w·(g + h)) <= floor(w·ceiling).
+    const std::int64_t max_priority = ceiling * w.num / w.den;
     BucketQueue<QueueItem> queue(static_cast<std::size_t>(max_priority) + 1);
     auto weighted = [&](std::int64_t g, std::int64_t h) {
-      return std::min(g + (h * w.num) / w.den, max_priority);
+      const std::int64_t priority = unit ? g + h : g + h * w.num / w.den;
+      RBPEB_ENSURE(priority <= max_priority,
+                   "weighted priority beyond the universal ceiling");
+      return priority;
+    };
+    // The certificate currency is the unweighted f = g + h: pruning and
+    // frontier bounds read it, the weighted priority only orders pops.
+    // h -> floor(w·h) is injective for w >= 1, so f comes back exactly.
+    auto unweighted = [&](std::int64_t priority, std::int64_t g) {
+      return unit ? priority
+                  : g + ((priority - g) * w.den + w.num - 1) / w.num;
     };
     // A pass's table dies with the pass; fold its footprint into the stats
     // before it does.
@@ -144,7 +159,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         Table::Relax::OutOfMemory) {
       return end_pass(ExactTermination::MemoryBudget);
     }
-    queue.push(weighted(0, *start_h), {start.key(), 0, *start_h});
+    queue.push(weighted(0, *start_h), {start.key(), 0});
 
     // This pass's slice of the global expansion budget; the last pass takes
     // whatever remains.
@@ -152,18 +167,23 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         expanded + std::max<std::size_t>(
                        1, (opt.max_states - expanded) / (schedule.size() - pass));
 
-    bool drained = false;
-    bool cut = false;
+    // C is proved optimal: the queue drained below it, or a weight-1 pass
+    // popped a completion. Otherwise the budget cut the pass at an open
+    // item whose f is `frontier`.
+    bool proved = false;
+    std::int64_t frontier = C;
     while (true) {
       if (queue.empty()) {
-        drained = true;
+        proved = true;
         break;
       }
       auto [priority, item] = queue.pop();
-      (void)priority;
+      const std::int64_t f = unweighted(priority, item.g);
       // An incumbent found after this push may have overtaken its f; the
       // unweighted prune is what keeps weighted passes certificate-sound.
-      if (item.f >= C) continue;
+      if (f >= C) continue;
+      // Expansion gate: stale-g check plus the delayed duplicate check
+      // against any spill runs — each (key, g) expands at most once.
       const auto pop = table.begin_expansion(item.key, item.g);
       if (pop == Table::Pop::OutOfMemory) {
         return end_pass(ExactTermination::MemoryBudget);
@@ -173,9 +193,9 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         continue;
       }
       if (expander.enter(item.key)) {
-        // item.f < C and h ≥ 0 give g < C: a strictly better incumbent.
-        // Unlike exact A*, keep popping — weighted order may surface an
-        // even cheaper completion later in the same pass.
+        // f < C and h >= 0 give g < C: a strictly better incumbent. Settle
+        // unverified entries first: an evicted-then-regenerated ancestor's
+        // RAM entry could otherwise splice a worse tree edge into the trace.
         table.settle();
         best_trace = reconstruct_trace(
             item.key, start.key(),
@@ -183,25 +203,31 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         C = item.g;
         have_trace = true;
         incumbent_from_seed = false;
+        if (unit) {
+          proved = true;
+          break;
+        }
+        // Weighted order may surface an even cheaper completion later in
+        // the same pass: keep popping.
         continue;
       }
       if (expanded >= pass_budget || expanded >= opt.max_states) {
-        cut = true;
+        frontier = f;
         break;
       }
       const bool go = checkpoint.poll(
           [&] { table.set_overhead_bytes(pdb_bytes + queue.bytes()); },
           [&](obs::ProgressObservation& ob) {
-            // The frontier here is L, the proved certificate bound — a
-            // weighted pass pops out of unweighted-f order, so the popped
-            // priority is NOT a frontier min; L is what the anytime tier
-            // actually certifies and it only moves at pass boundaries.
+            // A weight-1 pass pops in f order, so the popped f is a
+            // frontier minimum; a weighted pass's is not, and the frontier
+            // is the certificate bound L, which moves only between passes.
             ob.expanded = expanded;
-            ob.frontier_f_scaled = L;
+            ob.frontier_f_scaled = unit ? std::max(L, f) : L;
             ob.incumbent_scaled = have_trace ? C : -1;
-            summarize_open(ob, queue, [](std::int64_t, const QueueItem& qi) {
-              return qi.f;  // the priority is weighted; report unweighted f
-            });
+            summarize_open(ob, queue,
+                           [&](std::int64_t fq, const QueueItem& qi) {
+                             return unweighted(fq, qi.g);
+                           });
             ob.dup_skipped = stats.dup_skipped;
             ob.dead_prunes = stats.dead_prunes;
             ob.attr_counting = stats.attr_counting;
@@ -217,54 +243,46 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
           item.g, &table,
           [&](const Move&, const Packed& next, std::int64_t next_g,
               std::int64_t h) {
-            const std::int64_t next_f = next_g + h;
-            if (next_f >= C) return;  // unweighted prune — sound
-            queue.push(weighted(next_g, h), {next.key(), next_g, next_f});
+            if (next_g + h >= C) return;  // unweighted prune — sound
+            queue.push(weighted(next_g, h), {next.key(), next_g});
           });
       if (!fits) return end_pass(ExactTermination::MemoryBudget);
     }
 
     ++stats.anytime_passes;
     harvest_table_stats(stats, table, false);
-    if (drained) {
-      // The reachable set below C is exhausted. With an incumbent that
-      // proves C optimal — at any weight, since pruning was unweighted;
-      // without one the instance has no completion at all.
-      if (!have_trace) {
-        stats.termination = ExactTermination::Exhausted;
-        stats.lower_bound_scaled = L;
-        return std::nullopt;
-      }
-      L = C;
+    if (proved) {
+      // With an incumbent, nothing open prices below C — at any weight,
+      // since pruning was unweighted; without one the instance has no
+      // completion at all.
+      if (have_trace) L = C;
       return finish(ExactTermination::Solved);
     }
-    if (cut) {
-      // Frontier lemma: any completion cheaper than C that this pass has
-      // not found keeps an open item on its path with unweighted f at most
-      // its cost — so the drained minimum lower-bounds the optimum. Stale
-      // items only lower the minimum, keeping it admissible.
-      std::int64_t frontier = C;
-      while (!queue.empty()) {
-        auto [priority, item] = queue.pop();
-        (void)priority;
-        frontier = std::min(frontier, item.f);
-      }
-      L = std::max(L, frontier);
+    // Frontier lemma: any completion cheaper than C that this pass has not
+    // found keeps an open item on its path with unweighted f at most its
+    // cost — the cut item or one still queued. Stale items only lower the
+    // minimum, keeping it admissible.
+    while (!queue.empty()) {
+      auto [priority, item] = queue.pop();
+      frontier = std::min(frontier, unweighted(priority, item.g));
     }
+    L = std::max(L, frontier);
   }
 
-  if (C <= L) return finish(ExactTermination::Solved);
-  return finish(ExactTermination::StateBudget);
+  return finish(C <= L ? ExactTermination::Solved
+                       : ExactTermination::StateBudget);
 }
 
 }  // namespace
 
-std::optional<AnytimeResult> try_solve_anytime_astar(
-    const Engine& engine, const ExactSearchOptions& options,
-    const AnytimeOptions& anytime, ExactSearchStats* stats) {
+std::optional<AnytimeResult> run_astar_driver(const Engine& engine,
+                                              const ExactSearchOptions& options,
+                                              const AnytimeOptions& anytime,
+                                              const AstarTraceNames& names,
+                                              ExactSearchStats* stats) {
   const std::size_t n = engine.dag().node_count();
   RBPEB_REQUIRE(n <= kExactAstarMaxNodes,
-                "solve_anytime_astar supports at most 1024 nodes");
+                "the A* driver supports at most 1024 nodes");
   for (const AnytimeWeight& w : anytime.weights) {
     RBPEB_REQUIRE(w.num > 0 && w.den > 0 && w.num >= w.den,
                   "anytime weights must be ratios >= 1");
@@ -275,8 +293,15 @@ std::optional<AnytimeResult> try_solve_anytime_astar(
   if (stats == nullptr) stats = &local_stats;
   *stats = {};  // a reused struct must not accumulate across calls
   return dispatch_search_width(n, [&]<class Packed, class Masks>() {
-    return anytime_impl<Packed, Masks>(engine, options, anytime, *stats);
+    return anytime_impl<Packed, Masks>(engine, options, anytime, names,
+                                       *stats);
   });
+}
+
+std::optional<AnytimeResult> try_solve_anytime_astar(
+    const Engine& engine, const ExactSearchOptions& options,
+    const AnytimeOptions& anytime, ExactSearchStats* stats) {
+  return run_astar_driver(engine, options, anytime, AstarTraceNames{}, stats);
 }
 
 }  // namespace rbpeb

@@ -10,7 +10,7 @@
 //
 //     cost ≤ (1+ε)·L,   ε = (cost − L) / L.
 //
-// Two facts make the certificate sound under any expansion order:
+// Three facts make the certificate sound under any expansion order:
 //
 //  * Pruning discipline. A pass orders its queue by g + w·h but prunes a
 //    generated state only when its *unweighted* f = g + h reaches the
@@ -21,11 +21,16 @@
 //    that the pass has not found, some state on its path is open with
 //    g no larger than the path's prefix cost, hence with unweighted
 //    f = g + h no larger than the completion's cost. So when a pass is cut
-//    by its budget, min(incumbent, min unweighted f over the remaining
-//    open items) lower-bounds the optimum — computed by draining the
-//    queue, stale entries included (extras only lower the min, keeping it
-//    admissible). A pass that *drains* proves the incumbent optimal
-//    outright, even at w > 1.
+//    by its budget, min(incumbent, f of the cut item, min unweighted f over
+//    the remaining open items) lower-bounds the optimum. The cut item was
+//    popped but never expanded, so it is still open and counts; the queue
+//    is drained for the rest, stale entries included (extras only lower
+//    the min, keeping it admissible). A pass that *drains* proves the
+//    incumbent optimal outright, even at w > 1.
+//  * The weight-1 rule. A pass at weight 1 pops in unweighted-f order, so
+//    the first completion it pops is optimal (the A* argument) and ends
+//    the pass with lower bound = cost. exact-astar (exact_astar.hpp) is
+//    this driver run with the one-pass schedule {1}.
 //
 // The overall lower bound is the max of the admissible start bound and the
 // per-pass frontier bounds; the incumbent is the cheapest verified trace
@@ -82,5 +87,21 @@ struct AnytimeResult {
 std::optional<AnytimeResult> try_solve_anytime_astar(
     const Engine& engine, const ExactSearchOptions& options,
     const AnytimeOptions& anytime = {}, ExactSearchStats* stats = nullptr);
+
+/// Trace names (obs/trace.hpp) a driver run records under: the whole run,
+/// each pass, and the 1024-expansion checkpoint instants.
+struct AstarTraceNames {
+  const char* search = "anytime.search";
+  const char* pass = "anytime.pass";
+  const char* checkpoint = "anytime.checkpoint";
+};
+
+/// The sequential A* driver behind try_solve_anytime_astar and
+/// try_solve_exact_astar, which differ only in schedule and trace names.
+std::optional<AnytimeResult> run_astar_driver(const Engine& engine,
+                                              const ExactSearchOptions& options,
+                                              const AnytimeOptions& anytime,
+                                              const AstarTraceNames& names,
+                                              ExactSearchStats* stats);
 
 }  // namespace rbpeb

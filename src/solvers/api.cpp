@@ -315,7 +315,7 @@ EvictionRule parse_eviction(std::string_view name) {
 
 /// The Section 8 node-level greedy; one registration per choice rule, with
 /// the plain "greedy" entry accepting a rule=… option.
-class GreedySolver final : public Solver {
+class GreedySolver : public Solver {
  public:
   GreedySolver(std::string name, std::string description,
                std::optional<GreedyRule> fixed_rule)
@@ -369,39 +369,18 @@ class GreedySolver final : public Solver {
 /// and sharp enough to prove optimality outright when the trace meets the
 /// bound. This is what lets the corpus gate demand a certified or proven
 /// answer on 10⁵-node file instances.
-class CertifiedGreedySolver final : public Solver {
+class CertifiedGreedySolver final : public GreedySolver {
  public:
-  std::string_view name() const override { return "certified-greedy"; }
-  std::string_view description() const override {
-    return "node greedy + whole-instance admissible bound: certificate at "
-           "any instance size (opt rule=…, eviction=…, seed=N)";
-  }
-
-  std::vector<std::string_view> option_keys(
-      const SolveRequest* request) const override {
-    (void)request;
-    return {"rule", "eviction", "eager-delete", "seed"};
-  }
+  CertifiedGreedySolver()
+      : GreedySolver("certified-greedy",
+                     "node greedy + whole-instance admissible bound: "
+                     "certificate at any instance size (opt rule=…, "
+                     "eviction=…, seed=N)",
+                     std::nullopt) {}
 
  protected:
   SolveResult do_solve(const SolveRequest& request) const override {
-    GreedyOptions options;
-    if (auto rule = so::get(request.options, "rule")) {
-      options.rule = parse_rule(*rule);
-    }
-    if (auto ev = so::get(request.options, "eviction")) {
-      options.eviction = parse_eviction(*ev);
-    }
-    options.eager_delete_dead = so::get_bool(request.options, "eager-delete",
-                                             options.eager_delete_dead);
-    options.seed = so::get_u64(request.options, "seed", options.seed);
-
-    Engine relaxed = default_convention_view(*request.engine);
-    Trace trace = solve_greedy(relaxed, options);
-    SolveResult result =
-        make_result(request, std::move(trace), SolveStatus::Heuristic,
-                    {{"rule", to_string(options.rule)},
-                     {"eviction", to_string(options.eviction)}});
+    SolveResult result = GreedySolver::do_solve(request);
     if (!result.ok() || !result.has_trace()) return result;
 
     const Engine& engine = *request.engine;
@@ -456,9 +435,6 @@ class TopoSolver final : public Solver {
 };
 
 // ---- shared option plumbing of the informed searches ---------------------
-// Free helpers rather than ExactSearchSolver members so the anytime adapter
-// below — which shares every option but none of the do_solve flow — can use
-// them too.
 
 /// --opt spill=auto|off|/path: auto spills to a fresh temp directory
 /// whenever a memory budget is set, off restores the hard-stop budget
@@ -490,15 +466,6 @@ PdbMode parse_pdb_mode(const SolverOptions& options) {
   if (*value == "off") return PdbMode::Off;
   throw PreconditionError("option 'pdb': expected auto, on, or off; got '" +
                           std::string(*value) + "'");
-}
-
-PdbPartition parse_pdb_partition(const SolverOptions& options) {
-  const auto value = so::get(options, "pdb-partition");
-  if (!value || *value == "cone") return PdbPartition::Cone;
-  if (*value == "mincut") return PdbPartition::MinCut;
-  throw PreconditionError(
-      "option 'pdb-partition': expected cone or mincut; got '" +
-      std::string(*value) + "'");
 }
 
 /// Whether to run a heuristic upfront and seed the incumbent: explicit
@@ -571,7 +538,6 @@ ExactSearchOptions parse_exact_search_options(const SolveRequest& request,
         std::to_string(PatternDatabase::kMaxPatternSize) + "; got " +
         std::to_string(sopt.pdb_pattern_size));
   }
-  sopt.pdb_partition = parse_pdb_partition(request.options);
   if (want_incumbent_seed(request)) {
     sopt.seed = greedy_incumbent_seed(request);
   }
@@ -607,20 +573,6 @@ std::string limiting_resource_for(ExactTermination termination,
   }
 }
 
-/// Introspection stats every informed-search adapter reports the same way:
-/// the always-counted pop/prune tallies, plus — only when a progress sampler
-/// rode along — the per-expansion bound-source attribution and the observed
-/// heuristic error along the returned trace.
-void fill_introspection_stats(SolveResult& result,
-                              const ExactSearchStats& search_stats,
-                              bool attributed) {
-  result.stats["dup_skipped"] = std::to_string(search_stats.dup_skipped);
-  result.stats["dead_prunes"] = std::to_string(search_stats.dead_prunes);
-  if (!attributed) return;
-  result.stats["attr_counting"] = std::to_string(search_stats.attr_counting);
-  result.stats["attr_pdb"] = std::to_string(search_stats.attr_pdb);
-}
-
 /// Replay the returned trace against the counting bounds and report how
 /// tight they ran (obs::measure_heuristic_error). Only when a sampler is
 /// attached — the replay is pure but costs a bound evaluation per move.
@@ -635,20 +587,18 @@ void fill_heuristic_error_stats(SolveResult& result, const Engine& engine) {
   result.stats["h_tightness"] = tightness;
 }
 
-/// Shared adapter for the exhaustive configuration-graph searches: budget
-/// plumbing, partial stats on exhaustion, and drained-graph handling are
-/// identical; only the search routine, node cap, and (for the parallel
-/// search) thread use differ. The informed searches (bigstate() true)
-/// additionally honor the memory budget, pattern-database options, and
-/// greedy incumbent seeding.
-class ExactSearchSolver : public Solver {
+/// Base of the configuration-graph search adapters — exact, exact-astar,
+/// hda-astar and anytime-astar: node cap, option keys, the stats every
+/// search reports and the one failure path they share. The informed
+/// searches (bigstate() true) additionally honor the memory budget,
+/// pattern-database options, and greedy incumbent seeding.
+class SearchSolver : public Solver {
  public:
   std::vector<std::string_view> option_keys(
       const SolveRequest* request) const override {
     (void)request;
     if (!bigstate()) return {"max-states"};
-    return {"max-states", "pdb", "pdb-pattern", "pdb-partition", "incumbent",
-            "spill"};
+    return {"max-states", "pdb", "pdb-pattern", "incumbent", "spill"};
   }
 
   std::optional<std::string> why_inapplicable(
@@ -667,6 +617,121 @@ class ExactSearchSolver : public Solver {
   /// True for the informed searches that ride the bigstate subsystem
   /// (runtime-width states, PDB heuristics, memory-budgeted tables).
   virtual bool bigstate() const { return true; }
+
+  /// Stats every search reports, success or not: its budget, how far it
+  /// got, the always-counted pop/prune tallies, the per-expansion
+  /// bound-source attribution when a progress sampler rode along, and —
+  /// for the bigstate searches — the table, PDB and spill footprints.
+  void fill_search_stats(SolveResult& result, const SolveRequest& request,
+                         const ExactSearchOptions& sopt,
+                         const ExactSearchStats& stats) const {
+    result.stats["max_states"] = std::to_string(sopt.max_states);
+    result.stats["states_expanded"] = std::to_string(stats.states_expanded);
+    result.stats["dup_skipped"] = std::to_string(stats.dup_skipped);
+    result.stats["dead_prunes"] = std::to_string(stats.dead_prunes);
+    if (request.progress != nullptr) {
+      result.stats["attr_counting"] = std::to_string(stats.attr_counting);
+      result.stats["attr_pdb"] = std::to_string(stats.attr_pdb);
+    }
+    if (!bigstate()) return;
+    result.stats["table_bytes"] = std::to_string(stats.table_bytes);
+    result.stats["pdb_bytes"] = std::to_string(stats.pdb_bytes);
+    result.stats["spilled_states"] = std::to_string(stats.spilled_states);
+    result.stats["spill_bytes"] = std::to_string(stats.spill_bytes);
+    result.stats["spill_peak_bytes"] = std::to_string(stats.spill_peak_bytes);
+    result.stats["merge_passes"] = std::to_string(stats.merge_passes);
+    if (stats.table_headroom_stop) {
+      result.stats["table_headroom_stop"] = "true";
+    }
+    if (stats.threads_used != 0) {
+      result.stats["threads_used"] = std::to_string(stats.threads_used);
+    }
+  }
+
+  /// A search that ended without an answer: Inapplicable when the
+  /// configuration graph drained, otherwise BudgetExhausted with a detail
+  /// naming the budget that ran out before `unmet` happened, and the
+  /// matching limiting_resource verdict. Partial progress is reported —
+  /// how far the search got is exactly what a caller tuning budgets needs.
+  SolveResult search_failure(const SolveRequest& request,
+                             ExactSearchOptions& sopt,
+                             const ExactSearchStats& stats,
+                             const std::string& unmet) const {
+    std::string detail;
+    SolveStatus status = SolveStatus::BudgetExhausted;
+    switch (stats.termination) {
+      case ExactTermination::Exhausted:
+        status = SolveStatus::Inapplicable;
+        detail =
+            "configuration graph exhausted without reaching a complete "
+            "state; the instance admits no pebbling under these rules";
+        break;
+      case ExactTermination::StateBudget:
+        detail = "state budget (" + std::to_string(sopt.max_states) +
+                 ") exhausted before " + unmet;
+        break;
+      case ExactTermination::MemoryBudget:
+        detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
+                 " bytes) exhausted before " + unmet;
+        if (stats.table_headroom_stop) {
+          // The table itself fit; the copy peak of its next doubling did
+          // not. Without this line the stop is indistinguishable from a
+          // genuinely too-small budget.
+          detail +=
+              "; stopped by the rehash transient: the grown table would "
+              "fit the budget but old+new slabs during the copy do not "
+              "(table_headroom_stop) — slightly more --budget-memory "
+              "would let the search continue";
+        }
+        if (sopt.spill == SpillMode::Off) {
+          detail += "; spilling to disk was disabled (spill=off)";
+        } else if (sopt.max_disk_bytes != 0 && !stats.spill_io_error) {
+          // With spilling on, this termination means the runs could not
+          // grow either — the disk budget is what actually stopped it.
+          detail += "; disk budget (" + std::to_string(sopt.max_disk_bytes) +
+                    " bytes) blocked further spilling (" +
+                    std::to_string(stats.spilled_states) +
+                    " states spilled)";
+        } else {
+          // Raising --budget-disk cannot fix this one: the filesystem
+          // itself refused the write.
+          detail += "; spilling to disk failed (disk full or I/O error; " +
+                    std::to_string(stats.spilled_states) +
+                    " states spilled)";
+        }
+        break;
+      default:
+        detail = "deadline or cancellation hit before " + unmet;
+    }
+    SolveResult result;
+    if (sopt.seed && status == SolveStatus::BudgetExhausted) {
+      // The verified seed trace is a legal complete pebbling — return it
+      // as the best-so-far rather than discarding it (BudgetExhausted is
+      // documented as "a best-so-far trace may exist").
+      result = make_result(request, std::move(sopt.seed->trace), status, {},
+                           /*bridge_conventions=*/false);
+      result.detail = detail + "; returning the heuristic incumbent seed";
+    } else {
+      result = fail(status, std::move(detail));
+    }
+    fill_search_stats(result, request, sopt, stats);
+    // A failed search proved nothing: a trace it returns is the seed's.
+    if (bigstate()) {
+      result.stats["incumbent_source"] = sopt.seed ? "greedy" : "none";
+    }
+    if (status == SolveStatus::BudgetExhausted) {
+      result.stats["limiting_resource"] =
+          limiting_resource_for(stats.termination, sopt, stats);
+    }
+    return result;
+  }
+};
+
+/// The exhaustive searches that either prove an optimum or fail: only the
+/// search routine, node cap, and (for the parallel search) thread use
+/// differ.
+class ExactSearchSolver : public SearchSolver {
+ protected:
   virtual std::optional<ExactResult> search(const SolveRequest& request,
                                             const ExactSearchOptions& options,
                                             ExactSearchStats& stats) const = 0;
@@ -675,113 +740,20 @@ class ExactSearchSolver : public Solver {
     ExactSearchOptions sopt = parse_exact_search_options(request, bigstate());
     ExactSearchStats search_stats;
     auto solved = search(request, sopt, search_stats);
-    const bool failed = !solved.has_value();
-    auto fill_common_stats = [&](SolveResult& result) {
-      result.stats["max_states"] = std::to_string(sopt.max_states);
-      if (!bigstate()) return;
-      result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
-      result.stats["pdb_bytes"] = std::to_string(search_stats.pdb_bytes);
-      result.stats["spilled_states"] =
-          std::to_string(search_stats.spilled_states);
-      result.stats["spill_bytes"] = std::to_string(search_stats.spill_bytes);
-      result.stats["spill_peak_bytes"] =
-          std::to_string(search_stats.spill_peak_bytes);
-      result.stats["merge_passes"] = std::to_string(search_stats.merge_passes);
-      if (search_stats.table_headroom_stop) {
-        result.stats["table_headroom_stop"] = "true";
-      }
-      // On failure a seeded trace is what the caller gets back, so that is
-      // its provenance; a failed search proved nothing.
-      result.stats["incumbent_source"] =
-          !sopt.seed ? "none"
-                     : (search_stats.seed_won || failed ? "greedy" : "search");
-      if (search_stats.threads_used != 0) {
-        result.stats["threads_used"] =
-            std::to_string(search_stats.threads_used);
-      }
-    };
-    if (failed) {
-      std::string detail;
-      SolveStatus status = SolveStatus::BudgetExhausted;
-      switch (search_stats.termination) {
-        case ExactTermination::Exhausted:
-          status = SolveStatus::Inapplicable;
-          detail =
-              "configuration graph exhausted without reaching a complete "
-              "state; the instance admits no pebbling under these rules";
-          break;
-        case ExactTermination::StateBudget:
-          detail = "state budget (" + std::to_string(sopt.max_states) +
-                   ") exhausted before an optimum was proven";
-          break;
-        case ExactTermination::MemoryBudget:
-          detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
-                   " bytes) exhausted before an optimum was proven";
-          if (search_stats.table_headroom_stop) {
-            // The table itself fit; the copy peak of its next doubling did
-            // not. Without this line the stop is indistinguishable from a
-            // genuinely too-small budget.
-            detail +=
-                "; stopped by the rehash transient: the grown table would "
-                "fit the budget but old+new slabs during the copy do not "
-                "(table_headroom_stop) — slightly more --budget-memory "
-                "would let the search continue";
-          }
-          if (sopt.spill == SpillMode::Off) {
-            detail += "; spilling to disk was disabled (spill=off)";
-          } else if (sopt.max_disk_bytes != 0 &&
-                     !search_stats.spill_io_error) {
-            // With spilling on, this termination means the runs could not
-            // grow either — the disk budget is what actually stopped it.
-            detail += "; disk budget (" +
-                      std::to_string(sopt.max_disk_bytes) +
-                      " bytes) blocked further spilling (" +
-                      std::to_string(search_stats.spilled_states) +
-                      " states spilled)";
-          } else {
-            // Raising --budget-disk cannot fix this one: the filesystem
-            // itself refused the write.
-            detail += "; spilling to disk failed (disk full or I/O error; " +
-                      std::to_string(search_stats.spilled_states) +
-                      " states spilled)";
-          }
-          break;
-        default:
-          detail =
-              "deadline or cancellation hit before an optimum was proven";
-      }
-      SolveResult result;
-      if (sopt.seed && status == SolveStatus::BudgetExhausted) {
-        // The verified seed trace is a legal complete pebbling — return it
-        // as the best-so-far rather than discarding it (BudgetExhausted is
-        // documented as "a best-so-far trace may exist").
-        result = make_result(request, std::move(sopt.seed->trace), status, {},
-                             /*bridge_conventions=*/false);
-        result.detail = detail + "; returning the heuristic incumbent seed";
-      } else {
-        result = fail(status, std::move(detail));
-      }
-      // Partial progress still gets reported: how far the search got is
-      // exactly what a caller tuning budgets needs to see.
-      result.stats["states_expanded"] =
-          std::to_string(search_stats.states_expanded);
-      fill_common_stats(result);
-      fill_introspection_stats(result, search_stats,
-                               request.progress != nullptr);
-      if (status == SolveStatus::BudgetExhausted) {
-        result.stats["limiting_resource"] =
-            limiting_resource_for(search_stats.termination, sopt, search_stats);
-      }
-      return result;
+    if (!solved) {
+      return search_failure(request, sopt, search_stats,
+                            "an optimum was proven");
     }
     // The engine itself enforces the convention here — no bridging needed,
     // and the optimality claim stands for the exact rules requested.
-    SolveResult result = make_result(
-        request, std::move(solved->trace), SolveStatus::Optimal,
-        {{"states_expanded", std::to_string(solved->states_expanded)}},
-        /*bridge_conventions=*/false);
-    fill_common_stats(result);
-    fill_introspection_stats(result, search_stats, request.progress != nullptr);
+    SolveResult result =
+        make_result(request, std::move(solved->trace), SolveStatus::Optimal,
+                    {}, /*bridge_conventions=*/false);
+    fill_search_stats(result, request, sopt, search_stats);
+    if (bigstate()) {
+      result.stats["incumbent_source"] =
+          !sopt.seed ? "none" : (search_stats.seed_won ? "greedy" : "search");
+    }
     if (request.progress != nullptr) {
       fill_heuristic_error_stats(result, *request.engine);
     }
@@ -918,7 +890,7 @@ std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
 /// The anytime tier: weighted-A* passes tightening a verified incumbent,
 /// returned with a machine-checkable (1+ε) certificate. Soundness argument
 /// in solvers/anytime_astar.hpp; shares every informed-search option.
-class AnytimeSolver final : public Solver {
+class AnytimeSolver final : public SearchSolver {
  public:
   std::string_view name() const override { return "anytime-astar"; }
   std::string_view description() const override {
@@ -929,23 +901,15 @@ class AnytimeSolver final : public Solver {
 
   std::vector<std::string_view> option_keys(
       const SolveRequest* request) const override {
-    (void)request;
-    return {"max-states", "pdb", "pdb-pattern", "pdb-partition", "incumbent",
-            "spill", "weights", "epsilon"};
-  }
-
-  std::optional<std::string> why_inapplicable(
-      const SolveRequest& request) const override {
-    const std::size_t n = request.engine->dag().node_count();
-    if (n > kExactAstarMaxNodes) {
-      return "DAG has " + std::to_string(n) +
-             " nodes; anytime-astar supports at most " +
-             std::to_string(kExactAstarMaxNodes);
-    }
-    return std::nullopt;
+    std::vector<std::string_view> keys = SearchSolver::option_keys(request);
+    keys.push_back("weights");
+    keys.push_back("epsilon");
+    return keys;
   }
 
  protected:
+  std::size_t node_cap() const override { return kExactAstarMaxNodes; }
+
   SolveResult do_solve(const SolveRequest& request) const override {
     ExactSearchOptions sopt =
         parse_exact_search_options(request, /*bigstate=*/true);
@@ -970,67 +934,17 @@ class AnytimeSolver final : public Solver {
     ExactSearchStats search_stats;
     auto solved =
         try_solve_anytime_astar(*request.engine, sopt, aopt, &search_stats);
-    auto fill_common_stats = [&](SolveResult& result) {
-      result.stats["max_states"] = std::to_string(sopt.max_states);
-      result.stats["states_expanded"] =
-          std::to_string(search_stats.states_expanded);
+    if (!solved) {
+      SolveResult result = search_failure(request, sopt, search_stats,
+                                          "any pass found a completion");
       result.stats["anytime_passes"] =
           std::to_string(search_stats.anytime_passes);
-      result.stats["table_bytes"] = std::to_string(search_stats.table_bytes);
-      result.stats["pdb_bytes"] = std::to_string(search_stats.pdb_bytes);
-      result.stats["spilled_states"] =
-          std::to_string(search_stats.spilled_states);
-      result.stats["spill_bytes"] = std::to_string(search_stats.spill_bytes);
-      result.stats["spill_peak_bytes"] =
-          std::to_string(search_stats.spill_peak_bytes);
-      result.stats["merge_passes"] =
-          std::to_string(search_stats.merge_passes);
-      if (search_stats.table_headroom_stop) {
-        result.stats["table_headroom_stop"] = "true";
-      }
-    };
-    if (!solved) {
-      std::string detail;
-      SolveStatus status = SolveStatus::BudgetExhausted;
-      switch (search_stats.termination) {
-        case ExactTermination::Exhausted:
-          status = SolveStatus::Inapplicable;
-          detail =
-              "configuration graph exhausted without reaching a complete "
-              "state; the instance admits no pebbling under these rules";
-          break;
-        case ExactTermination::StateBudget:
-          detail = "state budget (" + std::to_string(sopt.max_states) +
-                   ") exhausted before any pass found a completion";
-          break;
-        case ExactTermination::MemoryBudget:
-          detail = "memory budget (" + std::to_string(sopt.max_memory_bytes) +
-                   " bytes) exhausted before any pass found a completion";
-          if (search_stats.table_headroom_stop) {
-            detail +=
-                "; stopped by the rehash transient: the grown table would "
-                "fit the budget but old+new slabs during the copy do not "
-                "(table_headroom_stop)";
-          }
-          break;
-        default:
-          detail = "deadline or cancellation hit before any pass found a "
-                   "completion";
-      }
-      SolveResult result = fail(status, std::move(detail));
       if (search_stats.lower_bound_scaled >= 0) {
         // No trace to certify, but the lower bound the passes proved is
         // still true — report it for budget tuning.
         const std::int64_t eps_den = request.engine->model().epsilon().den();
         result.stats["lower_bound"] =
             Rational(search_stats.lower_bound_scaled, eps_den).str();
-      }
-      fill_common_stats(result);
-      fill_introspection_stats(result, search_stats,
-                               request.progress != nullptr);
-      if (status == SolveStatus::BudgetExhausted) {
-        result.stats["limiting_resource"] =
-            limiting_resource_for(search_stats.termination, sopt, search_stats);
       }
       return result;
     }
@@ -1068,8 +982,9 @@ class AnytimeSolver final : public Solver {
                                                   sopt.seed->g_scaled
                                      ? "greedy"
                                      : "search");
-    fill_common_stats(result);
-    fill_introspection_stats(result, search_stats, request.progress != nullptr);
+    fill_search_stats(result, request, sopt, search_stats);
+    result.stats["anytime_passes"] =
+        std::to_string(search_stats.anytime_passes);
     // h-error is measured against the *optimal* remaining cost, so it is
     // only meaningful when the trace is proven optimal.
     if (request.progress != nullptr && optimal) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <map>
 #include <tuple>
 
@@ -57,75 +56,14 @@ std::vector<std::vector<NodeId>> partition_into_patterns(
   return patterns;
 }
 
-std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
-    const Dag& dag, std::size_t max_pattern_size) {
-  const std::size_t cap =
-      std::clamp<std::size_t>(max_pattern_size, 1,
-                              PatternDatabase::kMaxPatternSize);
-  const std::size_t n = dag.node_count();
-  if (n == 0) return {};
-  const std::vector<NodeId> order = topological_order(dag);
-  std::vector<std::size_t> pos(n, 0);
-  for (std::size_t i = 0; i < n; ++i) pos[order[i]] = i;
-
-  // crossing[k] = number of edges (u, v) with pos[u] < k <= pos[v] — the
-  // edges a segment boundary at k abstracts away. Built as a difference
-  // array: each edge crosses every boundary in (pos[u], pos[v]].
-  std::vector<std::int64_t> crossing(n + 2, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (NodeId u : dag.predecessors(static_cast<NodeId>(v))) {
-      const std::size_t lo = pos[u];
-      const std::size_t hi = pos[v];
-      crossing[lo + 1] += 1;
-      crossing[hi + 1] -= 1;
-    }
-  }
-  for (std::size_t k = 1; k <= n; ++k) crossing[k] += crossing[k - 1];
-
-  // dp[k] = cheapest total crossing weight of the boundaries partitioning
-  // the first k order positions into segments of at most `cap` nodes.
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 2;
-  std::vector<std::int64_t> dp(n + 1, kInf);
-  std::vector<std::size_t> parent(n + 1, 0);
-  dp[0] = 0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    const std::size_t lo = k > cap ? k - cap : 0;
-    for (std::size_t j = lo; j < k; ++j) {
-      if (dp[j] == kInf) continue;
-      // The boundary at k costs its crossing edges; the final boundary at n
-      // closes the last segment for free (nothing crosses past the end).
-      const std::int64_t cost = dp[j] + (k < n ? crossing[k] : 0);
-      if (cost < dp[k]) {
-        dp[k] = cost;
-        parent[k] = j;
-      }
-    }
-  }
-
-  std::vector<std::size_t> cuts;
-  for (std::size_t k = n; k > 0; k = parent[k]) cuts.push_back(k);
-  std::reverse(cuts.begin(), cuts.end());
-  std::vector<std::vector<NodeId>> patterns;
-  std::size_t start = 0;
-  for (std::size_t cut : cuts) {
-    patterns.emplace_back(order.begin() + static_cast<std::ptrdiff_t>(start),
-                          order.begin() + static_cast<std::ptrdiff_t>(cut));
-    start = cut;
-  }
-  return patterns;
-}
-
 PatternDatabase::PatternDatabase(const Engine& engine,
                                  std::size_t max_pattern_size,
-                                 const StopPredicate& should_stop,
-                                 PdbPartition partition) {
+                                 const StopPredicate& should_stop) {
   const Dag& dag = engine.dag();
   const std::size_t size =
       max_pattern_size == 0 ? kDefaultPatternSize : max_pattern_size;
   std::vector<std::vector<NodeId>> node_sets =
-      partition == PdbPartition::MinCut
-          ? partition_into_patterns_mincut(dag, size)
-          : partition_into_patterns(dag, size);
+      partition_into_patterns(dag, size);
   const std::int64_t cost_cap =
       universal_search_ceiling_scaled(dag, engine.model());
   const obs::TraceSpan build_span("pdb.build", "patterns", node_sets.size());

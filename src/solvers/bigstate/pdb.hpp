@@ -67,14 +67,6 @@ namespace rbpeb {
 std::vector<std::vector<NodeId>> partition_into_patterns(
     const Dag& dag, std::size_t max_pattern_size);
 
-/// Min-cut partitioner: cut a topological order into contiguous segments of
-/// at most `max_pattern_size` nodes, choosing the boundaries that minimize
-/// the total number of DAG edges crossing them (dynamic program over
-/// boundary positions). Fewer crossing edges means fewer dependencies the
-/// abstraction forgets, which is where additive-PDB slack comes from.
-std::vector<std::vector<NodeId>> partition_into_patterns_mincut(
-    const Dag& dag, std::size_t max_pattern_size);
-
 class PatternDatabase {
  public:
   /// Width cap of the dense 6^|P| tables: 6^8 = 1.68M entries per table.
@@ -99,8 +91,7 @@ class PatternDatabase {
   /// the tables are then incomplete and must not be consulted.
   explicit PatternDatabase(const Engine& engine,
                            std::size_t max_pattern_size = 0,
-                           const StopPredicate& should_stop = {},
-                           PdbPartition partition = PdbPartition::Cone);
+                           const StopPredicate& should_stop = {});
 
   // Terms point into the object's own tables: moves keep them valid,
   // copies would not.

@@ -117,13 +117,6 @@ struct IncumbentSeed {
 /// smaller instances keep their expansion counts bit-for-bit.
 enum class PdbMode { Auto, On, Off };
 
-/// How the pattern database carves the DAG into patterns. Cone is the
-/// original greedy partitioner (joins a node to the pattern holding most of
-/// its direct predecessors); MinCut picks segment boundaries along a
-/// topological order that minimize the number of crossing edges, so fewer
-/// dependencies are abstracted away. CLI: --opt pdb-partition=cone|mincut.
-enum class PdbPartition { Cone, MinCut };
-
 /// Whether a memory-budget hit spills cold closed entries to disk
 /// (solvers/bigstate/ddd.hpp) instead of ending the search. Auto spills to
 /// a fresh temporary directory whenever max_memory_bytes > 0; Off keeps the
@@ -147,8 +140,6 @@ struct ExactSearchOptions {
   /// (6). Each pattern shape builds one dense 6^|P| table, indexed in mixed
   /// radix 6 (solvers/bigstate/pdb.hpp).
   std::size_t pdb_pattern_size = 0;
-  /// Partitioner for PdbMode::On/Auto (see PdbPartition).
-  PdbPartition pdb_partition = PdbPartition::Cone;
   /// External-memory duplicate detection (bigstate/ddd.hpp): when the
   /// closed table hits max_memory_bytes, evict cold (lowest-g) entries to
   /// sorted spill runs instead of terminating, and reconcile fresh states

@@ -5,8 +5,13 @@
 // completion bound of bounds.hpp (remaining ε·uncomputed work in compcost,
 // unmaterialized value transfers in nodel, blue-input loads still owed in
 // all models), so the frontier leans toward completions and provably-dead
-// states (oneshot values lost forever) are pruned outright. Engineering
-// over the Dijkstra baseline:
+// states (oneshot values lost forever) are pruned outright.
+//
+// There is no search loop here: exact-astar is the sequential A* driver of
+// anytime_astar.hpp run with the one-pass schedule {1} and target ε 0. At
+// weight 1 the first completion popped is optimal, so the pass returns it
+// with a proof; a run that ends any other way returns nullopt. The driver
+// brings:
 //
 //  * states are 3-bit-packed PackedKey<W> (packed_state.hpp) and updated
 //    incrementally per move — O(1) per generated neighbor. The width
@@ -27,10 +32,10 @@
 //    IncumbentSeed (a verified heuristic trace) prunes everything pricing
 //    at or above its cost from move one — if nothing cheaper exists the
 //    seed itself is returned, proven optimal;
-//  * the priority queue is a Dial/bucket queue: move costs only take the
-//    values {0, ε.num, ε.den} in scaled units, so priorities are small
-//    integers bounded by the Section 3 universal cost bound and a binary
-//    heap (plus its stale-entry churn) is overkill;
+//  * the priority queue is a Dial/bucket queue of {key, g} items: move
+//    costs only take the values {0, ε.num, ε.den} in scaled units, so
+//    priorities are small integers bounded by the Section 3 universal cost
+//    bound and a binary heap (plus its stale-entry churn) is overkill;
 //  * any state whose f-value exceeds the universal upper bound (plus the
 //    Appendix C convention-bridging slack) is dropped — no optimal pebbling
 //    lives beyond it.

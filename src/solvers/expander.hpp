@@ -1,7 +1,8 @@
 // The expansion kernel the informed searches share — exact-astar,
 // anytime-astar and every hda-astar worker run the same code between a pop
-// and the pushes it produces; each search keeps only its ordering, its
-// incumbent rule and (hda) its routing.
+// and the pushes it produces. The sequential searches share their loop too
+// (run_astar_driver, anytime_astar.hpp); hda-astar keeps its own for its
+// routing and parallel termination.
 //
 //  * Expander<Packed, Masks> derives the legal successors of a state
 //    straight from its red/blue/computed bit masks — no GameState, no
@@ -327,8 +328,7 @@ inline bool build_search_pdb(std::optional<PatternDatabase>& pdb,
                              const ExactSearchOptions& opt,
                              ExactSearchStats& stats) {
   if (!bigstate_pdb_enabled(opt, engine.dag().node_count())) return true;
-  pdb.emplace(engine, opt.pdb_pattern_size, opt.should_stop,
-              opt.pdb_partition);
+  pdb.emplace(engine, opt.pdb_pattern_size, opt.should_stop);
   if (pdb->build_aborted()) return false;
   stats.pdb_bytes = pdb->table_bytes();
   return true;

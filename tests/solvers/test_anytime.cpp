@@ -11,6 +11,7 @@
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/api.hpp"
+#include "src/solvers/exact.hpp"
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/greedy.hpp"
 #include "src/support/check.hpp"
@@ -208,6 +209,69 @@ TEST(AnytimeSolver, StarvedRequestStillAnswersWithCertificate) {
     EXPECT_TRUE(certificate_holds(*result.certificate, result.cost));
   } else {
     EXPECT_EQ(result.stats.count("certified"), 1u);
+  }
+}
+
+/// A budget cut leaves the popped-but-unexpanded item open, so the frontier
+/// bound must count it. Sweep tiny budgets on a 10-node DAG — where the cut
+/// item is often the only one below the incumbent — across every model,
+/// convention and both schedules: a certificate never claims a lower bound
+/// above the Dijkstra optimum, and Optimal is claimed only at the optimum.
+TEST(AnytimeSolver, CutPassesNeverOverstateTheLowerBound) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 5, .width = 2, .indegree = 2, .seed = 1});
+  const Solver& solver = SolverRegistry::instance().at("anytime-astar");
+  for (const Model& model : all_models()) {
+    for (const bool sources_blue : {false, true}) {
+      for (const bool sinks_blue : {false, true}) {
+        for (const std::size_t red : {3u, 4u}) {
+          const Engine engine(dag, model, red, {sources_blue, sinks_blue});
+          const Rational optimum = solve_exact(engine).cost;
+          for (const char* weights : {"1", "3,2,3/2,1"}) {
+            for (std::size_t budget = 1; budget <= 40; ++budget) {
+              SolveRequest request;
+              request.engine = &engine;
+              request.budget.max_states = budget;
+              request.options["weights"] = weights;
+              const SolveResult result = solver.run(request);
+              const std::string where =
+                  model.name() + " R=" + std::to_string(red) + " sources " +
+                  (sources_blue ? "blue" : "free") + " sinks " +
+                  (sinks_blue ? "blue" : "any") + " weights " + weights +
+                  " budget " + std::to_string(budget);
+              ASSERT_TRUE(result.ok()) << where << ": " << result.detail;
+              if (result.certificate) {
+                EXPECT_LE(result.certificate->lower_bound, optimum) << where;
+              }
+              if (result.status == SolveStatus::Optimal) {
+                EXPECT_EQ(result.cost, optimum) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A memory budget that spilling cannot escape because the disk budget is
+/// spent too: every informed search says so in the same words, and the
+/// detail names the disk budget that limiting_resource blames.
+TEST(AnytimeSolver, DiskStopDetailNamesTheDiskBudget) {
+  const Dag dag = make_stencil1d_dag(2, 14).dag;  // 30 nodes
+  const Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
+  for (const char* name : {"exact-astar", "anytime-astar"}) {
+    SolveRequest request;
+    request.engine = &engine;
+    request.budget.max_memory_bytes = std::size_t{64} << 10;
+    request.budget.max_disk_bytes = 20'000;
+    request.options["incumbent"] = "none";
+    const SolveResult result = SolverRegistry::instance().at(name).run(request);
+    ASSERT_EQ(result.status, SolveStatus::BudgetExhausted) << name;
+    EXPECT_EQ(result.stats.at("limiting_resource"), "disk") << name;
+    EXPECT_NE(result.detail.find("disk budget (20000 bytes)"),
+              std::string::npos)
+        << name << ": " << result.detail;
   }
 }
 

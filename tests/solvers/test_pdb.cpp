@@ -19,7 +19,6 @@
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/exact.hpp"
-#include "src/solvers/exact_astar.hpp"
 #include "src/workloads/pyramid.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/tree_reduction.hpp"
@@ -302,72 +301,6 @@ TEST(NodelPdb, SumCanExceedTheCountingBound) {
   EXPECT_EQ(*sum, 7);
   // Still admissible: here it is the exact optimum.
   EXPECT_EQ(solve_exact(engine).cost, Rational(7));
-}
-
-// ---- the min-cut partitioner ---------------------------------------------
-
-TEST(MinCutPartition, CoversEveryNodeDisjointlyWithinTheSizeCap) {
-  for (std::size_t cap : {1u, 4u, 7u, 16u}) {
-    Dag dag = make_random_layered_dag({.layers = 6, .width = 5, .indegree = 3,
-                                       .seed = 53});
-    auto patterns = partition_into_patterns_mincut(dag, cap);
-    std::vector<int> seen(dag.node_count(), 0);
-    for (const auto& pattern : patterns) {
-      EXPECT_LE(pattern.size(), cap);
-      EXPECT_FALSE(pattern.empty());
-      for (NodeId v : pattern) ++seen[v];
-    }
-    for (std::size_t v = 0; v < dag.node_count(); ++v) {
-      EXPECT_EQ(seen[v], 1) << "node " << v << " cap " << cap;
-    }
-  }
-}
-
-/// On a chain every partitioner should find the obvious contiguous
-/// segmentation — and the min-cut DP must never cut more edges than the
-/// greedy cone partitioner on the same instance.
-TEST(MinCutPartition, CutsNoMoreEdgesThanTheGreedyConePartitioner) {
-  auto crossing_edges = [](const Dag& dag,
-                           const std::vector<std::vector<NodeId>>& patterns) {
-    std::vector<std::size_t> owner(dag.node_count(), 0);
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      for (NodeId v : patterns[p]) owner[v] = p;
-    }
-    std::size_t crossing = 0;
-    for (std::size_t v = 0; v < dag.node_count(); ++v) {
-      for (NodeId u : dag.predecessors(static_cast<NodeId>(v))) {
-        if (owner[u] != owner[v]) ++crossing;
-      }
-    }
-    return crossing;
-  };
-  for (std::uint64_t seed : {54u, 55u, 56u}) {
-    Dag dag = make_random_layered_dag({.layers = 6, .width = 4, .indegree = 2,
-                                       .seed = seed});
-    const auto cone = partition_into_patterns(dag, 6);
-    const auto mincut = partition_into_patterns_mincut(dag, 6);
-    EXPECT_LE(crossing_edges(dag, mincut), crossing_edges(dag, cone))
-        << "seed " << seed;
-  }
-}
-
-/// The mincut partitioner is reachable end to end through the search
-/// options and changes no proven optimum.
-TEST(MinCutPartition, SearchWithMinCutPartitionAgreesWithCone) {
-  Dag dag = make_random_layered_dag({.layers = 5, .width = 3, .indegree = 2,
-                                     .seed = 57});  // 15 nodes
-  Engine engine(dag, Model::oneshot(), min_red_pebbles(dag));
-  ExactSearchOptions cone;
-  cone.max_states = 2'000'000;
-  cone.pdb = PdbMode::On;
-  cone.pdb_pattern_size = 5;
-  ExactSearchOptions mincut = cone;
-  mincut.pdb_partition = PdbPartition::MinCut;
-  auto cone_result = try_solve_exact_astar(engine, cone);
-  auto mincut_result = try_solve_exact_astar(engine, mincut);
-  ASSERT_TRUE(cone_result.has_value());
-  ASSERT_TRUE(mincut_result.has_value());
-  EXPECT_EQ(cone_result->cost, mincut_result->cost);
 }
 
 }  // namespace
