@@ -25,8 +25,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/serve/protocol.hpp"
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 #include "src/support/table.hpp"
 
 namespace rbpeb::bench {
@@ -35,7 +35,7 @@ namespace rbpeb::bench {
 class Group {
  public:
   Group& set(const std::string& key, const std::string& value) {
-    return put(key, serve::json_quote(value));
+    return put(key, json_quote(value));
   }
   Group& set(const std::string& key, const char* value) {
     return set(key, std::string(value));
@@ -59,7 +59,7 @@ class Group {
     std::string out = "{";
     for (const auto& [key, value] : fields_) {
       if (out.size() > 1) out += ", ";
-      out += serve::json_quote(key) + ": " + value;
+      out += json_quote(key) + ": " + value;
     }
     return out + "}";
   }
@@ -120,14 +120,14 @@ struct Report : Groups {
   }
 
   std::string json() const {
-    std::string out = "{\n  \"bench\": " + serve::json_quote(bench) +
-                      ",\n  \"cpu_model\": " + serve::json_quote(cpu_model()) +
+    std::string out = "{\n  \"bench\": " + json_quote(bench) +
+                      ",\n  \"cpu_model\": " + json_quote(cpu_model()) +
                       ",\n  \"hardware_concurrency\": " +
                       std::to_string(std::thread::hardware_concurrency()) +
                       Groups::json(",\n  ") + ",\n  \"cases\": [";
     for (std::size_t i = 0; i < cases.size(); ++i) {
       out += (i == 0 ? "\n    {\"id\": " : ",\n    {\"id\": ") +
-             serve::json_quote(cases[i].id) + cases[i].json(", ") + "}";
+             json_quote(cases[i].id) + cases[i].json(", ") + "}";
     }
     return out + (cases.empty() ? "]\n}\n" : "\n  ]\n}\n");
   }

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "src/support/json.hpp"
 
 namespace rbpeb::obs {
 
@@ -134,33 +135,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
       std::string(name), std::make_unique<Histogram>());
   return *it->second;
 }
-
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 std::string MetricsRegistry::snapshot_json() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);

@@ -1,42 +1,16 @@
 #include "src/obs/postmortem.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/support/json.hpp"
 
 namespace rbpeb::obs {
 
 namespace {
-
-void append_quoted(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 bool write_file(const std::filesystem::path& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -75,21 +49,21 @@ std::string write_postmortem(const std::string& dir,
   std::string verdict;
   verdict.reserve(1024);
   verdict += "{\"limiting_resource\":";
-  append_quoted(verdict, report.limiting_resource);
+  append_json_string(verdict, report.limiting_resource);
   verdict += ",\"termination\":";
-  append_quoted(verdict, report.termination);
+  append_json_string(verdict, report.termination);
   verdict += ",\"detail\":";
-  append_quoted(verdict, report.detail);
+  append_json_string(verdict, report.detail);
   verdict += ",\"solver\":";
-  append_quoted(verdict, report.solver);
+  append_json_string(verdict, report.solver);
   verdict += ",\"stats\":{";
   bool first = true;
   for (const auto& [key, value] : report.stats) {
     if (!first) verdict.push_back(',');
     first = false;
-    append_quoted(verdict, key);
+    append_json_string(verdict, key);
     verdict.push_back(':');
-    append_quoted(verdict, value);
+    append_json_string(verdict, value);
   }
   verdict += "},\"snapshots\":" + std::to_string(report.progress.size());
   verdict +=

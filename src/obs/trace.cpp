@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/support/json.hpp"
+
 namespace rbpeb::obs {
 
 namespace detail {
@@ -112,22 +114,6 @@ Capture capture_all() {
   return cap;
 }
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
 std::string render_json(const Capture& cap) {
   std::string out;
   out.reserve(cap.events * 80 + 256);
@@ -138,9 +124,9 @@ std::string render_json(const Capture& cap) {
     for (const Event& e : events) {
       if (!first) out += ",\n";
       first = false;
-      out += "{\"name\":\"";
-      append_escaped(out, e.name);
-      out += "\",\"ph\":\"";
+      out += "{\"name\":";
+      append_json_string(out, e.name);
+      out += ",\"ph\":\"";
       out.push_back(e.phase);
       // Chrome trace timestamps are microseconds; keep ns precision in the
       // fraction.
@@ -153,9 +139,8 @@ std::string render_json(const Capture& cap) {
       if (e.arg_name != nullptr || e.ctx != 0) {
         out += ",\"args\":{";
         if (e.arg_name != nullptr) {
-          out += "\"";
-          append_escaped(out, e.arg_name);
-          out += "\":" + std::to_string(e.arg);
+          append_json_string(out, e.arg_name);
+          out += ":" + std::to_string(e.arg);
           if (e.ctx != 0) out += ",";
         }
         if (e.ctx != 0) out += "\"ctx\":" + std::to_string(e.ctx);

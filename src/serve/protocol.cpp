@@ -1,11 +1,11 @@
 #include "src/serve/protocol.hpp"
 
 #include <cctype>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 
 namespace rbpeb::serve {
 
@@ -244,32 +244,6 @@ class Parser {
 
 Json json_parse(const std::string& text) {
   return Parser(text).parse_document();
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 // ---- request --------------------------------------------------------------

@@ -2,11 +2,11 @@
 //
 // One request per line in, one response per line out — the only framing a
 // stdin pipe, a file queue, and a local socket all support without length
-// prefixes. The container image ships no JSON library, so this header also
-// carries a minimal, dependency-free JSON reader/writer: a recursive-descent
-// parser over a small DOM (objects, arrays, strings, numbers, bools, null)
-// plus string escaping for the writer side. It is a *protocol* parser, not a
-// general one: numbers keep their raw text so integral budgets round-trip
+// prefixes. The project uses no JSON library, so this header also carries
+// a minimal, dependency-free JSON reader: a recursive-descent parser over a
+// small DOM (objects, arrays, strings, numbers, bools, null); the writer
+// side escapes strings with support/json.hpp. It is a *protocol* parser, not
+// a general one: numbers keep their raw text so integral budgets round-trip
 // exactly, and anything malformed throws PreconditionError with the offset.
 //
 // Request line:
@@ -61,9 +61,6 @@ class Json {
 
 /// Parse one JSON document (the whole string; trailing junk is an error).
 Json json_parse(const std::string& text);
-
-/// `text` with JSON string escaping applied, quotes included.
-std::string json_quote(const std::string& text);
 
 /// One parsed solve request. Defaults reproduce the CLI's: oneshot model,
 /// default convention, server-chosen solver, server-default budgets.

@@ -14,6 +14,7 @@
 #include "src/serve/canonical.hpp"
 #include "src/solvers/portfolio.hpp"
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 
 namespace rbpeb::serve {
 

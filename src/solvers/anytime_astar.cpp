@@ -284,8 +284,9 @@ std::optional<AnytimeResult> run_astar_driver(const Engine& engine,
   RBPEB_REQUIRE(n <= kExactAstarMaxNodes,
                 "the A* driver supports at most 1024 nodes");
   for (const AnytimeWeight& w : anytime.weights) {
-    RBPEB_REQUIRE(w.num > 0 && w.den > 0 && w.num >= w.den,
-                  "anytime weights must be ratios >= 1");
+    RBPEB_REQUIRE(anytime_weight_supported(w),
+                  "anytime weights must be ratios in [1, 16] with numerator "
+                  "and denominator at most 1000");
   }
   RBPEB_REQUIRE(anytime.target_epsilon >= 0.0,
                 "target epsilon must be nonnegative");

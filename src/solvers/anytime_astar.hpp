@@ -55,6 +55,19 @@ struct AnytimeWeight {
   std::int64_t den = 1;
 };
 
+/// Largest supported weight, and largest numerator or denominator. The
+/// caps keep w·ceiling and w·h far from int64 overflow and the bucket
+/// spine (⌊w·ceiling⌋ + 1 buckets) within 16 times the unweighted one.
+inline constexpr std::int64_t kMaxAnytimeWeight = 16;
+inline constexpr std::int64_t kMaxAnytimeWeightTerm = 1000;
+
+/// Whether `w` is a ratio in [1, kMaxAnytimeWeight] whose numerator and
+/// denominator are both in [1, kMaxAnytimeWeightTerm].
+constexpr bool anytime_weight_supported(const AnytimeWeight& w) {
+  return w.den > 0 && w.num >= w.den && w.num <= kMaxAnytimeWeightTerm &&
+         w.num <= kMaxAnytimeWeight * w.den;
+}
+
 struct AnytimeOptions {
   /// The pass schedule, highest (greediest) weight first. The state budget
   /// is split evenly across passes; a drained pass proves optimality and

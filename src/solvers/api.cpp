@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
@@ -22,7 +23,6 @@
 #include "src/solvers/held_karp.hpp"
 #include "src/solvers/local_search.hpp"
 #include "src/solvers/peephole.hpp"
-#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -102,19 +102,6 @@ double get_double(const SolverOptions& options, std::string_view key,
   auto value = get(options, key);
   if (!value) return fallback;
   return parse_number<double>(key, *value, "a number");
-}
-
-bool get_bool(const SolverOptions& options, std::string_view key,
-              bool fallback) {
-  auto value = get(options, key);
-  if (!value) return fallback;
-  if (*value == "1" || *value == "true" || *value == "yes" || *value == "on") {
-    return true;
-  }
-  if (*value == "0" || *value == "false" || *value == "no" || *value == "off") {
-    return false;
-  }
-  bad_option(key, *value, "a boolean");
 }
 
 Model parse_model(std::string_view name) {
@@ -313,6 +300,14 @@ EvictionRule parse_eviction(std::string_view name) {
   return *rule;
 }
 
+/// eviction=… and seed=N, the options every node-order pebbler reads.
+GreedyOptions parse_node_order_options(const SolverOptions& options) {
+  GreedyOptions out;
+  if (auto ev = so::get(options, "eviction")) out.eviction = parse_eviction(*ev);
+  out.seed = so::get_u64(options, "seed", out.seed);
+  return out;
+}
+
 /// The Section 8 node-level greedy; one registration per choice rule, with
 /// the plain "greedy" entry accepting a rule=… option.
 class GreedySolver : public Solver {
@@ -329,24 +324,18 @@ class GreedySolver : public Solver {
   std::vector<std::string_view> option_keys(
       const SolveRequest* request) const override {
     (void)request;
-    if (fixed_rule_) return {"eviction", "eager-delete", "seed"};
-    return {"rule", "eviction", "eager-delete", "seed"};
+    if (fixed_rule_) return {"eviction", "seed"};
+    return {"rule", "eviction", "seed"};
   }
 
  protected:
   SolveResult do_solve(const SolveRequest& request) const override {
-    GreedyOptions options;
+    GreedyOptions options = parse_node_order_options(request.options);
     if (fixed_rule_) {
       options.rule = *fixed_rule_;
     } else if (auto rule = so::get(request.options, "rule")) {
       options.rule = parse_rule(*rule);
     }
-    if (auto ev = so::get(request.options, "eviction")) {
-      options.eviction = parse_eviction(*ev);
-    }
-    options.eager_delete_dead =
-        so::get_bool(request.options, "eager-delete", options.eager_delete_dead);
-    options.seed = so::get_u64(request.options, "seed", options.seed);
 
     Engine relaxed = default_convention_view(*request.engine);
     Trace trace = solve_greedy(relaxed, options);
@@ -403,7 +392,8 @@ class CertifiedGreedySolver final : public GreedySolver {
   }
 };
 
-/// The Section 3 fixed-topological-order baseline.
+/// The Section 3 fixed-topological-order baseline: the greedy loop run in
+/// Kahn order.
 class TopoSolver final : public Solver {
  public:
   std::string_view name() const override { return "topo"; }
@@ -414,19 +404,12 @@ class TopoSolver final : public Solver {
   std::vector<std::string_view> option_keys(
       const SolveRequest* request) const override {
     (void)request;
-    return {"eviction", "eager-delete", "seed"};
+    return {"eviction", "seed"};
   }
 
  protected:
   SolveResult do_solve(const SolveRequest& request) const override {
-    OrderedOptions options;
-    if (auto ev = so::get(request.options, "eviction")) {
-      options.eviction = parse_eviction(*ev);
-    }
-    options.eager_delete_dead =
-        so::get_bool(request.options, "eager-delete", options.eager_delete_dead);
-    options.seed = so::get_u64(request.options, "seed", options.seed);
-
+    const GreedyOptions options = parse_node_order_options(request.options);
     Engine relaxed = default_convention_view(*request.engine);
     Trace trace = solve_topo_baseline(relaxed, options);
     return make_result(request, std::move(trace), SolveStatus::Heuristic,
@@ -843,12 +826,14 @@ class HdaAstarSolver final : public ExactSearchSolver {
 };
 
 /// --opt weights=3,2,3/2,1 — the anytime pass schedule as comma-separated
-/// ratios ≥ 1, greediest first.
+/// ratios in [1, 16], greediest first. Each ratio is reduced to lowest
+/// terms, where numerator and denominator must be at most 1000.
 std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
   auto bad = [&](std::string_view token) -> PreconditionError {
     return PreconditionError(
-        "option 'weights': expected comma-separated ratios >= 1 like "
-        "3,2,3/2,1; got token '" +
+        "option 'weights': expected comma-separated ratios in [1, 16] like "
+        "3,2,3/2,1, with numerator and denominator at most 1000 in lowest "
+        "terms; got token '" +
         std::string(token) + "'");
   };
   auto parse_int = [&](std::string_view token,
@@ -876,7 +861,10 @@ std::vector<AnytimeWeight> parse_weight_schedule(std::string_view text) {
       w.num = parse_int(token, token.substr(0, slash));
       w.den = parse_int(token, token.substr(slash + 1));
     }
-    if (w.num < w.den) throw bad(token);
+    const std::int64_t common = std::gcd(w.num, w.den);
+    w.num /= common;
+    w.den /= common;
+    if (!anytime_weight_supported(w)) throw bad(token);
     weights.push_back(w);
     if (comma == std::string_view::npos) break;
     pos = comma + 1;

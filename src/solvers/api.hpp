@@ -270,8 +270,6 @@ std::uint64_t get_u64(const SolverOptions& options, std::string_view key,
                       std::uint64_t fallback);
 double get_double(const SolverOptions& options, std::string_view key,
                   double fallback);
-bool get_bool(const SolverOptions& options, std::string_view key,
-              bool fallback);
 /// Parse a model name via Model::from_name; throws on unknown names.
 Model get_model(const SolverOptions& options, std::string_view key,
                 const Model& fallback);

@@ -1,7 +1,9 @@
 #include "src/solvers/greedy.hpp"
 
 #include <algorithm>
+#include <span>
 
+#include "src/graph/dag_algorithms.hpp"
 #include "src/support/check.hpp"
 
 namespace rbpeb {
@@ -25,13 +27,17 @@ std::optional<GreedyRule> greedy_rule_from_name(std::string_view name) {
 
 namespace {
 
-/// Incremental solver state shared by the phases of one greedy run.
+/// Incremental solver state shared by the phases of one run. The next node
+/// comes from the fixed `order` when one is given, else from scoring the
+/// ready set under options.rule; everything else is shared.
 class GreedyRun {
  public:
-  GreedyRun(const Engine& engine, const GreedyOptions& options)
+  GreedyRun(const Engine& engine, const GreedyOptions& options,
+            std::span<const NodeId> order)
       : engine_(engine),
         dag_(engine.dag()),
         options_(options),
+        order_(order),
         rng_(options.seed),
         state_(engine.initial_state()),
         n_(dag_.node_count()),
@@ -46,23 +52,30 @@ class GreedyRun {
       remaining_uses_[v] = static_cast<std::int64_t>(dag_.outdegree(id));
       uncomputed_pred_count_[v] = dag_.indegree(id);
       is_sink_[v] = dag_.is_sink(id);
-      if (uncomputed_pred_count_[v] == 0) push_ready(id);
+      if (scored() && uncomputed_pred_count_[v] == 0) push_ready(id);
     }
   }
 
   Trace run() {
-    std::size_t computed = 0;
-    while (computed < n_) {
-      RBPEB_ENSURE(!ready_.empty(),
-                   "greedy deadlock: no candidate node is computable");
-      NodeId v = pick_candidate();
-      compute_node(v);
-      ++computed;
+    for (std::size_t computed = 0; computed < n_; ++computed) {
+      compute_node(scored() ? take_candidate() : order_[computed]);
     }
     return std::move(trace_);
   }
 
  private:
+  /// Whether the next node is picked by scoring (no fixed order). The ready
+  /// set and red-input counts are kept only for scoring.
+  bool scored() const { return order_.empty(); }
+
+  NodeId take_candidate() {
+    RBPEB_ENSURE(!ready_.empty(),
+                 "greedy deadlock: no candidate node is computable");
+    NodeId v = pick_candidate();
+    remove_ready(v);
+    return v;
+  }
+
   void push_ready(NodeId v) {
     if (!in_ready_[v]) {
       in_ready_[v] = true;
@@ -84,7 +97,7 @@ class GreedyRun {
     engine_.apply(state_, move, cost_);
     trace_.push(move);
     bool now_red = state_.is_red(move.node);
-    if (was_red != now_red) {
+    if (scored() && was_red != now_red) {
       int delta = now_red ? 1 : -1;
       for (NodeId w : dag_.successors(move.node)) red_pred_count_[w] += delta;
     }
@@ -172,7 +185,6 @@ class GreedyRun {
   }
 
   void compute_node(NodeId v) {
-    remove_ready(v);
     auto preds = dag_.predecessors(v);
 
     // Bring blue inputs back to red. Inputs are never deleted while they
@@ -181,7 +193,7 @@ class GreedyRun {
     for (NodeId p : preds) {
       if (!state_.is_red(p)) {
         RBPEB_ENSURE(state_.is_blue(p),
-                     "input of a candidate is neither red nor blue");
+                     "input of the next node is neither red nor blue");
         to_load.push_back(p);
       }
     }
@@ -195,14 +207,13 @@ class GreedyRun {
 
     // Consume one use of each input; drop inputs that just died.
     for (NodeId p : preds) {
-      if (--remaining_uses_[p] == 0 && !is_sink_[p]) {
-        if (options_.eager_delete_dead && engine_.model().allows_delete() &&
-            !state_.is_empty(p)) {
-          apply(erase(p));
-        }
+      if (--remaining_uses_[p] == 0 && !is_sink_[p] &&
+          engine_.model().allows_delete() && !state_.is_empty(p)) {
+        apply(erase(p));
       }
     }
 
+    if (!scored()) return;
     for (NodeId w : dag_.successors(v)) {
       if (--uncomputed_pred_count_[w] == 0) push_ready(w);
     }
@@ -211,6 +222,7 @@ class GreedyRun {
   const Engine& engine_;
   const Dag& dag_;
   GreedyOptions options_;
+  std::span<const NodeId> order_;  ///< Fixed computation order; empty = scored.
   Rng rng_;
   GameState state_;
   Cost cost_;
@@ -229,8 +241,18 @@ class GreedyRun {
 }  // namespace
 
 Trace solve_greedy(const Engine& engine, const GreedyOptions& options) {
-  GreedyRun run(engine, options);
-  return run.run();
+  return GreedyRun(engine, options, {}).run();
+}
+
+Trace pebble_in_order(const Engine& engine, const std::vector<NodeId>& order,
+                      const GreedyOptions& options) {
+  RBPEB_REQUIRE(is_topological_order(engine.dag(), order),
+                "computation order must be topological");
+  return GreedyRun(engine, options, order).run();
+}
+
+Trace solve_topo_baseline(const Engine& engine, const GreedyOptions& options) {
+  return pebble_in_order(engine, topological_order(engine.dag()), options);
 }
 
 }  // namespace rbpeb

@@ -8,6 +8,8 @@
 #include <string>
 #include <thread>
 
+#include "src/serve/protocol.hpp"
+
 namespace rbpeb::bench {
 namespace {
 

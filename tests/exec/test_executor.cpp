@@ -8,7 +8,6 @@
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/greedy.hpp"
-#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 #include "src/workloads/fft.hpp"
 #include "src/workloads/matmul.hpp"

@@ -12,7 +12,7 @@
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/exact.hpp"
-#include "src/solvers/topo_baseline.hpp"
+#include "src/solvers/greedy.hpp"
 #include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"

@@ -293,6 +293,23 @@ TEST(AnytimeSolver, WeightScheduleOptionsParseAndValidate) {
     request.options["weights"] = bad;
     EXPECT_THROW(solver.run(request), PreconditionError) << bad;
   }
+
+  // Unbounded weights overflow a priority or the bucket spine once the
+  // universal ceiling is not tiny. Weights above 16, or with a term above
+  // 1000 in lowest terms, are refused; a weight of exactly 1 spelled with
+  // huge terms reduces to 1/1 and solves.
+  Dag layered = make_random_layered_dag(
+      {.layers = 4, .width = 3, .indegree = 2, .seed = 1});
+  Engine layered_engine(layered, Model::compcost(), 3);
+  request.engine = &layered_engine;
+  for (const char* bad : {"17", "1001/1000", "1000000000000000"}) {
+    request.options["weights"] = bad;
+    EXPECT_THROW(solver.run(request), PreconditionError) << bad;
+  }
+  request.options["weights"] = "1000000000000000000/1000000000000000000";
+  result = solver.run(request);
+  EXPECT_TRUE(result.ok()) << result.detail;
+
   request.options["weights"] = "2,1";
   request.options["epsilon"] = "-1";
   EXPECT_THROW(solver.run(request), PreconditionError);

@@ -18,9 +18,9 @@
 #include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/exact.hpp"
 #include "src/solvers/exact_astar.hpp"
+#include "src/solvers/greedy.hpp"
 #include "src/solvers/hda/hda_astar.hpp"
 #include "src/solvers/portfolio.hpp"
-#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/chain.hpp"

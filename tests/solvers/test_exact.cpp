@@ -5,7 +5,6 @@
 #include "src/graph/dag_builder.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/greedy.hpp"
-#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 #include "src/workloads/chain.hpp"
 #include "src/workloads/pyramid.hpp"

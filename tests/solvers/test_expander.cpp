@@ -25,7 +25,7 @@
 
 #include "src/pebble/bounds.hpp"
 #include "src/solvers/bigstate/pdb.hpp"
-#include "src/solvers/topo_baseline.hpp"
+#include "src/solvers/greedy.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "tests/support/legal_moves.hpp"

@@ -6,7 +6,6 @@
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/greedy.hpp"
-#include "src/solvers/topo_baseline.hpp"
 #include "src/support/check.hpp"
 #include "src/workloads/fft.hpp"
 #include "src/workloads/matmul.hpp"

@@ -1,4 +1,4 @@
-#include "src/solvers/topo_baseline.hpp"
+#include "src/solvers/greedy.hpp"
 
 #include <gtest/gtest.h>
 

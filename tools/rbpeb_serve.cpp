@@ -31,6 +31,7 @@
 #include "src/serve/protocol.hpp"
 #include "src/serve/server.hpp"
 #include "src/support/check.hpp"
+#include "src/support/json.hpp"
 
 namespace {
 
