@@ -8,8 +8,9 @@
 // budget reaches. Runs are state-budget-only (no wall-clock dependence), so
 // every counter in the bench/report.hpp report (default BENCH_anytime.json,
 // or argv[1]) is deterministic and gated by tools/bench_check.py compare
-// (each case's `timing` — search wall time and expansions per second — is
-// the one machine-dependent group, printed but never gated):
+// (each case's `timing` — search wall time, expansions per second and the
+// PDB build's wall time — is the one machine-dependent group, printed but
+// never gated):
 //  * nodes_proved_optimal / nodes_within_eps may only rise,
 //  * per-instance ε may only shrink,
 //  * every certificate must satisfy its defining inequality.
@@ -135,6 +136,9 @@ int main(int argc, char** argv) {
         "expansions_per_s",
         ms > 0 ? static_cast<double>(result->states_expanded) * 1e3 / ms : 0.0,
         0);
+    if (stats.pdb_bytes != 0) {
+      row.timing.set("pdb_build_ms", stats.pdb_build_ms, 1);
+    }
     row.info.set("nodes", c.dag.node_count())
         .set("r", r)
         .set("budget_states", c.max_states)

@@ -65,6 +65,7 @@ struct Run {
   std::size_t expanded = 0;
   std::size_t table_bytes = 0;
   std::size_t pdb_bytes = 0;
+  double pdb_build_ms = 0.0;
   std::size_t spilled_states = 0;
   std::size_t spill_bytes = 0;
   std::size_t merge_passes = 0;
@@ -83,6 +84,7 @@ Run timed(Solve&& solve) {
   run.expanded = stats.states_expanded;
   run.table_bytes = stats.table_bytes;
   run.pdb_bytes = stats.pdb_bytes;
+  run.pdb_build_ms = stats.pdb_build_ms;
   run.spilled_states = stats.spilled_states;
   run.spill_bytes = stats.spill_bytes;
   run.merge_passes = stats.merge_passes;
@@ -108,6 +110,7 @@ void add_run(bench::Report& report, const Case& c, std::size_t r,
   // fails the gate.
   if (run.pdb_bytes != 0) row.falls.set("pdb_bytes", run.pdb_bytes);
   row.timing.set("ms", run.ms, 1);
+  if (run.pdb_bytes != 0) row.timing.set("pdb_build_ms", run.pdb_build_ms, 1);
   row.info.set("nodes", c.dag.node_count())
       .set("r", r)
       .set("table_bytes", run.table_bytes)

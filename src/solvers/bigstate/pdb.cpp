@@ -4,6 +4,7 @@
 #include <bit>
 #include <map>
 #include <tuple>
+#include <type_traits>
 
 #include "src/graph/dag_algorithms.hpp"
 #include "src/obs/metrics.hpp"
@@ -228,12 +229,8 @@ void PatternDatabase::build_pattern(const Engine& engine,
   constexpr unsigned kRed = digit(PebbleColor::Red, false);
   constexpr unsigned kBlue = digit(PebbleColor::Blue, false);
   constexpr unsigned kComputed = digit(PebbleColor::None, true);
-  std::vector<std::size_t> weight(p + 1, 1);
-  for (std::size_t i = 0; i < p; ++i) weight[i + 1] = 6 * weight[i];
-  const std::size_t table_size = weight[p];
-
-  // The digits of the state at hand: the goal sweep's odometer, then each
-  // popped state decoded once.
+  // The digits of the state at hand: each odometer's, then each popped
+  // state decoded once.
   std::vector<unsigned> digits(p, 0);
   auto is_goal = [&] {
     for (unsigned m = shape.sinks; m != 0; m &= m - 1) {
@@ -242,87 +239,146 @@ void PatternDatabase::build_pattern(const Engine& engine,
     }
     return true;
   };
-
-  // Backward Dijkstra from every complete projection over move pre-images.
-  // Distances clamp at cost_cap (an underestimate, so still admissible —
-  // and never reached in practice: cost_cap is the Section 3 universal
-  // ceiling for the whole DAG).
-  completion.assign(table_size, kUnreachable);
-  BucketQueue<std::uint32_t> queue(static_cast<std::size_t>(cost_cap) + 1);
-  // The goal sweep and the Dijkstra below are the only unbounded loops in a
-  // PDB build; both poll the cooperative stop hook so a cancelled solve is
-  // never pinned behind a 6^8-entry table (the searches' poll cadence,
-  // scaled up — these iterations are far cheaper than an expansion).
+  // The goal sweep, the Dijkstra and the broadcast below are the only
+  // unbounded loops in a PDB build; each polls the cooperative stop hook so
+  // a cancelled solve is never pinned behind a 6^8-entry table (the
+  // searches' poll cadence, scaled up — these iterations are far cheaper
+  // than an expansion).
   constexpr std::size_t kStopPollMask = 0xFFFu;
-  for (std::size_t index = 0; index < table_size; ++index) {
-    if ((index & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
+  auto stopped = [&](std::size_t step) {
+    if ((step & kStopPollMask) != 0 || !should_stop || !should_stop()) {
+      return false;
     }
-    if (is_goal()) {
-      completion[index] = 0;
-      queue.push(0, static_cast<std::uint32_t>(index));
-    }
-    for (std::size_t i = 0; i < p && ++digits[i] == 6; ++i) digits[i] = 0;
-  }
+    aborted_ = true;
+    return true;
+  };
 
-  std::size_t pops = 0;
-  while (!queue.empty()) {
-    if ((pops++ & kStopPollMask) == 0 && should_stop && should_stop()) {
-      aborted_ = true;
-      return;
-    }
-    auto [d, popped] = queue.pop();
-    const auto index = static_cast<std::size_t>(popped);
-    if (completion[index] != d) continue;  // stale duplicate
-    unsigned red_at = 0;  // positions holding a red pebble
-    for (std::size_t i = 0, rest = index; i < p; ++i, rest /= 6) {
-      digits[i] = static_cast<unsigned>(rest % 6);
-      if (digits[i] % 3 == kRed) red_at |= 1u << i;
-    }
-    const std::int64_t red = std::popcount(red_at);
-    // Each pre-image differs from the popped state at position i alone, and
-    // is legal there under every rule of Engine::why_illegal that mentions
-    // only pattern nodes — so a concrete-legal move is always abstract-legal
-    // on the projection, which is what makes the table admissible.
-    for (std::size_t i = 0; i < p; ++i) {
-      const unsigned to = digits[i];
-      const unsigned computed = to - to % 3;
-      auto relax = [&](unsigned from, std::int64_t cost) {
-        const std::size_t pre = index - to * weight[i] + from * weight[i];
-        const std::int64_t nd = std::min(d + cost, cost_cap);
-        std::int32_t& entry = completion[pre];
-        if (entry != kUnreachable && entry <= nd) return;
-        entry = static_cast<std::int32_t>(nd);
-        queue.push(nd, static_cast<std::uint32_t>(pre));
-      };
-      switch (to % 3) {
-        case kRed: {
-          // Load and Compute both need a free red pebble in the pre-image,
-          // which holds one red fewer.
-          if (red - 1 >= r) break;
-          // Load lands on Red from Blue, computed untouched.
-          relax(kBlue + computed, eps_den);
-          // Compute lands on Red+computed from None or Blue, either prior
-          // computed flag unless recomputation is forbidden.
-          if (computed == 0) break;
-          if (conv.sources_start_blue && (shape.sources >> i & 1u) != 0) break;
-          if ((shape.preds[i] & ~red_at) != 0) break;  // an input not red
-          for (unsigned from : {kNone, kBlue}) {
-            relax(from, eps_num);
-            if (model.allows_recompute()) relax(from + kComputed, eps_num);
-          }
-          break;
-        }
-        case kBlue:
-          relax(kRed + computed, eps_den);  // Store from Red
-          break;
-        case kNone:
-          if (!model.allows_delete()) break;
-          relax(kRed + computed, 0);  // Delete from Red or Blue
-          relax(kBlue + computed, 0);
-          break;
+  // Backward Dijkstra from every complete projection over move pre-images,
+  // into `distance` indexed by kRadix-ary digits: 6 for color + 3·computed,
+  // 3 for the colors alone. False when the stop hook ended it. Distances
+  // clamp at cost_cap (an underestimate, so still admissible — and never
+  // reached in practice: cost_cap is the Section 3 universal ceiling for
+  // the whole DAG, 134,593 on a 192-node compcost DAG). So the queue's
+  // spine starts at one move's cost and doubles as the distances grow.
+  auto solve = [&](auto radix, std::vector<std::int32_t>& distance) {
+    constexpr std::size_t kRadix = decltype(radix)::value;
+    // The computed digit a Compute lands on: none in the color game; 3 in
+    // oneshot, where the pre-image must hold 0.
+    constexpr unsigned kComputeFlag = kRadix == 3 ? 0 : kComputed;
+    std::vector<std::size_t> weight(p + 1, 1);
+    for (std::size_t i = 0; i < p; ++i) weight[i + 1] = kRadix * weight[i];
+    distance.assign(weight[p], kUnreachable);
+    const std::int64_t max_cost = std::max(eps_num, eps_den);
+    BucketQueue<std::uint32_t> queue(static_cast<std::size_t>(max_cost) + 1);
+    std::fill(digits.begin(), digits.end(), 0u);
+    for (std::size_t index = 0; index < weight[p]; ++index) {
+      if (stopped(index)) return false;
+      if (is_goal()) {
+        distance[index] = 0;
+        queue.push(0, static_cast<std::uint32_t>(index));
       }
+      for (std::size_t i = 0; i < p && ++digits[i] == kRadix; ++i) {
+        digits[i] = 0;
+      }
+    }
+
+    std::size_t pops = 0;
+    while (!queue.empty()) {
+      if (stopped(pops++)) return false;
+      auto [d, popped] = queue.pop();
+      const auto index = static_cast<std::size_t>(popped);
+      if (distance[index] != d) continue;  // stale duplicate
+      // Its pre-images cost at most one move more: make room for them here,
+      // once per pop, which keeps the check out of the relaxations.
+      const auto reach =
+          static_cast<std::size_t>(std::min(d + max_cost, cost_cap));
+      if (reach >= queue.bucket_count()) {
+        queue.grow(std::min(static_cast<std::size_t>(cost_cap),
+                            std::max(2 * queue.bucket_count(), reach)) +
+                   1);
+      }
+      unsigned red_at = 0;  // positions holding a red pebble
+      for (std::size_t i = 0, rest = index; i < p; ++i, rest /= kRadix) {
+        digits[i] = static_cast<unsigned>(rest % kRadix);
+        if (digits[i] % 3 == kRed) red_at |= 1u << i;
+      }
+      const std::int64_t red = std::popcount(red_at);
+      // Each pre-image differs from the popped state at position i alone,
+      // and is legal there under every rule of Engine::why_illegal that
+      // mentions only pattern nodes — so a concrete-legal move is always
+      // abstract-legal on the projection, which is what makes the table
+      // admissible.
+      for (std::size_t i = 0; i < p; ++i) {
+        const unsigned to = digits[i];
+        const unsigned computed = to - to % 3;
+        auto relax = [&](unsigned from, std::int64_t cost) {
+          const std::size_t pre = index - to * weight[i] + from * weight[i];
+          const std::int64_t nd = std::min(d + cost, cost_cap);
+          std::int32_t& entry = distance[pre];
+          if (entry != kUnreachable && entry <= nd) return;
+          entry = static_cast<std::int32_t>(nd);
+          queue.push(nd, static_cast<std::uint32_t>(pre));
+        };
+        switch (to % 3) {
+          case kRed: {
+            // Load and Compute both need a free red pebble in the
+            // pre-image, which holds one red fewer.
+            if (red - 1 >= r) break;
+            // Load lands on Red from Blue, computed untouched.
+            relax(kBlue + computed, eps_den);
+            // Compute lands on Red with the computed flag, from None or
+            // Blue.
+            if (computed != kComputeFlag) break;
+            if (conv.sources_start_blue && (shape.sources >> i & 1u) != 0) {
+              break;
+            }
+            if ((shape.preds[i] & ~red_at) != 0) break;  // an input not red
+            relax(kNone, eps_num);
+            relax(kBlue, eps_num);
+            break;
+          }
+          case kBlue:
+            relax(kRed + computed, eps_den);  // Store from Red
+            break;
+          case kNone:
+            if (!model.allows_delete()) break;
+            relax(kRed + computed, 0);  // Delete from Red or Blue
+            relax(kBlue + computed, 0);
+            break;
+        }
+      }
+    }
+    return true;
+  };
+
+  // Oneshot's Compute needs the flag clear: it plays all six digits.
+  if (!model.allows_recompute()) {
+    solve(std::integral_constant<std::size_t, 6>{}, completion);
+    return;
+  }
+  // Elsewhere the flag is dead (no rule or goal reads it): play the 3^|P|
+  // color game and broadcast it.
+  std::vector<std::int32_t> colors;
+  if (!solve(std::integral_constant<std::size_t, 3>{}, colors)) return;
+  // The odometer steps a position's digit through the colors twice, flag
+  // clear then set; the color index follows, falling back by 2·3^i where
+  // the colors restart (digit 3, and the carry at 6).
+  std::size_t table_size = 1;
+  for (std::size_t i = 0; i < p; ++i) table_size *= 6;
+  completion.resize(table_size);
+  std::fill(digits.begin(), digits.end(), 0u);
+  std::size_t color_index = 0;
+  for (std::size_t index = 0; index < table_size; ++index) {
+    if (stopped(index)) return;
+    completion[index] = colors[color_index];
+    for (std::size_t i = 0, weight = 1; i < p; ++i, weight *= 3) {
+      if (++digits[i] % 3 != 0) {
+        color_index += weight;
+        break;
+      }
+      color_index -= 2 * weight;
+      if (digits[i] < 6) break;
+      digits[i] = 0;
     }
   }
 }

@@ -27,6 +27,13 @@
 //    optimal abstract completion cost of every projection. A pattern
 //    without a DAG sink requires nothing (every projection is a goal at
 //    distance 0), so it builds no table and stays out of the sum.
+//  * Where the model allows recomputation (base, nodel, compcost), the
+//    computed flag is dead: no move rule and no goal test reads it, and
+//    Compute sets it from either value, so a projection's distance is its
+//    colors' distance. Those builds run the Dijkstra over the 3^|P| color
+//    configurations and broadcast each distance to the 2^|P| entries that
+//    share its colors — the same 6^|P| table, 2^|P| times less search.
+//    Oneshot's Compute needs the flag clear, so it keeps all six digits.
 //  * One table per isomorphism class, not per pattern. Before its table is
 //    looked up, a sink-bearing pattern's nodes are put in a canonical order:
 //    the least relabelled shape (in-pattern predecessor positions, source
@@ -202,7 +209,11 @@ class PatternDatabase {
   };
 
   /// Fill `completion` with the optimal abstract completion cost per
-  /// projection index of `shape`, kUnreachable where none exists.
+  /// projection index of `shape`, kUnreachable where none exists. In the
+  /// models that allow recomputation the search runs over colors only
+  /// (digits 0–2, weights 3^i) and a sweep broadcasts it over the computed
+  /// flags: no rule or goal reads the flag, and Compute sets it from
+  /// either value. Oneshot searches all six digits.
   void build_pattern(const Engine& engine, const Shape& shape,
                      std::vector<std::int32_t>& completion,
                      std::int64_t cost_cap, const StopPredicate& should_stop);

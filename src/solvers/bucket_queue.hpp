@@ -72,6 +72,23 @@ class BucketQueue {
     return {static_cast<std::int64_t>(cursor_), std::move(item)};
   }
 
+  /// Priorities below this are pushable.
+  std::size_t bucket_count() const { return buckets_.size(); }
+
+  /// Widen the spine to `count` buckets, at least bucket_count(), keeping
+  /// every queued item. push never grows it: the searches size theirs once,
+  /// and a caller whose priorities stay far below their bound (the PDB
+  /// builds) grows on demand.
+  void grow(std::size_t count) {
+    RBPEB_REQUIRE(count >= buckets_.size(), "grow() cannot shrink the spine");
+    const std::size_t spine = buckets_.capacity();
+    const std::size_t mask = occupied_.capacity();
+    buckets_.resize(count);
+    occupied_.resize((count + 63) / 64, 0);
+    bytes_ += (buckets_.capacity() - spine) * sizeof(std::vector<Item>) +
+              (occupied_.capacity() - mask) * sizeof(std::uint64_t);
+  }
+
   bool empty() const { return size_ == 0; }
 
   std::size_t size() const { return size_; }
@@ -94,9 +111,9 @@ class BucketQueue {
   }
 
   /// Current heap footprint: the bucket spine and the occupancy mask plus
-  /// every bucket's capacity. O(1) — a running total kept by push (pop
-  /// never shrinks a bucket), so the searches can charge the queue against
-  /// the memory budget at every poll checkpoint.
+  /// every bucket's capacity. O(1) — a running total kept by push and grow
+  /// (pop never shrinks a bucket), so the searches can charge the queue
+  /// against the memory budget at every poll checkpoint.
   std::size_t bytes() const { return bytes_; }
 
  private:

@@ -46,6 +46,9 @@ struct ExactSearchStats {
   /// Bytes of the pattern database's tables, charged to the memory budget
   /// beside the closed table. Zero when the search built no PDB.
   std::size_t pdb_bytes = 0;
+  /// Wall milliseconds the pattern database build took. Zero when the
+  /// search built no PDB.
+  double pdb_build_ms = 0.0;
   /// Workers the search actually ran (hda-astar; includes the automatic
   /// sequential fallback on serial instances). Zero elsewhere.
   std::size_t threads_used = 0;

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -322,15 +323,20 @@ void summarize_open(obs::ProgressObservation& ob, const Queue& queue,
 /// Build the pattern database `opt` asks for into `pdb` (left empty when
 /// off): dense tables of width opt.pdb_pattern_size (1–8, 0 = the default
 /// 6), one per isomorphism class of patterns; its table bytes go to
-/// stats.pdb_bytes. False when the stop predicate aborted the build.
+/// stats.pdb_bytes and its wall time to stats.pdb_build_ms. False when the
+/// stop predicate aborted the build.
 inline bool build_search_pdb(std::optional<PatternDatabase>& pdb,
                              const Engine& engine,
                              const ExactSearchOptions& opt,
                              ExactSearchStats& stats) {
   if (!bigstate_pdb_enabled(opt, engine.dag().node_count())) return true;
+  const auto start = std::chrono::steady_clock::now();
   pdb.emplace(engine, opt.pdb_pattern_size, opt.should_stop);
   if (pdb->build_aborted()) return false;
   stats.pdb_bytes = pdb->table_bytes();
+  stats.pdb_build_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
   return true;
 }
 

@@ -3,12 +3,15 @@
 // gaps compcost's ε = 1/100 leaves between adjacent f-values, must pop the
 // same (priority, item) sequence — lowest bucket first, LIFO within one —
 // while bytes() tracks the spine plus every bucket's capacity and for_each
-// visits in ascending priority. Popping an empty queue is a precondition
-// failure, not a read past the buckets.
+// visits in ascending priority. A spine grown on demand (as the PDB builds
+// grow theirs) must pop the same sequence and keep every queued item.
+// Popping an empty queue and shrinking the spine are precondition
+// failures, not a read past the buckets or lost items.
 #include "src/solvers/bucket_queue.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -70,13 +73,19 @@ void expect_same_order(const BucketQueue<Item>& queue, const Reference& ref) {
   EXPECT_EQ(visited, want);
 }
 
-void run(std::int64_t stride, std::uint64_t seed) {
-  SCOPED_TRACE(::testing::Message() << "stride " << stride);
+/// `start_buckets` of 0 sizes the spine for every priority up front; any
+/// other value starts it there and grows it, doubling, before a push that
+/// needs it.
+void run(std::int64_t stride, std::uint64_t seed,
+         std::size_t start_buckets = 0) {
+  SCOPED_TRACE(::testing::Message() << "stride " << stride << " start "
+                                    << start_buckets);
   constexpr std::int64_t kLevels = 200;  // 20000 buckets at stride 100
   const auto buckets = static_cast<std::size_t>(kLevels * stride + 1);
-  BucketQueue<Item> queue(buckets);
+  BucketQueue<Item> queue(start_buckets == 0 ? buckets : start_buckets);
   Reference ref(buckets);
-  const std::size_t base_bytes = queue.bytes();
+  std::size_t base_bytes = queue.bytes();
+  std::size_t grows = 0;
   Rng rng(seed);
   Item next_item = 0;
   std::int64_t last_popped = 0;
@@ -94,6 +103,17 @@ void run(std::int64_t stride, std::uint64_t seed) {
                                  static_cast<std::int64_t>(rng.next_below(8)));
       const std::int64_t priority = level * stride;
       if (priority < last_popped) ++below_cursor;
+      const auto bucket = static_cast<std::size_t>(priority);
+      if (bucket >= queue.bucket_count()) {
+        const std::size_t spine_before = base_bytes;
+        queue.grow(std::max(2 * queue.bucket_count(), bucket + 1));
+        ASSERT_GT(queue.bucket_count(), bucket);
+        // Grown buckets keep their items and capacities; only the spine
+        // and the occupancy mask are charged anew.
+        base_bytes = queue.bytes() - ref.capacity_bytes();
+        ASSERT_GT(base_bytes, spine_before);
+        ++grows;
+      }
       queue.push(priority, next_item);
       ref.push(priority, next_item);
       ++next_item;
@@ -112,11 +132,25 @@ void run(std::int64_t stride, std::uint64_t seed) {
   while (!queue.empty()) ASSERT_EQ(queue.pop(), ref.pop());
   EXPECT_EQ(queue.bytes(), base_bytes + ref.capacity_bytes());
   EXPECT_GT(below_cursor, 0u);
+  EXPECT_EQ(grows > 0, start_buckets != 0);
 }
 
 TEST(BucketQueue, PopsLikeAMapOfStacksAtStrideOne) { run(1, 11); }
 
 TEST(BucketQueue, PopsLikeAMapOfStacksAtStrideOneHundred) { run(100, 12); }
+
+TEST(BucketQueue, PopsLikeAMapOfStacksWhileTheSpineGrows) {
+  run(1, 13, 2);
+  run(100, 14, 101);
+}
+
+TEST(BucketQueue, ShrinkingTheSpineIsAPreconditionFailure) {
+  BucketQueue<Item> queue(130);
+  queue.push(129, 1);
+  EXPECT_THROW(queue.grow(64), PreconditionError);
+  EXPECT_EQ(queue.bucket_count(), 130u);
+  EXPECT_EQ(queue.pop(), (std::pair<std::int64_t, Item>{129, 1}));
+}
 
 TEST(BucketQueue, SkipsWordsOfEmptyBucketsAndLandsOnTheLast) {
   BucketQueue<Item> queue(1000);

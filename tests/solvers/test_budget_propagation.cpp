@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "src/obs/metrics.hpp"
 #include "src/solvers/api.hpp"
@@ -46,31 +47,57 @@ TEST(BudgetPropagation, PdbBuildHonorsTheStopPredicate) {
   // 63 nodes: comfortably past the fixed-width cap, where Auto turns PDBs
   // on and the build is the expensive pre-search stage.
   const TreeReductionDag tree = make_tree_reduction_dag(32);
-  const Engine engine(tree.dag, Model::oneshot(), 4);
 
-  // The build metrics count completed builds only: start the gauge at a
-  // value no build sets.
+  // The build metrics count completed builds only: the gauge starts each
+  // check at a value no build sets.
   auto& registry = obs::MetricsRegistry::instance();
   obs::Counter& builds = registry.counter("pdb.builds");
   obs::Gauge& table_bytes = registry.gauge("pdb.table_bytes");
-  table_bytes.set(-1);
-  const std::uint64_t builds_before = builds.value();
 
-  // An already-raised stop flag must abort the build almost immediately.
-  // Pattern size 6 keeps the 6^|P| tables small — the poll cadence under
-  // test is the same at every size. The discarded tables count as no build.
-  const PatternDatabase aborted(engine, 6, [] { return true; });
-  EXPECT_TRUE(aborted.build_aborted());
-  EXPECT_EQ(builds.value(), builds_before);
-  EXPECT_EQ(table_bytes.value(), -1);
+  // Oneshot plays the six-digit game; at width 6 its 6^|P| tables stay
+  // small, and the poll cadence under test is the same at every size.
+  // Compcost plays the color game and broadcasts it into 6^8-entry tables,
+  // which must poll too.
+  for (const auto& [model, width] :
+       {std::pair{Model::oneshot(), std::size_t{6}},
+        std::pair{Model::compcost(), std::size_t{8}}}) {
+    SCOPED_TRACE(model.name());
+    const Engine engine(tree.dag, model, 4);
+    table_bytes.set(-1);
+    const std::uint64_t builds_before = builds.value();
 
-  // And without one, the same build runs to completion and is recorded.
-  const PatternDatabase built(engine, 6, {});
-  EXPECT_FALSE(built.build_aborted());
-  EXPECT_EQ(builds.value(), builds_before + 1);
-  EXPECT_EQ(table_bytes.value(),
-            static_cast<std::int64_t>(built.table_bytes()));
-  EXPECT_GT(built.table_bytes(), 0u);
+    // An already-raised stop flag must abort the build almost immediately.
+    // The discarded tables count as no build.
+    const PatternDatabase aborted(engine, width, [] { return true; });
+    EXPECT_TRUE(aborted.build_aborted());
+    EXPECT_EQ(builds.value(), builds_before);
+    EXPECT_EQ(table_bytes.value(), -1);
+
+    // Without one, the same build runs to completion and is recorded.
+    std::size_t polls = 0;
+    const PatternDatabase built(engine, width, [&] {
+      ++polls;
+      return false;
+    });
+    EXPECT_FALSE(built.build_aborted());
+    EXPECT_EQ(builds.value(), builds_before + 1);
+    EXPECT_EQ(table_bytes.value(),
+              static_cast<std::int64_t>(built.table_bytes()));
+    EXPECT_GT(built.table_bytes(), 0u);
+    // Every entry is written by a loop that polls once per 4096 steps: the
+    // goal sweep, the Dijkstra or the broadcast.
+    EXPECT_GE(polls, built.table_bytes() / sizeof(std::int32_t) / 4096);
+
+    // A flag raised at the build's last poll still aborts it. A table's
+    // last phase polls last, so in compcost this lands in the broadcast.
+    table_bytes.set(-1);
+    std::size_t seen = 0;
+    const PatternDatabase late(engine, width, [&] { return ++seen == polls; });
+    EXPECT_TRUE(late.build_aborted());
+    EXPECT_EQ(seen, polls);
+    EXPECT_EQ(builds.value(), builds_before + 1);
+    EXPECT_EQ(table_bytes.value(), -1);
+  }
 }
 
 TEST(BudgetPropagation, CancelledExactAstarStopsDuringThePdbBuild) {

@@ -1,10 +1,10 @@
 // The pattern database's dense tables: every entry must equal the optimal
 // completion cost of its pattern's abstract game (checked index by index
 // against a forward search that never goes through the shape map), there
-// is one table per isomorphism class of sink-bearing patterns, a pattern
-// covering the whole DAG must reproduce the exact optimum, the nodel sum
-// can beat the counting bound, and the min-cut partitioner must produce
-// legal partitions that the search can use.
+// is one table per isomorphism class of sink-bearing patterns, tables of
+// the models that allow recomputation ignore the computed flag at widths
+// the oracle cannot reach, a pattern covering the whole DAG must reproduce
+// the exact optimum, and the nodel sum can beat the counting bound.
 #include "src/solvers/bigstate/pdb.hpp"
 
 #include <gtest/gtest.h>
@@ -232,6 +232,66 @@ TEST(FlatPdb, IsomorphicPatternsInDifferentOrdersShareOneTable) {
           }
         }
         expect_tables_match_abstract_games(engine, pdb, 37);
+      }
+    }
+  }
+}
+
+// ---- recompute models: the computed flag is dead --------------------------
+
+/// Where recomputation is allowed, no rule and no goal reads the computed
+/// flag, so the tables are built over colors only and broadcast over the
+/// flags. This pins that shortcut at the widths the forward oracle does not
+/// reach (6 and 8), on the 96-node anytime instance, under every
+/// convention: in base, nodel and compcost every entry equals the entry
+/// with all computed digits cleared. In oneshot, whose Compute needs the
+/// flag clear, some entry differs, so the shortcut must stay off there.
+TEST(FlatPdb, RecomputeModelTablesIgnoreTheComputedFlag) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 16, .width = 6, .indegree = 2, .seed = 71});  // 96 nodes
+  for (std::size_t width : {6u, 8u}) {
+    for (const Model& model : all_models()) {
+      for (const PebblingConvention& convention : kConventions) {
+        SCOPED_TRACE(::testing::Message()
+                     << model.name() << " width " << width
+                     << " sources-blue=" << convention.sources_start_blue
+                     << " sinks-blue=" << convention.sinks_end_blue);
+        const Engine engine(dag, model, min_red_pebbles(dag), convention);
+        const PatternDatabase pdb(engine, width);
+        std::size_t differ = 0;
+        for (std::size_t p = 0; p < pdb.pattern_count(); ++p) {
+          const std::vector<NodeId>& nodes = pdb.pattern_nodes(p);
+          const std::uint32_t t = pdb.node_term(nodes[0]).term;
+          if (t == PatternDatabase::kNoTerm) continue;
+          // Every index is a colors-only index (digits 0–2) plus one
+          // flags offset (3·6^i per computed node i).
+          std::vector<std::size_t> colors{0};
+          std::vector<std::size_t> flags{0};
+          for (std::size_t i = 0, weight = 1; i < nodes.size();
+               ++i, weight *= 6) {
+            const std::size_t count = colors.size();
+            for (std::size_t color = 1; color < 3; ++color) {
+              for (std::size_t k = 0; k < count; ++k) {
+                colors.push_back(colors[k] + color * weight);
+              }
+            }
+            const std::size_t flag_count = flags.size();
+            for (std::size_t k = 0; k < flag_count; ++k) {
+              flags.push_back(flags[k] + 3 * weight);
+            }
+          }
+          for (std::size_t cleared : colors) {
+            const std::int32_t want = pdb.distance(t, cleared);
+            for (std::size_t offset : flags) {
+              if (pdb.distance(t, cleared + offset) != want) ++differ;
+            }
+          }
+        }
+        if (model.allows_recompute()) {
+          EXPECT_EQ(differ, 0u);
+        } else {
+          EXPECT_GT(differ, 0u);
+        }
       }
     }
   }
