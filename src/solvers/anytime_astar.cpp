@@ -130,14 +130,16 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     // released before this one is charged against the memory budget.
     Table table(n, opt.max_memory_bytes, spill_dir ? spill_dir->path() : "",
                 opt.max_disk_bytes);
-    // Pushed items satisfy g + h < C <= ceiling + 1, and w >= 1 gives
-    // g + floor(w·h) <= floor(w·(g + h)) <= floor(w·ceiling).
-    const std::int64_t max_priority = ceiling * w.num / w.den;
+    // Pushed items satisfy g + h < C, and C only falls during the pass. So
+    // does the start item: here C > L >= min(start h, initial C). w >= 1
+    // gives g + floor(w·h) <= floor(w·(g + h)) <= floor(w·(C − 1)), so the
+    // incumbent sizes the spine; with none yet, C − 1 is the ceiling.
+    const std::int64_t max_priority = (C - 1) * w.num / w.den;
     BucketQueue<QueueItem> queue(static_cast<std::size_t>(max_priority) + 1);
     auto weighted = [&](std::int64_t g, std::int64_t h) {
       const std::int64_t priority = unit ? g + h : g + h * w.num / w.den;
       RBPEB_ENSURE(priority <= max_priority,
-                   "weighted priority beyond the universal ceiling");
+                   "weighted priority beyond the pass's incumbent");
       return priority;
     };
     // The certificate currency is the unweighted f = g + h: pruning and

@@ -275,6 +275,29 @@ TEST(AnytimeSolver, DiskStopDetailNamesTheDiskBudget) {
   }
 }
 
+/// Each pass's bucket spine is sized from the incumbent, not the universal
+/// ceiling, and the spine is charged to the memory budget. With the greedy
+/// seed at about a quarter of the ceiling, an 8 MiB budget leaves room for
+/// the first weight-3 pass to expand; a ceiling-sized spine (9.7 MB) would
+/// end it before its first expansion.
+TEST(AnytimeSolver, IncumbentSizedSpinesLeaveMemoryForTheSearch) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 24, .width = 8, .indegree = 2, .seed = 64});  // 192 nodes
+  const Engine engine(dag, Model::compcost(), 3);
+  SolveRequest request;
+  request.engine = &engine;
+  request.budget.max_states = 40'000;
+  request.budget.max_memory_bytes = std::size_t{8} << 20;
+  request.options["spill"] = "off";
+  request.options["weights"] = "3,2,3/2,1";
+  const SolveResult result =
+      SolverRegistry::instance().at("anytime-astar").run(request);
+  ASSERT_TRUE(result.ok()) << result.detail;
+  EXPECT_GT(std::stoull(result.stats.at("states_expanded")), 0u);
+  ASSERT_TRUE(result.certificate.has_value());
+  EXPECT_TRUE(certificate_holds(*result.certificate, result.cost));
+}
+
 /// The weights/epsilon options parse exactly and bad values are refused
 /// with the offending token named.
 TEST(AnytimeSolver, WeightScheduleOptionsParseAndValidate) {
