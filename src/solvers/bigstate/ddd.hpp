@@ -1,14 +1,24 @@
 // External-memory closed table with delayed duplicate detection — what turns
 // `--budget-memory` from a wall into a working set.
 //
-// The PR-4 ClosedTable refused inserts past its byte budget and the
-// searches surfaced that as ExactTermination::MemoryBudget: a dead end.
-// SpillingClosedTable (its replacement) keeps the same open-addressed,
-// byte-accounted core but *evicts* instead of refusing: when an insert or growth would exceed the
-// budget it sheds the cold half of its entries — lowest g first, the layers
-// a mostly-monotone A* has already burned through (the structured-duplicate-
-// detection reading of the DAG's level structure) — into sorted spill runs
-// on disk (spill.hpp), then carries on.
+// SpillingClosedTable is an open-addressed, linearly probed, byte-accounted
+// hash table from a packed key to its best known path. With spilling off it
+// refuses inserts past its byte budget, which the searches surface as
+// ExactTermination::MemoryBudget. With spilling on it *evicts* instead: when
+// an insert or growth would exceed the budget it sheds the cold half of its
+// entries — lowest g first, the layers a mostly-monotone A* has already
+// burned through (the structured-duplicate-detection reading of the DAG's
+// level structure) — into sorted spill runs on disk (spill.hpp), then
+// carries on.
+//
+// A slot is the key, g, the parent key, the via move split into a 32-bit
+// node and an 8-bit type, three 1-bit flags and a 16-bit deferred count:
+// 32 bytes over one-word keys, 48 over two-word keys and 80 over runtime-
+// width keys. The A* searches spend most of their time probing it at
+// random, so the expander hashes every successor of a state first and
+// prefetch()es its home slot, then offers each one to the hashed relax(),
+// which probes once and, on a miss, inserts into the empty slot its probe
+// stopped at.
 //
 // Duplicate detection is *delayed* (Korf's DDD): a freshly generated state
 // is checked against the in-RAM table immediately, but against the spilled
@@ -32,8 +42,8 @@
 // bit-for-bit (asserted by tests/solvers/test_spill.cpp), and the
 // optimality proof is untouched: no state is lost, only parked on disk.
 //
-// Single-owner like ClosedTable: the sequential search owns one, each
-// hda-astar shard owns one over its own spill partition.
+// Single-owner: the sequential search owns one, each hda-astar shard owns
+// one over its own spill partition.
 #pragma once
 
 #include <algorithm>
@@ -97,7 +107,7 @@ class SpillingClosedTable {
   };
 
   /// `spill_dir` empty (or `max_bytes` 0) disables spilling: budget hits
-  /// then refuse exactly like ClosedTable. With spilling, the budget is
+  /// then refuse the insert. With spilling, the budget is
   /// honored down to a minimum working set of one initial slot slab.
   SpillingClosedTable(std::size_t node_count, std::size_t max_bytes,
                       const std::string& spill_dir,
@@ -119,22 +129,44 @@ class SpillingClosedTable {
   /// evaluate and push it; Stale means a path at least as cheap is already
   /// in RAM (the delayed check against disk happens at expansion time).
   Relax relax(const Key& key, std::int64_t g, const Key& parent, Move via) {
-    if (Slot* slot = find_slot(key)) {
-      if (g >= slot->entry.g) return Relax::Stale;
-      // A strict improvement re-opens the state; verified status survives
-      // (the RAM g only moved further below any spilled record's). Items
-      // at the old g — deferred duplicates included — go stale with it.
-      slot->entry = Entry{g, parent, via};
-      slot->expanded = false;
-      slot->deferred = 0;
-      return Relax::Improved;
+    return relax(key, Packed::hash_key(key), g, parent, via);
+  }
+
+  /// relax() with the key's hash already computed (`hash` must equal
+  /// Packed::hash_key(key)).
+  Relax relax(const Key& key, std::size_t hash, std::int64_t g,
+              const Key& parent, Move via) {
+    std::size_t i = hash & mask_;
+    if (!slots_.empty()) {
+      for (; slots_[i].occupied; i = (i + 1) & mask_) {
+        Slot& slot = slots_[i];
+        if (!(slot.key == key)) continue;
+        if (g >= slot.g) return Relax::Stale;
+        // A strict improvement re-opens the state; verified status survives
+        // (the RAM g only moved further below any spilled record's). Items
+        // at the old g — deferred duplicates included — go stale with it.
+        slot.set_path(g, parent, via);
+        slot.expanded = false;
+        slot.deferred = 0;
+        return Relax::Improved;
+      }
     }
+    // A miss: slot i is the empty slot the probe stopped at, unless making
+    // room below re-homes the slots.
+    const std::size_t rehashes = rehashes_;
     if (!ensure_capacity()) return Relax::OutOfMemory;
     const std::size_t extra =
         Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
     if (!budget_insert(extra)) return Relax::OutOfMemory;
-    insert_fresh(key, Entry{g, parent, via});
+    if (rehashes_ != rehashes) i = free_slot(hash);
+    insert_fresh(i, key, g, parent, via);
     return Relax::Inserted;
+  }
+
+  /// Start loading the home slot of a key hashing to `hash` (no effect on
+  /// the table's contents).
+  void prefetch(std::size_t hash) const {
+    __builtin_prefetch(slots_.data() + (hash & mask_));
   }
 
   /// Gate a popped open item (key, g): Expand exactly when the in-memory
@@ -147,7 +179,7 @@ class SpillingClosedTable {
         reconcile();
         slot = find_slot(key);  // reconcile never moves slots; be explicit
       }
-      if (slot->entry.g != g || slot->expanded) return Pop::Skip;
+      if (slot->g != g || slot->expanded) return Pop::Skip;
       if (slot->deferred > 0) {
         --slot->deferred;  // a duplicate item: the original expands later
         return Pop::Skip;
@@ -179,7 +211,8 @@ class SpillingClosedTable {
     const std::size_t extra =
         Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
     if (!budget_insert(extra)) return Pop::OutOfMemory;
-    Slot* slot = insert_fresh(key, Entry{g, parent, via});
+    Slot* slot =
+        insert_fresh(free_slot(Packed::hash_key(key)), key, g, parent, via);
     slot->verified = true;
     if (!pending_.empty() && pending_.back() == key) {
       pending_.pop_back();  // insert_fresh queued it; it is already settled
@@ -207,7 +240,7 @@ class SpillingClosedTable {
       RBPEB_ENSURE(slot->verified,
                    "SpillingClosedTable::at: unsettled entry — call "
                    "settle() before reconstruction");
-      return slot->entry;
+      return slot->entry();
     }
     RBPEB_ENSURE(runs_ && !runs_->empty(),
                  "SpillingClosedTable::at: key not present");
@@ -254,19 +287,37 @@ class SpillingClosedTable {
   bool headroom_stop() const { return headroom_stop_; }
 
  private:
+  /// An Entry with its via move split into node and type, so the type and
+  /// the flags share the move's padding: 32 bytes over one-word keys.
   struct Slot {
     Key key{};
-    Entry entry{};
-    bool occupied = false;
-    bool verified = true;   ///< RAM g ≤ every spilled g for this key
-    bool expanded = false;  ///< the state was expanded at exactly entry.g
-    /// Duplicate open-queue items at entry.g that must pop (and be
-    /// consumed) before the state's earliest-pushed item expands it —
-    /// what keeps spilled expansion ORDER identical to in-memory: dups are
-    /// pushed later, so LIFO buckets pop them first, and the real
-    /// expansion still happens at the original item's queue position.
+    std::int64_t g = 0;
+    Key parent{};
+    NodeId via_node = 0;
+    std::uint8_t via_type = 0;
+    std::uint8_t occupied : 1 = 0;
+    std::uint8_t verified : 1 = 1;  ///< RAM g ≤ every spilled g for this key
+    std::uint8_t expanded : 1 = 0;  ///< the state was expanded at exactly g
+    /// Duplicate open-queue items at g that must pop (and be consumed)
+    /// before the state's earliest-pushed item expands it — what keeps
+    /// spilled expansion ORDER identical to in-memory: dups are pushed
+    /// later, so LIFO buckets pop them first, and the real expansion still
+    /// happens at the original item's queue position.
     std::uint16_t deferred = 0;
+
+    Move via() const {
+      return Move{static_cast<MoveType>(via_type), via_node};
+    }
+    Entry entry() const { return Entry{g, parent, via()}; }
+    void set_path(std::int64_t new_g, const Key& new_parent, Move new_via) {
+      g = new_g;
+      parent = new_parent;
+      via_node = new_via.node;
+      via_type = static_cast<std::uint8_t>(new_via.type);
+    }
   };
+  static_assert(sizeof(Slot) == 2 * sizeof(Key) + 16,
+                "a slot is its two keys, g and 8 bytes of move and flags");
 
   static constexpr std::size_t kInitialSlots = 1024;
   /// A spilling table never evicts below this population: budgets smaller
@@ -288,6 +339,13 @@ class SpillingClosedTable {
     if (!spilling()) return false;
     if (size_ >= kMinEvictEntries && !make_room()) return false;
     return true;
+  }
+
+  /// The first empty slot of the probe sequence from `hash`'s home slot.
+  std::size_t free_slot(std::size_t hash) const {
+    std::size_t i = hash & mask_;
+    while (slots_[i].occupied) i = (i + 1) & mask_;
+    return i;
   }
 
   Slot* find_slot(const Key& key) {
@@ -347,27 +405,26 @@ class SpillingClosedTable {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_cap, Slot{});
     mask_ = new_cap - 1;
+    ++rehashes_;
     for (Slot& slot : old) {
       if (!slot.occupied) continue;
-      std::size_t i = Packed::hash_key(slot.key) & mask_;
-      while (slots_[i].occupied) i = (i + 1) & mask_;
-      slots_[i] = std::move(slot);
+      slots_[free_slot(Packed::hash_key(slot.key))] = std::move(slot);
     }
     return true;
   }
 
-  Slot* insert_fresh(const Key& key, Entry entry) {
-    std::size_t i = Packed::hash_key(key) & mask_;
-    while (slots_[i].occupied) i = (i + 1) & mask_;
+  /// Store a fresh key in the empty slot `i` of its probe sequence.
+  Slot* insert_fresh(std::size_t i, const Key& key, std::int64_t g,
+                     const Key& parent, Move via) {
     Slot& slot = slots_[i];
     slot.key = key;
-    slot.entry = std::move(entry);
+    slot.set_path(g, parent, via);
     slot.occupied = true;
     slot.expanded = false;
     slot.deferred = 0;
     slot.verified = !runs_ || runs_->empty();
     heap_bytes_ +=
-        Packed::key_heap_bytes(slot.key) + Packed::key_heap_bytes(slot.entry.parent);
+        Packed::key_heap_bytes(slot.key) + Packed::key_heap_bytes(slot.parent);
     ++size_;
     if (!slot.verified) {
       pending_.push_back(slot.key);
@@ -406,7 +463,7 @@ class SpillingClosedTable {
             Slot* slot = find_slot(pending_[order[i]]);
             RBPEB_ENSURE(slot != nullptr, "reconcile: pending key vanished");
             const std::int64_t disk_g = bigstate::spill_record_g(layout_, rec);
-            const std::int64_t ram_g = slot->entry.g;
+            const std::int64_t ram_g = slot->g;
             if (disk_g > ram_g) return;  // stale disk history
             // The disk path was there first: adopt it (ties keep the first
             // inserter's tree edge, as the in-memory table would). If the
@@ -426,15 +483,14 @@ class SpillingClosedTable {
               // correctness: each (key, g) still expands at most once.
               ++deferred;
             }
-            const std::size_t old_heap =
-                Packed::key_heap_bytes(slot->entry.parent);
-            slot->entry.g = disk_g;
-            slot->entry.parent = Packed::key_deserialize(
-                rec + layout_.parent_offset(), node_count_);
-            slot->entry.via = bigstate::spill_record_via(layout_, rec);
+            const std::size_t old_heap = Packed::key_heap_bytes(slot->parent);
+            slot->set_path(disk_g,
+                           Packed::key_deserialize(
+                               rec + layout_.parent_offset(), node_count_),
+                           bigstate::spill_record_via(layout_, rec));
             slot->expanded = disk_expanded;
             slot->deferred = deferred;
-            heap_bytes_ += Packed::key_heap_bytes(slot->entry.parent);
+            heap_bytes_ += Packed::key_heap_bytes(slot->parent);
             heap_bytes_ -= old_heap;
           });
     }
@@ -464,7 +520,7 @@ class SpillingClosedTable {
     // are the levels the frontier has left behind — the cold end.
     std::nth_element(occupied.begin(), occupied.begin() + (evict_count - 1),
                      occupied.end(), [&](std::uint32_t a, std::uint32_t b) {
-                       return slots_[a].entry.g < slots_[b].entry.g;
+                       return slots_[a].g < slots_[b].g;
                      });
     const std::size_t rb = layout_.record_bytes();
     std::vector<std::uint8_t> records(evict_count * rb);
@@ -472,8 +528,8 @@ class SpillingClosedTable {
       const Slot& slot = slots_[occupied[v]];
       std::uint8_t* rec = records.data() + v * rb;
       Packed::key_serialize(slot.key, rec);
-      Packed::key_serialize(slot.entry.parent, rec + layout_.parent_offset());
-      bigstate::spill_record_store(layout_, rec, slot.entry.g, slot.entry.via,
+      Packed::key_serialize(slot.parent, rec + layout_.parent_offset());
+      bigstate::spill_record_store(layout_, rec, slot.g, slot.via(),
                                    slot.expanded, slot.deferred);
     }
     bigstate::sort_spill_records(layout_, records.data(), evict_count);
@@ -490,15 +546,14 @@ class SpillingClosedTable {
     }
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size(), Slot{});
+    ++rehashes_;
     heap_bytes_ = 0;
     size_ = 0;
     for (Slot& slot : old) {
       if (!slot.occupied) continue;
-      std::size_t i = Packed::hash_key(slot.key) & mask_;
-      while (slots_[i].occupied) i = (i + 1) & mask_;
       heap_bytes_ += Packed::key_heap_bytes(slot.key) +
-                     Packed::key_heap_bytes(slot.entry.parent);
-      slots_[i] = std::move(slot);
+                     Packed::key_heap_bytes(slot.parent);
+      slots_[free_slot(Packed::hash_key(slot.key))] = std::move(slot);
       ++size_;
     }
     return true;
@@ -513,6 +568,7 @@ class SpillingClosedTable {
   std::optional<bigstate::SpillRunSet> runs_;
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
+  std::size_t rehashes_ = 0;  ///< grow()s and make_room()s: slots re-homed
   std::size_t size_ = 0;
   std::size_t heap_bytes_ = 0;
   /// Scratch buffers for single-record disk lookups (begin_expansion, at):

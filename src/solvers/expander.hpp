@@ -77,6 +77,7 @@ class Expander {
         sinks_blue_(engine.convention().sinks_end_blue),
         masks_(n_) {
     if (pdb != nullptr) bound_.attach_pdb(pdb);
+    successors_.reserve(4 * n_);
     for (MoveType type : {MoveType::Load, MoveType::Store, MoveType::Compute,
                           MoveType::Delete}) {
       cost_[static_cast<std::size_t>(type)] =
@@ -157,8 +158,10 @@ class Expander {
   /// stale paths stop there), then priced as a delta from the entered state
   /// (StateBoundEvaluator::successor_bound, equal to its lower_bound_scaled);
   /// a dead successor counts a prune, a live one goes to emit(move, next,
-  /// next_g, h). False when the table ran out of memory — the search must
-  /// end.
+  /// next_g, h). With a table, every successor's hash is computed and its
+  /// home slot prefetched before the first relax, so the table's random
+  /// probes overlap. False when the table ran out of memory — the search
+  /// must end.
   template <class Emit>
   bool expand(std::int64_t g, Table* table, Emit&& emit) {
     if (attribute_) {
@@ -174,9 +177,17 @@ class Expander {
       }
     }
     bound_.enter_parent(masks_, parent_);
-    bool out_of_memory = false;
-    for_each_legal_move([&](const Move& move) {
-      if (out_of_memory) return;
+    successors_.clear();
+    for_each_legal_move(
+        [&](const Move& move) { successors_.push_back({move, 0}); });
+    if (table != nullptr) {
+      for (Successor& s : successors_) {
+        s.hash = static_cast<std::size_t>(current_.hash_after(s.move));
+        table->prefetch(s.hash);
+      }
+    }
+    for (const Successor& s : successors_) {
+      const Move& move = s.move;
       // Built in scratch: only the table and the queue copy a key.
       next_ = current_;
       next_.apply_in_place(move);
@@ -184,12 +195,9 @@ class Expander {
           g + cost_[static_cast<std::size_t>(move.type)];
       if (table != nullptr) {
         const auto relaxed =
-            table->relax(next_.key(), next_g, current_.key(), move);
-        if (relaxed == Table::Relax::OutOfMemory) {
-          out_of_memory = true;
-          return;
-        }
-        if (relaxed == Table::Relax::Stale) return;
+            table->relax(next_.key(), s.hash, next_g, current_.key(), move);
+        if (relaxed == Table::Relax::OutOfMemory) return false;
+        if (relaxed == Table::Relax::Stale) continue;
       }
       // Copy-assigned scratch: runtime-width masks reuse their storage.
       next_masks_ = masks_;
@@ -198,11 +206,11 @@ class Expander {
           bound_.successor_bound(parent_, move, next_masks_);
       if (!h) {
         ++tally_.dead_prunes;  // provably dead: prune
-        return;
+        continue;
       }
       emit(move, next_, next_g, *h);
-    });
-    return !out_of_memory;
+    }
+    return true;
   }
 
  private:
@@ -237,6 +245,13 @@ class Expander {
   bool sources_blue_;
   bool sinks_blue_;
   std::array<std::int64_t, 4> cost_{};
+  /// A legal move of the entered state and its successor's hash (set only
+  /// when expand() has a table).
+  struct Successor {
+    Move move;
+    std::size_t hash;
+  };
+  std::vector<Successor> successors_;  ///< expand()'s scratch, ≤ 4n moves
   Packed current_{};
   Packed next_{};
   Masks masks_{};

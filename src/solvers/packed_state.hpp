@@ -107,22 +107,21 @@ class PackedKey {
   /// apply() on this configuration itself: no copy, so no allocation at
   /// the runtime width.
   void apply_in_place(const Move& move) {
-    const unsigned computed = field(move.node) & 4u;
-    const auto red = static_cast<unsigned>(PebbleColor::Red);
-    switch (move.type) {
-      case MoveType::Load:
-        set_field(move.node, computed | red);
-        break;
-      case MoveType::Store:
-        set_field(move.node,
-                  computed | static_cast<unsigned>(PebbleColor::Blue));
-        break;
-      case MoveType::Compute:
-        set_field(move.node, 4u | red);
-        break;
-      case MoveType::Delete:
-        set_field(move.node, computed);
-        break;
+    set_field(move.node, field_after(move));
+  }
+
+  /// hash() of apply(move), without building that key: the closed tables
+  /// probe for a successor's slot before the successor exists. The runtime
+  /// width patches its cached hash as set_field would, leaving the heap
+  /// words alone; the fixed widths are trivially copyable, so they copy,
+  /// apply and rehash.
+  std::uint64_t hash_after(const Move& move) const {
+    if constexpr (W == 0) {
+      return hash_ ^ hash_patch(field_write(move.node, field_after(move)));
+    } else {
+      PackedKey next = *this;
+      next.apply_in_place(move);
+      return next.recompute_hash();
     }
   }
 
@@ -219,27 +218,66 @@ class PackedKey {
     return static_cast<unsigned>(x & 7u);
   }
 
-  void set_field(NodeId v, unsigned f) {
+  /// The field a legal `move` leaves on its node, mirroring Engine::apply.
+  unsigned field_after(const Move& move) const {
+    const unsigned computed = field(move.node) & 4u;
+    const auto red = static_cast<unsigned>(PebbleColor::Red);
+    switch (move.type) {
+      case MoveType::Load:
+        return computed | red;
+      case MoveType::Store:
+        return computed | static_cast<unsigned>(PebbleColor::Blue);
+      case MoveType::Compute:
+        return 4u | red;
+      case MoveType::Delete:
+        break;
+    }
+    return computed;
+  }
+
+  /// The word(s) that setting v's field to f rewrites: word i becomes lo
+  /// and, when the field straddles, word i+1 becomes hi.
+  struct FieldWrite {
+    std::size_t i;
+    std::uint64_t lo;
+    std::uint64_t hi;
+    bool straddles;
+  };
+
+  FieldWrite field_write(NodeId v, unsigned f) const {
     const std::size_t bit = kBitsPerNode * static_cast<std::size_t>(v);
     const std::size_t i = W == 1 ? 0 : bit >> 6;
     const auto off = static_cast<unsigned>(bit & 63);
-    const std::uint64_t old_lo = words_[i];
-    words_[i] = (old_lo & ~(std::uint64_t{7} << off)) |
-                (std::uint64_t{f} << off);
-    if constexpr (W == 0) {
-      hash_ ^= word_hash(old_lo, i) ^ word_hash(words_[i], i);
-    }
+    FieldWrite w{i,
+                 (words_[i] & ~(std::uint64_t{7} << off)) |
+                     (std::uint64_t{f} << off),
+                 0, false};
     if constexpr (W != 1) {
-      if (off <= 61) return;
-      // The field's high bits live in word i+1.
-      const unsigned kept = 64 - off;  // bits that stayed in word i
-      const std::uint64_t old_hi = words_[i + 1];
-      words_[i + 1] = (old_hi & ~(std::uint64_t{7} >> kept)) |
-                      (std::uint64_t{f} >> kept);
-      if constexpr (W == 0) {
-        hash_ ^= word_hash(old_hi, i + 1) ^ word_hash(words_[i + 1], i + 1);
+      if (off > 61) {
+        // The field's high bits live in word i+1.
+        const unsigned kept = 64 - off;  // bits that stayed in word i
+        w.hi = (words_[i + 1] & ~(std::uint64_t{7} >> kept)) |
+               (std::uint64_t{f} >> kept);
+        w.straddles = true;
       }
     }
+    return w;
+  }
+
+  /// What XOR-ing into the hash turns hash() into the hash after `w`.
+  std::uint64_t hash_patch(const FieldWrite& w) const {
+    std::uint64_t patch = word_hash(words_[w.i], w.i) ^ word_hash(w.lo, w.i);
+    if (w.straddles) {
+      patch ^= word_hash(words_[w.i + 1], w.i + 1) ^ word_hash(w.hi, w.i + 1);
+    }
+    return patch;
+  }
+
+  void set_field(NodeId v, unsigned f) {
+    const FieldWrite w = field_write(v, f);
+    if constexpr (W == 0) hash_ ^= hash_patch(w);
+    words_[w.i] = w.lo;
+    if (w.straddles) words_[w.i + 1] = w.hi;
   }
 
   struct NoHash {};

@@ -144,6 +144,85 @@ TEST(PackedKey, RuntimeWidthRoundtripsPastTwoWords) {
   EXPECT_EQ(copy.hash(), var.hash());
 }
 
+/// hash_after(m) must be hash() of apply(m) for every legal move of every
+/// state a seeded random walk visits; at the runtime width, where it patches
+/// the cached hash instead of rehashing, also the from-scratch hash.
+template <std::size_t W>
+void hash_after_walk(const Engine& engine, std::uint64_t seed) {
+  using Key = PackedKey<W>;
+  ASSERT_LE(engine.dag().node_count(), Key::max_nodes());
+  GameState state = engine.initial_state();
+  Key key = Key::from_state(state);
+  Rng rng(seed);
+  for (int i = 0; i < 150; ++i) {
+    const std::vector<Move> legal = legal_moves(engine, state);
+    if (legal.empty()) return;
+    for (const Move& move : legal) {
+      const Key next = key.apply(move);
+      ASSERT_EQ(key.hash_after(move), next.hash()) << to_string(move);
+      if constexpr (W == 0) {
+        ASSERT_EQ(key.hash_after(move), next.recompute_hash())
+            << to_string(move);
+      }
+    }
+    const Move move = legal[rng.next_below(legal.size())];
+    Cost cost;
+    engine.apply(state, move, cost);
+    key.apply_in_place(move);
+  }
+}
+
+/// Every move type on node v from every field value the move types reach
+/// (sequences of up to three moves on v from the empty configuration).
+template <std::size_t W>
+void hash_after_on_node(std::size_t node_count, NodeId v) {
+  using Key = PackedKey<W>;
+  const MoveType types[] = {MoveType::Load, MoveType::Store,
+                            MoveType::Compute, MoveType::Delete};
+  std::vector<Key> frontier{Key(node_count)};
+  for (int depth = 0; depth < 3; ++depth) {
+    std::vector<Key> next_frontier;
+    for (const Key& key : frontier) {
+      for (MoveType type : types) {
+        const Move move{type, v};
+        const Key next = key.apply(move);
+        ASSERT_EQ(key.hash_after(move), next.hash()) << to_string(move);
+        if constexpr (W == 0) {
+          ASSERT_EQ(key.hash_after(move), next.recompute_hash())
+              << to_string(move);
+        }
+        next_frontier.push_back(next);
+      }
+    }
+    frontier = std::move(next_frontier);
+  }
+}
+
+TEST(PackedKey, HashAfterIsTheAppliedKeysHashAtEveryWidth) {
+  Dag one_word = make_random_layered_dag({.layers = 3, .width = 7,
+                                          .indegree = 2, .seed = 21});
+  Dag two_words = make_random_layered_dag({.layers = 6, .width = 7,
+                                           .indegree = 2, .seed = 22});
+  Dag runtime = make_random_layered_dag({.layers = 8, .width = 7,
+                                         .indegree = 2, .seed = 23});
+  ASSERT_EQ(one_word.node_count(), PackedKey<1>::max_nodes());
+  ASSERT_EQ(two_words.node_count(), PackedKey<2>::max_nodes());
+  ASSERT_GT(runtime.node_count(), PackedKey<2>::max_nodes());
+  for (const Model& model : all_models()) {
+    SCOPED_TRACE(model.name());
+    hash_after_walk<1>(Engine(one_word, model, min_red_pebbles(one_word)), 5);
+    hash_after_walk<2>(Engine(two_words, model, min_red_pebbles(two_words)),
+                       6);
+    hash_after_walk<0>(Engine(runtime, model, min_red_pebbles(runtime)), 7);
+  }
+  // Fields that straddle a word boundary: node 21 (bits 63-65) at the two-
+  // word and runtime widths, node 42 (bits 126-128) at the runtime width.
+  hash_after_on_node<1>(21, 20);
+  hash_after_on_node<2>(42, 21);
+  hash_after_on_node<0>(56, 21);
+  hash_after_on_node<0>(56, 42);
+}
+
 /// Field updates that straddle a 64-bit word boundary (3v mod 64 > 61).
 TEST(PackedKey, StraddledFieldsReadBackAcrossTheWordBoundary) {
   // Node 21: bits [63, 66) — one bit in word 0, two in word 1.
@@ -295,6 +374,66 @@ TEST(ClosedTable, RelaxAndLookupSemantics) {
   EXPECT_EQ(table.at(K(7)).g, 5);
   EXPECT_EQ(table.at(K(2999)).g, 2999);
   EXPECT_GT(table.bytes(), 2901 * sizeof(std::uint64_t));
+}
+
+TEST(ClosedTable, PackedSlotsKeepParentAndViaMoveExactly) {
+  // A slot stores the via move as a 32-bit node and an 8-bit type beside
+  // its flags: every type, node 0 and the A* driver's node cap 1023 must
+  // come back from at() unchanged — after an improvement, and after the
+  // table grows past its first 1024 slots (768 keys at load 3/4).
+  Table1 table = ram_only_table<PackedKey<1>>(21, 0);
+  struct Stored {
+    std::uint64_t key;
+    std::int64_t g;
+    std::uint64_t parent;
+    Move via;
+  };
+  std::vector<Stored> stored;
+  const MoveType types[] = {MoveType::Load, MoveType::Store,
+                            MoveType::Compute, MoveType::Delete};
+  for (std::uint64_t k = 1; k <= 2000; ++k) {
+    const NodeId node = k % 3 == 0 ? 0 : k % 3 == 1 ? 1023 : k % 1024;
+    const Stored s{k, static_cast<std::int64_t>(k % 50 + 10), k * 7919,
+                   Move{types[k % 4], node}};
+    ASSERT_EQ(table.relax(K(s.key), s.g, K(s.parent), s.via),
+              Table1::Relax::Inserted);
+    stored.push_back(s);
+  }
+  // Improve every fifth key with a new parent and the next move type.
+  for (std::size_t i = 0; i < stored.size(); i += 5) {
+    Stored& s = stored[i];
+    s.g -= 5;
+    s.parent += 1;
+    s.via = Move{types[(static_cast<int>(s.via.type) + 1) % 4],
+                 s.via.node == 0 ? NodeId{1023} : NodeId{0}};
+    ASSERT_EQ(table.relax(K(s.key), s.g, K(s.parent), s.via),
+              Table1::Relax::Improved);
+  }
+  EXPECT_EQ(table.size(), stored.size());
+  for (const Stored& s : stored) {
+    const Table1::Entry entry = table.at(K(s.key));
+    EXPECT_EQ(entry.g, s.g) << s.key;
+    EXPECT_EQ(entry.parent, K(s.parent)) << s.key;
+    EXPECT_EQ(entry.via, s.via) << s.key;
+  }
+}
+
+TEST(ClosedTable, HashedRelaxMatchesTheUnhashedForm) {
+  Table1 hashed = ram_only_table<PackedKey<1>>(21, 0);
+  Table1 plain = ram_only_table<PackedKey<1>>(21, 0);
+  for (std::uint64_t k = 0; k < 1500; ++k) {
+    const PackedKey<1> key = K(k % 900);  // revisits: Stale and Improved
+    const auto g = static_cast<std::int64_t>(1000 - k);
+    const Move via{MoveType::Compute, static_cast<NodeId>(k % 21)};
+    hashed.prefetch(key.hash());
+    ASSERT_EQ(hashed.relax(key, key.hash(), g, K(k), via),
+              plain.relax(key, g, K(k), via));
+  }
+  EXPECT_EQ(hashed.size(), plain.size());
+  for (std::uint64_t k = 0; k < 900; ++k) {
+    EXPECT_EQ(hashed.at(K(k)).g, plain.at(K(k)).g);
+    EXPECT_EQ(hashed.at(K(k)).parent, plain.at(K(k)).parent);
+  }
 }
 
 TEST(ClosedTable, ExpansionGateFiresOncePerKeyAndG) {

@@ -211,6 +211,30 @@ TEST(SpillSearch, TinyBudgetReproducesInMemoryCostsAndExpansions) {
             spilled.result->cost);
 }
 
+TEST(SpillSearch, TinyBudgetReproducesInMemorySearchOverOneWordKeys) {
+  // layered:layers=4,width=3 (12 nodes) keys the table with one word: the
+  // 32-byte slots, whose via moves round-trip through the spill records.
+  // Oneshot allows all four move types, and its ~2,100 expansions overflow
+  // a 64 KiB table many times over.
+  const Dag dag = make_random_layered_dag(
+      {.layers = 4, .width = 3, .indegree = 2, .seed = 1});
+  ASSERT_LE(dag.node_count(), PackedKey<1>::max_nodes());
+  Engine engine(dag, Model::oneshot(), 3);
+  ExactSearchOptions unbudgeted;
+  SolveOutcome reference = solve_astar(engine, unbudgeted);
+  ASSERT_TRUE(reference.result.has_value());
+
+  ExactSearchOptions tiny = unbudgeted;
+  tiny.max_memory_bytes = std::size_t{64} << 10;
+  SolveOutcome spilled = solve_astar(engine, tiny);
+  ASSERT_TRUE(spilled.result.has_value());
+  EXPECT_EQ(spilled.result->cost, reference.result->cost);
+  EXPECT_EQ(spilled.stats.states_expanded, reference.stats.states_expanded);
+  EXPECT_GT(spilled.stats.spilled_states, 0u);
+  EXPECT_EQ(verify_or_throw(engine, spilled.result->trace).total,
+            spilled.result->cost);
+}
+
 TEST(SpillSearch, SearchesSmallerThanTheWorkingSetFloorNeverSpill) {
   // A 48-node chain's whole search fits a few hundred states: below the
   // eviction floor the budget is best-effort and the table never sheds —
