@@ -266,16 +266,57 @@ std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
 }
 
 template <std::size_t kWords>
+std::pair<std::uint64_t*, bool> StateBoundEvaluator::memo_entry(
+    const Masks<kWords>& state) {
+  static_assert(std::has_single_bit(kClosureMemoSlots));
+  const std::size_t W = state.words();
+  if (memo_.empty()) {
+    // Empty entries hold P = all ones, C = PU = ∅ (see bounds.hpp).
+    memo_.assign(kClosureMemoSlots * 3 * W, 0);
+    for (std::size_t e = 0; e < kClosureMemoSlots; ++e) {
+      std::fill_n(memo_.begin() + static_cast<std::ptrdiff_t>(e * 3 * W), W,
+                  ~std::uint64_t{0});
+    }
+  }
+  const std::uint64_t* red = state.red();
+  const std::uint64_t* blue = state.blue();
+  std::uint64_t hash = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    hash = (hash ^ (red[w] | blue[w])) * 0x9E3779B97F4A7C15ull;
+  }
+  std::uint64_t* entry =
+      memo_.data() +
+      (hash >> (64 - std::countr_zero(kClosureMemoSlots))) * 3 * W;
+  bool hit = true;
+  for (std::size_t w = 0; w < W; ++w) hit &= entry[w] == (red[w] | blue[w]);
+  return {entry, hit};
+}
+
+template <std::size_t kWords>
 void StateBoundEvaluator::enter_parent(const Masks<kWords>& state,
                                        ParentBound<kWords>& parent) {
   RBPEB_REQUIRE(caches_.words != 0 && state.words() == caches_.words &&
                     parent.closure.words() == caches_.words,
                 "mask width must be ceil(n/64) words for a DAG of at most "
                 "1024 nodes");
-  std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
-  std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
-  walk_from_sinks(state, frontier, parent.closure.nodes(),
-                  parent.closure.inputs());
+  const std::size_t W = state.words();
+  const auto [entry, hit] = memo_entry(state);
+  if (hit) {
+    ++counts_.memo_hits;
+    std::copy_n(entry + W, W, parent.closure.nodes());
+    std::copy_n(entry + 2 * W, W, parent.closure.inputs());
+  } else {
+    ++counts_.walks;
+    std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
+    std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
+    walk_from_sinks(state, frontier, parent.closure.nodes(),
+                    parent.closure.inputs());
+    for (std::size_t w = 0; w < W; ++w) {
+      entry[w] = state.red()[w] | state.blue()[w];
+    }
+    std::copy_n(parent.closure.nodes(), W, entry + W);
+    std::copy_n(parent.closure.inputs(), W, entry + 2 * W);
+  }
   if (pdb_ == nullptr) return;
   RBPEB_REQUIRE(parent.projection.size() == pdb_->term_count(),
                 "ParentBound must be sized for the attached PDB's terms");
@@ -312,18 +353,27 @@ std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
     closure = parent.child.nodes();
   } else if (move.type == MoveType::Delete &&
              ((inputs[vw] | caches_.sinks[vw]) & bit) != 0) {
-    // v joins the closure: continue the parent's walk from {v}.
-    std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
-    std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
-    std::uint64_t* next_closure = parent.child.nodes();
-    std::uint64_t* next_inputs = parent.child.inputs();
-    std::copy_n(closure, W, next_closure);
-    std::copy_n(inputs, W, next_inputs);
-    std::fill_n(frontier, W, std::uint64_t{0});
-    frontier[vw] = bit;
-    walk(child, frontier, next_closure, next_inputs);
-    closure = next_closure;
-    inputs = next_inputs;
+    // v joins the closure. A memo hit is the child's fresh walk; on a miss,
+    // continue the parent's walk from {v}.
+    const auto [entry, hit] = memo_entry(child);
+    if (hit) {
+      ++counts_.memo_hits;
+      closure = entry + W;
+      inputs = entry + 2 * W;
+    } else {
+      ++counts_.walks;
+      std::array<std::uint64_t, kWords != 0 ? kWords : 1> fixed{};
+      std::uint64_t* frontier = kWords != 0 ? fixed.data() : scratch_.data();
+      std::uint64_t* next_closure = parent.child.nodes();
+      std::uint64_t* next_inputs = parent.child.inputs();
+      std::copy_n(closure, W, next_closure);
+      std::copy_n(inputs, W, next_inputs);
+      std::fill_n(frontier, W, std::uint64_t{0});
+      frontier[vw] = bit;
+      walk(child, frontier, next_closure, next_inputs);
+      closure = next_closure;
+      inputs = next_inputs;
+    }
   }
   return tail(child, closure, inputs, [&]() -> std::optional<std::int64_t> {
     if (!parent.pdb_sum) {
@@ -339,6 +389,13 @@ std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
     if (d == PatternDatabase::kUnreachable) return std::nullopt;
     return *parent.pdb_sum - parent.distance[term.term] + d;
   });
+}
+
+template <std::size_t kWords>
+std::optional<std::int64_t> StateBoundEvaluator::entered_bound(
+    const Masks<kWords>& state, const ParentBound<kWords>& parent) {
+  return tail(state, parent.closure.nodes(), parent.closure.inputs(),
+              [&] { return parent.pdb_sum; });
 }
 
 template std::optional<std::int64_t> StateBoundEvaluator::lower_bound_scaled(
@@ -359,6 +416,12 @@ template std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
     ParentBound<1>&, const Move&, const Masks<1>&);
 template std::optional<std::int64_t> StateBoundEvaluator::successor_bound(
     ParentBound<2>&, const Move&, const Masks<2>&);
+template std::optional<std::int64_t> StateBoundEvaluator::entered_bound(
+    const Masks<0>&, const ParentBound<0>&);
+template std::optional<std::int64_t> StateBoundEvaluator::entered_bound(
+    const Masks<1>&, const ParentBound<1>&);
+template std::optional<std::int64_t> StateBoundEvaluator::entered_bound(
+    const Masks<2>&, const ParentBound<2>&);
 
 std::optional<Rational> state_cost_lower_bound(const Engine& engine,
                                                const GameState& state) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/graph/dag.hpp"
@@ -289,6 +290,20 @@ struct ParentBound {
 /// tests/solvers/test_expander.cpp every successor, at every width, with
 /// and without a PDB.
 ///
+/// Closure memo. C and PU depend only on the pebbled set P = red | blue,
+/// which Load and Store keep, so a search meets the same P again and again.
+/// enter_parent looks P up in a direct-mapped memo of kClosureMemoSlots
+/// entries — P, C and PU, 3·W words each, 24·W KiB — and walks only on a
+/// miss, storing the walk. A Delete on v ∈ PU ∪ sinks looks its child's P
+/// up first and continues the parent's walk only on a miss, storing
+/// nothing. Full walks from the sinks are the only writers, so every entry
+/// is exactly walk_from_sinks(P) — empty entries hold P = all ones, C = PU
+/// = ∅, which is that walk's result whenever all ones is a pebbled set at
+/// all. A Delete that hits reads a fresh walk's PU instead of the seeded
+/// one, which differs only on empty nodes, so h and the dead verdict stay
+/// the same. The memo is allocated on the first enter_parent; reference
+/// lower_bound_scaled calls neither consult nor allocate it.
+///
 /// attach_pdb folds an additive pattern database (solvers/bigstate/pdb.hpp)
 /// into the bound: it becomes max(counting_bounds, pdb_sum), still
 /// admissible since each side is, and a state either side proves dead stays
@@ -311,10 +326,10 @@ class StateBoundEvaluator {
   explicit StateBoundEvaluator(const Engine& engine);
 
   /// Which component supplied the most recent bound: the counting bounds or
-  /// the pattern-database sum. Set by every lower_bound_scaled call (Pdb
-  /// when the PDB strictly improved on the counting bound, or proved the
-  /// state dead); introspection reads it to attribute each expansion's
-  /// bound to its source. Cheap plain member — one store per evaluation.
+  /// the pattern-database sum. Set by every bound the evaluator returns
+  /// (Pdb when the PDB strictly improved on the counting bound, or proved
+  /// the state dead); introspection reads it after entered_bound to
+  /// attribute each expansion's bound to its source. Cheap plain member — one store per evaluation.
   enum class BoundSource { Counting, Pdb };
   BoundSource last_source() const { return last_source_; }
 
@@ -352,6 +367,25 @@ class StateBoundEvaluator {
                                               const Move& move,
                                               const Masks<W>& child);
 
+  /// lower_bound_scaled(state), where `parent` holds `state` entered by
+  /// enter_parent — its tail over the recorded C, PU and PDB sum, without a
+  /// walk. Sets last_source() like lower_bound_scaled.
+  template <std::size_t W>
+  std::optional<std::int64_t> entered_bound(const Masks<W>& state,
+                                            const ParentBound<W>& parent);
+
+  /// Entries in the closure memo (see the class comment).
+  static constexpr std::size_t kClosureMemoSlots = 1024;
+
+  /// Closure walks enter_parent and successor_bound ran, and walks they
+  /// skipped on a memo hit.
+  struct ClosureCounts {
+    std::size_t walks = 0;
+    std::size_t memo_hits = 0;
+  };
+  /// The counts since the previous call; resets them.
+  ClosureCounts take_closure_counts() { return std::exchange(counts_, {}); }
+
   /// The structural caches as flat node-major words, mask_words(n) words
   /// per entry: node v's predecessor mask and ancestor cone (v included)
   /// start at pred / cone + v·words; sinks and sources are one entry each.
@@ -381,6 +415,10 @@ class StateBoundEvaluator {
                                    const std::uint64_t* closure,
                                    const std::uint64_t* inputs,
                                    PdbFloor&& pdb_floor);
+  /// The memo entry `state`'s pebbled set maps to (allocating the memo on
+  /// first use), and whether it holds that set.
+  template <std::size_t W>
+  std::pair<std::uint64_t*, bool> memo_entry(const Masks<W>& state);
 
   const Engine* engine_;
   std::int64_t eps_num_;
@@ -391,6 +429,9 @@ class StateBoundEvaluator {
   // Scratch planes for the runtime-width evaluation (one evaluator per
   // search worker; not thread-safe, like the rest of the scratch).
   std::vector<std::uint64_t> scratch_;
+  // kClosureMemoSlots entries of P, C, PU; empty until the first lookup.
+  std::vector<std::uint64_t> memo_;
+  ClosureCounts counts_;
 };
 
 /// One-shot convenience wrapper over StateBoundEvaluator, in model-cost

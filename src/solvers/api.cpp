@@ -602,9 +602,10 @@ class SearchSolver : public Solver {
   virtual bool bigstate() const { return true; }
 
   /// Stats every search reports, success or not: its budget, how far it
-  /// got, the always-counted pop/prune tallies, the per-expansion
-  /// bound-source attribution when a progress sampler rode along, and —
-  /// for the bigstate searches — the table, PDB and spill footprints.
+  /// got, the always-counted pop, prune and closure-walk tallies, the
+  /// per-expansion bound-source attribution when a progress sampler rode
+  /// along, and — for the bigstate searches — the table, PDB and spill
+  /// footprints.
   void fill_search_stats(SolveResult& result, const SolveRequest& request,
                          const ExactSearchOptions& sopt,
                          const ExactSearchStats& stats) const {
@@ -612,6 +613,9 @@ class SearchSolver : public Solver {
     result.stats["states_expanded"] = std::to_string(stats.states_expanded);
     result.stats["dup_skipped"] = std::to_string(stats.dup_skipped);
     result.stats["dead_prunes"] = std::to_string(stats.dead_prunes);
+    result.stats["closure_walks"] = std::to_string(stats.closure_walks);
+    result.stats["closure_memo_hits"] =
+        std::to_string(stats.closure_memo_hits);
     if (request.progress != nullptr) {
       result.stats["attr_counting"] = std::to_string(stats.attr_counting);
       result.stats["attr_pdb"] = std::to_string(stats.attr_pdb);

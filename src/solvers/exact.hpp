@@ -88,7 +88,7 @@ struct ExactSearchStats {
   /// Weighted-A* passes the anytime tier completed (drained or budget-cut).
   std::size_t anytime_passes = 0;
   /// Bound-source attribution (filled only when a progress sampler is
-  /// attached — the per-expansion re-evaluation it needs is skipped
+  /// attached — the per-expansion bound tail it needs is skipped
   /// otherwise so un-instrumented runs stay byte-identical). Invariant:
   /// attr_counting + attr_pdb == states_expanded.
   std::size_t attr_counting = 0;  ///< expansions whose bound was the
@@ -98,6 +98,12 @@ struct ExactSearchStats {
   /// generated states the bound proved dead.
   std::size_t dup_skipped = 0;
   std::size_t dead_prunes = 0;
+  /// Requirement-closure walks the expansion kernel ran, and walks it
+  /// skipped because the closure memo held the pebbled set (always
+  /// counted; see StateBoundEvaluator). Each expansion enters its state
+  /// once, and each Delete of a closure input or a sink adds one more.
+  std::size_t closure_walks = 0;
+  std::size_t closure_memo_hits = 0;
 };
 
 /// Cooperative interruption hook: polled on entry and then every 64

@@ -54,8 +54,8 @@ namespace rbpeb {
 
 /// One search worker's expansion kernel (holds the bound evaluator and its
 /// scratch; not thread-safe — one per worker). `tally` receives the dead-
-/// prune count and, when `attribute` is set, the per-expansion bound-source
-/// attribution.
+/// prune and closure-walk counts and, when `attribute` is set, the
+/// per-expansion bound-source attribution.
 template <typename Packed, typename Masks>
 class Expander {
  public:
@@ -164,19 +164,19 @@ class Expander {
   /// must end.
   template <class Emit>
   bool expand(std::int64_t g, Table* table, Emit&& emit) {
+    bound_.enter_parent(masks_, parent_);
     if (attribute_) {
-      // Bound-source attribution: one extra (pure, deterministic) bound
-      // evaluation per expansion, done only when someone is watching so
-      // un-instrumented searches stay byte-identical. An expanded state is
-      // never dead — it priced under the incumbent when generated.
-      (void)bound_.lower_bound_scaled(masks_);
+      // Bound-source attribution: the entered state's bound, priced from
+      // its recorded closure and PDB sum, only when someone is watching. An
+      // expanded state is never dead — it priced under the incumbent when
+      // generated.
+      (void)bound_.entered_bound(masks_, parent_);
       if (bound_.last_source() == StateBoundEvaluator::BoundSource::Pdb) {
         ++tally_.attr_pdb;
       } else {
         ++tally_.attr_counting;
       }
     }
-    bound_.enter_parent(masks_, parent_);
     successors_.clear();
     for_each_legal_move(
         [&](const Move& move) { successors_.push_back({move, 0}); });
@@ -186,6 +186,7 @@ class Expander {
         table->prefetch(s.hash);
       }
     }
+    bool fits = true;
     for (const Successor& s : successors_) {
       const Move& move = s.move;
       // Built in scratch: only the table and the queue copy a key.
@@ -196,7 +197,10 @@ class Expander {
       if (table != nullptr) {
         const auto relaxed =
             table->relax(next_.key(), s.hash, next_g, current_.key(), move);
-        if (relaxed == Table::Relax::OutOfMemory) return false;
+        if (relaxed == Table::Relax::OutOfMemory) {
+          fits = false;
+          break;
+        }
         if (relaxed == Table::Relax::Stale) continue;
       }
       // Copy-assigned scratch: runtime-width masks reuse their storage.
@@ -210,7 +214,11 @@ class Expander {
       }
       emit(move, next_, next_g, *h);
     }
-    return true;
+    const StateBoundEvaluator::ClosureCounts counts =
+        bound_.take_closure_counts();
+    tally_.closure_walks += counts.walks;
+    tally_.closure_memo_hits += counts.memo_hits;
+    return fits;
   }
 
  private:

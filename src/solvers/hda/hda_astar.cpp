@@ -79,6 +79,8 @@ struct SearchContext {
   std::atomic<std::size_t> dead_prunes{0};
   std::atomic<std::size_t> attr_counting{0};
   std::atomic<std::size_t> attr_pdb{0};
+  std::atomic<std::size_t> closure_walks{0};
+  std::atomic<std::size_t> closure_memo_hits{0};
 
   std::atomic<bool> abort{false};
   std::atomic<int> abort_why{-1};
@@ -137,6 +139,8 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
     fold(ctx.dead_prunes, local.dead_prunes);
     fold(ctx.attr_counting, local.attr_counting);
     fold(ctx.attr_pdb, local.attr_pdb);
+    fold(ctx.closure_walks, local.closure_walks);
+    fold(ctx.closure_memo_hits, local.closure_memo_hits);
   };
   // Worker 0 is the single snapshot writer: global expansion count and
   // incumbent, own-shard open list and spill counters (the only shard it
@@ -420,6 +424,9 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   stats.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
   stats.attr_counting = ctx.attr_counting.load(std::memory_order_relaxed);
   stats.attr_pdb = ctx.attr_pdb.load(std::memory_order_relaxed);
+  stats.closure_walks = ctx.closure_walks.load(std::memory_order_relaxed);
+  stats.closure_memo_hits =
+      ctx.closure_memo_hits.load(std::memory_order_relaxed);
   harvest();
   if (ctx.error) std::rethrow_exception(ctx.error);
   if (ctx.abort.load(std::memory_order_acquire)) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -539,6 +541,141 @@ TEST(StateBounds, ComputeInsideTheClosureMatchesTheReferenceAtEveryWidth) {
         check_delta_cases<0>(compute_dag, 130, compute_cases())}) {
     for (const CasesRan& here : ran) EXPECT_GE(here.cases, 1u);
   }
+}
+
+// ---- the closure memo ------------------------------------------------------
+//
+// The delta tests above build a fresh evaluator per check, so their memo
+// only ever misses. Here one long-lived evaluator per engine follows seeded
+// random pebblings — random topological orders pebbled with random
+// eviction under the default convention — until it has seen more distinct
+// pebbled sets than the memo has slots, so entries hit, miss and are
+// overwritten. Each visited state is entered twice — the second entry must
+// hit — and its ParentBound planes must equal a fresh evaluator's, and its
+// entered bound the reference. Every legal move's successor_bound must
+// equal lower_bound_scaled, which never consults the memo; where the model
+// deletes, some Deletes must hit an entry a full walk stored.
+
+/// Kahn's algorithm drawing each next node uniformly from the ready set.
+std::vector<NodeId> random_topological_order(const Dag& dag, Rng& rng) {
+  std::vector<std::size_t> waiting(dag.node_count());
+  std::vector<NodeId> ready;
+  for (std::size_t v = 0; v < dag.node_count(); ++v) {
+    waiting[v] = dag.predecessors(static_cast<NodeId>(v)).size();
+    if (waiting[v] == 0) ready.push_back(static_cast<NodeId>(v));
+  }
+  std::vector<NodeId> order;
+  while (!ready.empty()) {
+    std::swap(ready[rng.next_below(ready.size())], ready.back());
+    const NodeId v = ready.back();
+    ready.pop_back();
+    order.push_back(v);
+    for (NodeId s : dag.successors(v)) {
+      if (--waiting[s] == 0) ready.push_back(s);
+    }
+  }
+  return order;
+}
+
+template <std::size_t W>
+void memo_walks(const Dag& dag, std::uint64_t seed) {
+  const std::size_t n = dag.node_count();
+  for (const Model& model : all_models()) {
+    for (const PebblingConvention& convention :
+         {PebblingConvention{false, false}, PebblingConvention{true, false},
+          PebblingConvention{false, true}, PebblingConvention{true, true}}) {
+      const std::size_t red_limit = min_red_pebbles(dag) + 1;
+      const Engine engine(dag, model, red_limit, convention);
+      const Engine plain(dag, model, red_limit);
+      SCOPED_TRACE(::testing::Message()
+                   << model.name() << " sources_blue="
+                   << convention.sources_start_blue << " sinks_blue="
+                   << convention.sinks_end_blue << " n=" << n << " W=" << W);
+      StateBoundEvaluator memo(engine);
+      StateBoundEvaluator reference(engine);
+      const std::size_t words = memo.caches().words;
+      ParentBound<W> parent(words, 0);
+      std::set<std::vector<std::uint64_t>> pebbled_sets;
+      std::size_t delete_hits = 0;
+      Rng rng(++seed);
+      for (int walks = 0;
+           pebbled_sets.size() <= StateBoundEvaluator::kClosureMemoSlots;
+           ++walks) {
+        ASSERT_LT(walks, 100) << "walks stopped finding new pebbled sets";
+        const Trace walk = pebble_in_order(
+            plain, random_topological_order(dag, rng),
+            {.eviction = EvictionRule::Random, .seed = rng.next_u64()});
+        GameState state = engine.initial_state();
+        Masks<W> masks = Masks<W>::from(state, n);
+        Masks<W> child = masks;
+        Cost cost;
+        for (Move step : walk) {
+          // Under sources-blue a source's Compute is the Load that reddens
+          // it; a walk ends where the convention forbids its next move.
+          if (convention.sources_start_blue && step.type == MoveType::Compute &&
+              dag.is_source(step.node)) {
+            step.type = MoveType::Load;
+          }
+          if (!engine.is_legal(state, step)) break;
+          // Visit the states the walk leaves by a Compute or a Delete,
+          // which change the pebbled set; Loads and Stores keep it.
+          if (step.type == MoveType::Load || step.type == MoveType::Store) {
+            engine.apply(state, step, cost);
+            masks.apply(step);
+            continue;
+          }
+          std::vector<std::uint64_t> pebbled(words);
+          for (std::size_t w = 0; w < words; ++w) {
+            pebbled[w] = masks.red()[w] | masks.blue()[w];
+          }
+          pebbled_sets.insert(std::move(pebbled));
+
+          memo.enter_parent(masks, parent);
+          (void)memo.take_closure_counts();
+          memo.enter_parent(masks, parent);
+          const StateBoundEvaluator::ClosureCounts again =
+              memo.take_closure_counts();
+          ASSERT_EQ(again.walks, 0u);
+          ASSERT_EQ(again.memo_hits, 1u);
+          StateBoundEvaluator fresh(engine);
+          ParentBound<W> expected(words, 0);
+          fresh.enter_parent(masks, expected);
+          ASSERT_TRUE(std::equal(parent.closure.nodes(),
+                                 parent.closure.nodes() + words,
+                                 expected.closure.nodes()));
+          ASSERT_TRUE(std::equal(parent.closure.inputs(),
+                                 parent.closure.inputs() + words,
+                                 expected.closure.inputs()));
+          ASSERT_EQ(memo.entered_bound(masks, parent),
+                    reference.lower_bound_scaled(masks));
+
+          for (const Move& move : test_support::legal_moves(engine, state)) {
+            child = masks;
+            child.apply(move);
+            const std::optional<std::int64_t> got =
+                memo.successor_bound(parent, move, child);
+            if (move.type == MoveType::Delete) {
+              delete_hits += memo.take_closure_counts().memo_hits;
+            }
+            ASSERT_EQ(got, reference.lower_bound_scaled(child))
+                << to_string(move) << " before " << to_string(step);
+          }
+          engine.apply(state, step, cost);
+          masks.apply(step);
+        }
+      }
+      if (model.allows_delete()) {
+        EXPECT_GT(delete_hits, 0u);
+      }
+    }
+  }
+}
+
+TEST(StateBounds, ClosureMemoHitsMatchAFreshWalk) {
+  memo_walks<1>(layered(8, 8, 13), 600);  // 64 nodes
+  memo_walks<2>(layered(10, 8, 21), 700);  // 80 nodes
+  memo_walks<0>(layered(24, 8, 901), 900);    // 192 nodes, three words
+  memo_walks<0>(layered(32, 8, 1001), 1000);  // 256 nodes, four words
 }
 
 TEST(Bounds, BaseModelHasNoLengthBound) {

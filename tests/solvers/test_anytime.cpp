@@ -298,6 +298,39 @@ TEST(AnytimeSolver, IncumbentSizedSpinesLeaveMemoryForTheSearch) {
   EXPECT_TRUE(certificate_holds(*result.certificate, result.cost));
 }
 
+/// The closure counts ride the result stats. Every expansion enters its
+/// state once, by a walk or a memo hit, so in nodel, which has no Delete,
+/// they sum to the expansions; in compcost each Delete of a closure input
+/// or a sink adds one more. The search revisits pebbled sets, so the memo
+/// hits.
+TEST(AnytimeSolver, ClosureWalkStatsCountEveryEnteredState) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 24, .width = 8, .indegree = 2, .seed = 64});  // 192 nodes
+  for (const Model& model : {Model::nodel(), Model::compcost()}) {
+    SCOPED_TRACE(model.name());
+    const Engine engine(dag, model, 3);
+    SolveRequest request;
+    request.engine = &engine;
+    request.budget.max_states = 8'000;
+    const SolveResult result =
+        SolverRegistry::instance().at("anytime-astar").run(request);
+    ASSERT_TRUE(result.ok()) << result.detail;
+    const auto stat = [&](const char* key) {
+      return std::stoull(result.stats.at(key));
+    };
+    const std::uint64_t expanded = stat("states_expanded");
+    const std::uint64_t hits = stat("closure_memo_hits");
+    const std::uint64_t entered = stat("closure_walks") + hits;
+    EXPECT_GT(expanded, 0u);
+    EXPECT_GT(hits, 0u);
+    if (model.allows_delete()) {
+      EXPECT_GE(entered, expanded);
+    } else {
+      EXPECT_EQ(entered, expanded);
+    }
+  }
+}
+
 /// The weights/epsilon options parse exactly and bad values are refused
 /// with the offending token named.
 TEST(AnytimeSolver, WeightScheduleOptionsParseAndValidate) {
