@@ -106,10 +106,6 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
 
   const std::vector<AnytimeWeight> schedule =
       any.weights.empty() ? std::vector<AnytimeWeight>{{1, 1}} : any.weights;
-  struct QueueItem {
-    Key key;
-    std::int64_t g;  ///< g at push time; stale when it no longer matches.
-  };
   std::size_t& expanded = stats.states_expanded;
   SearchCheckpoint checkpoint(names.checkpoint, expanded, opt.should_stop,
                               opt.progress);
@@ -135,7 +131,8 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     // gives g + floor(w·h) <= floor(w·(g + h)) <= floor(w·(C − 1)), so the
     // incumbent sizes the spine; with none yet, C − 1 is the ceiling.
     const std::int64_t max_priority = (C - 1) * w.num / w.den;
-    BucketQueue<QueueItem> queue(static_cast<std::size_t>(max_priority) + 1);
+    // Items carry their g at push time; stale when it no longer matches.
+    KeyQueue<Packed> queue(static_cast<std::size_t>(max_priority) + 1, n);
     auto weighted = [&](std::int64_t g, std::int64_t h) {
       const std::int64_t priority = unit ? g + h : g + h * w.num / w.den;
       RBPEB_ENSURE(priority <= max_priority,
@@ -161,7 +158,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         Table::Relax::OutOfMemory) {
       return end_pass(ExactTermination::MemoryBudget);
     }
-    queue.push(weighted(0, *start_h), {start.key(), 0});
+    queue.push(weighted(0, *start_h), start.key(), 0);
 
     // This pass's slice of the global expansion budget; the last pass takes
     // whatever remains.
@@ -179,8 +176,8 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
         proved = true;
         break;
       }
-      auto [priority, item] = queue.pop();
-      const std::int64_t f = unweighted(priority, item.g);
+      const auto item = queue.pop();
+      const std::int64_t f = unweighted(item.priority, item.g);
       // An incumbent found after this push may have overtaken its f; the
       // unweighted prune is what keeps weighted passes certificate-sound.
       if (f >= C) continue;
@@ -226,10 +223,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
             ob.expanded = expanded;
             ob.frontier_f_scaled = unit ? std::max(L, f) : L;
             ob.incumbent_scaled = have_trace ? C : -1;
-            summarize_open(ob, queue,
-                           [&](std::int64_t fq, const QueueItem& qi) {
-                             return unweighted(fq, qi.g);
-                           });
+            summarize_open(ob, queue, unweighted);
             ob.dup_skipped = stats.dup_skipped;
             ob.dead_prunes = stats.dead_prunes;
             ob.attr_counting = stats.attr_counting;
@@ -246,7 +240,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
           [&](const Move&, const Packed& next, std::int64_t next_g,
               std::int64_t h) {
             if (next_g + h >= C) return;  // unweighted prune — sound
-            queue.push(weighted(next_g, h), {next.key(), next_g});
+            queue.push(weighted(next_g, h), next.key(), next_g);
           });
       if (!fits) return end_pass(ExactTermination::MemoryBudget);
     }
@@ -264,10 +258,9 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     // found keeps an open item on its path with unweighted f at most its
     // cost — the cut item or one still queued. Stale items only lower the
     // minimum, keeping it admissible.
-    while (!queue.empty()) {
-      auto [priority, item] = queue.pop();
-      frontier = std::min(frontier, unweighted(priority, item.g));
-    }
+    queue.for_each([&](std::int64_t priority, std::int64_t g) {
+      frontier = std::min(frontier, unweighted(priority, g));
+    });
     L = std::max(L, frontier);
   }
 

@@ -11,14 +11,17 @@
 // level structure) — into sorted spill runs on disk (spill.hpp), then
 // carries on.
 //
-// A slot is the key, g, the parent key, the via move split into a 32-bit
-// node and an 8-bit type, three 1-bit flags and a 16-bit deferred count:
-// 32 bytes over one-word keys, 48 over two-word keys and 80 over runtime-
-// width keys. The A* searches spend most of their time probing it at
-// random, so the expander hashes every successor of a state first and
-// prefetch()es its home slot, then offers each one to the hashed relax(),
-// which probes once and, on a miss, inserts into the empty slot its probe
-// stopped at.
+// A slot is the key, g, the via move split into a 32-bit node and an 8-bit
+// type, three 1-bit flags, the 3-bit field the via move overwrote, and a
+// 16-bit deferred count: 24 bytes over one-word keys, 32 over two-word keys
+// and 48 over runtime-width keys, which own one heap vector. No slot stores
+// its parent key: a move changes exactly one field, so at() rebuilds the
+// parent bit for bit by writing the overwritten field back into the key.
+// Spill records carry the same field (spill.hpp). The A* searches spend
+// most of their time probing the table at random, so the expander hashes
+// every successor of a state first and prefetch()es its home slot, then
+// offers each one to the hashed relax(), which probes once and, on a miss,
+// inserts into the empty slot its probe stopped at.
 //
 // Duplicate detection is *delayed* (Korf's DDD): a freshly generated state
 // is checked against the in-RAM table immediately, but against the spilled
@@ -84,7 +87,8 @@ class SpillingClosedTable {
  public:
   using Key = typename Packed::Key;
 
-  /// Best known path to a state: its cost and the tree edge achieving it.
+  /// Best known path to a state: its cost and the tree edge achieving it
+  /// (the parent rebuilt from the key and the field via overwrote).
   struct Entry {
     std::int64_t g = 0;
     Key parent{};
@@ -112,7 +116,7 @@ class SpillingClosedTable {
   SpillingClosedTable(std::size_t node_count, std::size_t max_bytes,
                       const std::string& spill_dir,
                       std::size_t max_disk_bytes)
-      : node_count_(node_count), max_bytes_(max_bytes) {
+      : max_bytes_(max_bytes) {
     if (!spill_dir.empty() && max_bytes != 0) {
       layout_.key_bytes = Packed::key_serialized_bytes(node_count);
       runs_.emplace(layout_, spill_dir, max_disk_bytes);
@@ -125,9 +129,11 @@ class SpillingClosedTable {
   /// at their poll checkpoints.
   void set_overhead_bytes(std::size_t bytes) { overhead_bytes_ = bytes; }
 
-  /// Offer one generated state. Inserted/Improved mean the caller should
-  /// evaluate and push it; Stale means a path at least as cheap is already
-  /// in RAM (the delayed check against disk happens at expansion time).
+  /// Offer one generated state, reached from `parent` by `via`: the two
+  /// keys must differ in via.node's field alone (checked whenever the edge
+  /// is stored). Inserted/Improved mean the caller should evaluate and push
+  /// it; Stale means a path at least as cheap is already in RAM (the delayed
+  /// check against disk happens at expansion time).
   Relax relax(const Key& key, std::int64_t g, const Key& parent, Move via) {
     return relax(key, Packed::hash_key(key), g, parent, via);
   }
@@ -145,7 +151,7 @@ class SpillingClosedTable {
         // A strict improvement re-opens the state; verified status survives
         // (the RAM g only moved further below any spilled record's). Items
         // at the old g — deferred duplicates included — go stale with it.
-        slot.set_path(g, parent, via);
+        slot.set_path(g, prior_field(key, parent, via), via);
         slot.expanded = false;
         slot.deferred = 0;
         return Relax::Improved;
@@ -153,13 +159,14 @@ class SpillingClosedTable {
     }
     // A miss: slot i is the empty slot the probe stopped at, unless making
     // room below re-homes the slots.
+    const unsigned prior = prior_field(key, parent, via);
     const std::size_t rehashes = rehashes_;
     if (!ensure_capacity()) return Relax::OutOfMemory;
-    const std::size_t extra =
-        Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
-    if (!budget_insert(extra)) return Relax::OutOfMemory;
+    if (!budget_insert(Packed::key_heap_bytes(key))) {
+      return Relax::OutOfMemory;
+    }
     if (rehashes_ != rehashes) i = free_slot(hash);
-    insert_fresh(i, key, g, parent, via);
+    insert_fresh(i, key, g, prior, via);
     return Relax::Inserted;
   }
 
@@ -202,17 +209,14 @@ class SpillingClosedTable {
     // original item, or with one deferred duplicate consumed if not — so
     // every sibling item at the same g resolves against RAM from here on.
     // (ensure_capacity/make_room may reuse the scratch; copy fields first.)
-    const Key parent = Packed::key_deserialize(
-        rec + layout_.parent_offset(), node_count_);
+    const unsigned prior = bigstate::spill_record_prior(layout_, rec);
     const Move via = bigstate::spill_record_via(layout_, rec);
     const std::uint16_t deferred =
         bigstate::spill_record_deferred(layout_, rec);
     if (!ensure_capacity()) return Pop::OutOfMemory;
-    const std::size_t extra =
-        Packed::key_heap_bytes(key) + Packed::key_heap_bytes(parent);
-    if (!budget_insert(extra)) return Pop::OutOfMemory;
+    if (!budget_insert(Packed::key_heap_bytes(key))) return Pop::OutOfMemory;
     Slot* slot =
-        insert_fresh(free_slot(Packed::hash_key(key)), key, g, parent, via);
+        insert_fresh(free_slot(Packed::hash_key(key)), key, g, prior, via);
     slot->verified = true;
     if (!pending_.empty() && pending_.back() == key) {
       pending_.pop_back();  // insert_fresh queued it; it is already settled
@@ -240,7 +244,7 @@ class SpillingClosedTable {
       RBPEB_ENSURE(slot->verified,
                    "SpillingClosedTable::at: unsettled entry — call "
                    "settle() before reconstruction");
-      return slot->entry();
+      return entry(key, slot->g, slot->prior, slot->via());
     }
     RBPEB_ENSURE(runs_ && !runs_->empty(),
                  "SpillingClosedTable::at: key not present");
@@ -248,15 +252,14 @@ class SpillingClosedTable {
     Packed::key_serialize(key, key_scratch());
     const bool found = runs_->lookup(key_scratch(), rec);
     RBPEB_ENSURE(found, "SpillingClosedTable::at: key not present");
-    return Entry{bigstate::spill_record_g(layout_, rec),
-                 Packed::key_deserialize(rec + layout_.parent_offset(),
-                                         node_count_),
-                 bigstate::spill_record_via(layout_, rec)};
+    return entry(key, bigstate::spill_record_g(layout_, rec),
+                 bigstate::spill_record_prior(layout_, rec),
+                 bigstate::spill_record_via(layout_, rec));
   }
 
   std::size_t size() const { return size_; }
 
-  /// RAM footprint: slot array, heap spill of stored keys, and the pending
+  /// RAM footprint: slot array, heap words of stored keys, and the pending
   /// (unverified-key) buffer. Overhead bytes are budgeted but reported by
   /// their owners.
   std::size_t bytes() const {
@@ -287,17 +290,19 @@ class SpillingClosedTable {
   bool headroom_stop() const { return headroom_stop_; }
 
  private:
-  /// An Entry with its via move split into node and type, so the type and
-  /// the flags share the move's padding: 32 bytes over one-word keys.
+  /// A key's best path, with its via move split into node and type so the
+  /// type, the flags and the prior field share the move's padding: 24 bytes
+  /// over one-word keys.
   struct Slot {
     Key key{};
     std::int64_t g = 0;
-    Key parent{};
     NodeId via_node = 0;
     std::uint8_t via_type = 0;
     std::uint8_t occupied : 1 = 0;
     std::uint8_t verified : 1 = 1;  ///< RAM g ≤ every spilled g for this key
     std::uint8_t expanded : 1 = 0;  ///< the state was expanded at exactly g
+    /// via_node's field in the parent, before the via move overwrote it.
+    std::uint8_t prior : 3 = 0;
     /// Duplicate open-queue items at g that must pop (and be consumed)
     /// before the state's earliest-pushed item expands it — what keeps
     /// spilled expansion ORDER identical to in-memory: dups are pushed
@@ -308,16 +313,32 @@ class SpillingClosedTable {
     Move via() const {
       return Move{static_cast<MoveType>(via_type), via_node};
     }
-    Entry entry() const { return Entry{g, parent, via()}; }
-    void set_path(std::int64_t new_g, const Key& new_parent, Move new_via) {
+    void set_path(std::int64_t new_g, unsigned new_prior, Move new_via) {
       g = new_g;
-      parent = new_parent;
+      prior = static_cast<std::uint8_t>(new_prior);
       via_node = new_via.node;
       via_type = static_cast<std::uint8_t>(new_via.type);
     }
   };
-  static_assert(sizeof(Slot) == 2 * sizeof(Key) + 16,
-                "a slot is its two keys, g and 8 bytes of move and flags");
+  static_assert(sizeof(Slot) == sizeof(Key) + 16,
+                "a slot is its key, g and 8 bytes of move and flags");
+
+  /// The field `via` overwrote: parent's on via.node. Checks the tree-edge
+  /// contract that lets at() rebuild the parent from it.
+  static unsigned prior_field(const Key& key, const Key& parent, Move via) {
+    RBPEB_ENSURE(key.same_except(parent, via.node),
+                 "SpillingClosedTable::relax: the parent must differ from "
+                 "the key in via.node's field alone");
+    return parent.field(via.node);
+  }
+
+  /// The Entry of a tree edge stored as (g, prior field, via).
+  static Entry entry(const Key& key, std::int64_t g, unsigned prior,
+                     Move via) {
+    Entry e{g, key, via};
+    e.parent.set_field(via.node, prior);
+    return e;
+  }
 
   static constexpr std::size_t kInitialSlots = 1024;
   /// A spilling table never evicts below this population: budgets smaller
@@ -415,16 +436,15 @@ class SpillingClosedTable {
 
   /// Store a fresh key in the empty slot `i` of its probe sequence.
   Slot* insert_fresh(std::size_t i, const Key& key, std::int64_t g,
-                     const Key& parent, Move via) {
+                     unsigned prior, Move via) {
     Slot& slot = slots_[i];
     slot.key = key;
-    slot.set_path(g, parent, via);
+    slot.set_path(g, prior, via);
     slot.occupied = true;
     slot.expanded = false;
     slot.deferred = 0;
     slot.verified = !runs_ || runs_->empty();
-    heap_bytes_ +=
-        Packed::key_heap_bytes(slot.key) + Packed::key_heap_bytes(slot.parent);
+    heap_bytes_ += Packed::key_heap_bytes(slot.key);
     ++size_;
     if (!slot.verified) {
       pending_.push_back(slot.key);
@@ -483,15 +503,10 @@ class SpillingClosedTable {
               // correctness: each (key, g) still expands at most once.
               ++deferred;
             }
-            const std::size_t old_heap = Packed::key_heap_bytes(slot->parent);
-            slot->set_path(disk_g,
-                           Packed::key_deserialize(
-                               rec + layout_.parent_offset(), node_count_),
+            slot->set_path(disk_g, bigstate::spill_record_prior(layout_, rec),
                            bigstate::spill_record_via(layout_, rec));
             slot->expanded = disk_expanded;
             slot->deferred = deferred;
-            heap_bytes_ += Packed::key_heap_bytes(slot->parent);
-            heap_bytes_ -= old_heap;
           });
     }
     for (const Key& key : pending_) {
@@ -524,13 +539,14 @@ class SpillingClosedTable {
                      });
     const std::size_t rb = layout_.record_bytes();
     std::vector<std::uint8_t> records(evict_count * rb);
+    std::size_t evicted_heap = 0;
     for (std::size_t v = 0; v < evict_count; ++v) {
       const Slot& slot = slots_[occupied[v]];
+      evicted_heap += Packed::key_heap_bytes(slot.key);
       std::uint8_t* rec = records.data() + v * rb;
       Packed::key_serialize(slot.key, rec);
-      Packed::key_serialize(slot.parent, rec + layout_.parent_offset());
       bigstate::spill_record_store(layout_, rec, slot.g, slot.via(),
-                                   slot.expanded, slot.deferred);
+                                   slot.prior, slot.expanded, slot.deferred);
     }
     bigstate::sort_spill_records(layout_, records.data(), evict_count);
     if (!runs_->append_run(records.data(), evict_count)) return false;
@@ -539,27 +555,39 @@ class SpillingClosedTable {
       registry.counter("spill.evict_passes").add();
       registry.counter("spill.evicted_states").add(evict_count);
     }
-    // Rebuild the slot array without the victims (same capacity: the point
-    // was shedding entries and their heap keys, not shrinking the slab).
+    // Rebuild the slot array without the victims, at the same capacity
+    // unless the slab itself is what no longer fits. The open queue grows
+    // during a search, and a slab sized while it was small would leave room
+    // for only a few hundred entries between evictions: halve it while the
+    // table stays over budget and the survivors stay under the load limit.
     for (std::size_t v = 0; v < evict_count; ++v) {
       slots_[occupied[v]].occupied = false;
     }
+    const std::size_t survivors = size_ - evict_count;
+    const std::size_t rest = heap_bytes_ - evicted_heap +
+                             pending_.capacity() * sizeof(Key) +
+                             pending_heap_bytes_ + overhead_bytes_;
+    std::size_t capacity = slots_.size();
+    while (capacity > kInitialSlots &&
+           !fits(capacity * sizeof(Slot) + rest) &&
+           (survivors + 1) * 4 < capacity / 2 * 3) {
+      capacity /= 2;
+    }
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.size(), Slot{});
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
     ++rehashes_;
     heap_bytes_ = 0;
     size_ = 0;
     for (Slot& slot : old) {
       if (!slot.occupied) continue;
-      heap_bytes_ += Packed::key_heap_bytes(slot.key) +
-                     Packed::key_heap_bytes(slot.parent);
+      heap_bytes_ += Packed::key_heap_bytes(slot.key);
       slots_[free_slot(Packed::hash_key(slot.key))] = std::move(slot);
       ++size_;
     }
     return true;
   }
 
-  std::size_t node_count_ = 0;
   std::size_t max_bytes_ = 0;
   std::size_t overhead_bytes_ = 0;
   bool grow_refused_for_headroom_ = false;  ///< last grow() refusal kind

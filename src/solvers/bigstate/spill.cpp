@@ -42,14 +42,20 @@ Move spill_record_via(const SpillLayout& layout, const std::uint8_t* rec) {
               static_cast<NodeId>(node)};
 }
 
+unsigned spill_record_prior(const SpillLayout& layout,
+                            const std::uint8_t* rec) {
+  return (rec[layout.flags_offset()] >> kSpillPriorShift) & 7u;
+}
+
 void spill_record_store(const SpillLayout& layout, std::uint8_t* rec,
-                        std::int64_t g, Move via, bool expanded,
+                        std::int64_t g, Move via, unsigned prior, bool expanded,
                         std::uint16_t deferred) {
   std::memcpy(rec + layout.g_offset(), &g, sizeof(g));
   const std::uint32_t node = static_cast<std::uint32_t>(via.node);
   std::memcpy(rec + layout.node_offset(), &node, sizeof(node));
   rec[layout.type_offset()] = static_cast<std::uint8_t>(via.type);
-  rec[layout.flags_offset()] = expanded ? kSpillFlagExpanded : 0;
+  rec[layout.flags_offset()] = static_cast<std::uint8_t>(
+      (expanded ? kSpillFlagExpanded : 0) | (prior << kSpillPriorShift));
   std::memcpy(rec + layout.deferred_offset(), &deferred, sizeof(deferred));
 }
 

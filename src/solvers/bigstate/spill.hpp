@@ -38,27 +38,30 @@
 namespace rbpeb::bigstate {
 
 /// Geometry of one spilled closed-table record:
-///   [key][parent key][g : int64][node : uint32][type : uint8]
-///   [flags : uint8][deferred : uint16]
+///   [key][g : int64][node : uint32][type : uint8][flags : uint8]
+///   [deferred : uint16]
 /// — all little-endian memcpy, fixed size per instance because every key of
-/// one search serializes to the same width. `deferred` counts duplicate
-/// open-queue items that must be consumed before the state's original item
-/// may expand it (ddd.hpp uses this to keep spilled expansion order
-/// bit-identical to the in-memory search).
+/// one search serializes to the same width. The flags byte holds the
+/// expanded bit and, in bits 1–3, the field the via move overwrote on its
+/// node, from which the parent key is rebuilt (ddd.hpp): a record is its
+/// key plus 16 bytes. `deferred` counts duplicate open-queue items that
+/// must be consumed before the state's original item may expand it (ddd.hpp
+/// uses this to keep spilled expansion order bit-identical to the in-memory
+/// search).
 struct SpillLayout {
   std::size_t key_bytes = 0;
 
-  std::size_t parent_offset() const { return key_bytes; }
-  std::size_t g_offset() const { return 2 * key_bytes; }
-  std::size_t node_offset() const { return 2 * key_bytes + 8; }
-  std::size_t type_offset() const { return 2 * key_bytes + 12; }
-  std::size_t flags_offset() const { return 2 * key_bytes + 13; }
-  std::size_t deferred_offset() const { return 2 * key_bytes + 14; }
-  std::size_t record_bytes() const { return 2 * key_bytes + 16; }
+  std::size_t g_offset() const { return key_bytes; }
+  std::size_t node_offset() const { return key_bytes + 8; }
+  std::size_t type_offset() const { return key_bytes + 12; }
+  std::size_t flags_offset() const { return key_bytes + 13; }
+  std::size_t deferred_offset() const { return key_bytes + 14; }
+  std::size_t record_bytes() const { return key_bytes + 16; }
 };
 
-/// Record flag bits.
+/// Record flag bits: expanded, then the 3-bit prior field.
 inline constexpr std::uint8_t kSpillFlagExpanded = 1;
+inline constexpr unsigned kSpillPriorShift = 1;
 
 /// Why the last append_run failed — a disk budget is actionable (raise
 /// --budget-disk), an I/O failure is not (the filesystem itself failed).
@@ -70,8 +73,10 @@ bool spill_record_expanded(const SpillLayout& layout, const std::uint8_t* rec);
 std::uint16_t spill_record_deferred(const SpillLayout& layout,
                                     const std::uint8_t* rec);
 Move spill_record_via(const SpillLayout& layout, const std::uint8_t* rec);
+/// The field the via move overwrote on via.node (its parent's, < 8).
+unsigned spill_record_prior(const SpillLayout& layout, const std::uint8_t* rec);
 void spill_record_store(const SpillLayout& layout, std::uint8_t* rec,
-                        std::int64_t g, Move via, bool expanded,
+                        std::int64_t g, Move via, unsigned prior, bool expanded,
                         std::uint16_t deferred = 0);
 
 /// True when `a` is a strictly better path record than `b` for the same key:

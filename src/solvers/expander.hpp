@@ -328,18 +328,18 @@ class SearchCheckpoint {
   std::size_t reported_ = 0;
 };
 
-/// Summarize an open list into `ob`; `f_of(priority, item)` is an item's
+/// Summarize an open list into `ob`; `f_of(priority, g)` is an item's
 /// unweighted f.
 template <class Queue, class FOf>
 void summarize_open(obs::ProgressObservation& ob, const Queue& queue,
                     FOf&& f_of) {
   ob.open_states = queue.size();
-  queue.for_each([&](std::int64_t priority, const auto& item) {
-    const std::int64_t f = f_of(priority, item);
+  queue.for_each([&](std::int64_t priority, std::int64_t g) {
+    const std::int64_t f = f_of(priority, g);
     if (ob.open_f_min < 0 || f < ob.open_f_min) ob.open_f_min = f;
     ob.open_f_max = std::max(ob.open_f_max, f);
-    if (ob.open_g_min < 0 || item.g < ob.open_g_min) ob.open_g_min = item.g;
-    ob.open_g_max = std::max(ob.open_g_max, item.g);
+    if (ob.open_g_min < 0 || g < ob.open_g_min) ob.open_g_min = g;
+    ob.open_g_max = std::max(ob.open_g_max, g);
   });
 }
 

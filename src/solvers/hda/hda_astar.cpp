@@ -163,7 +163,7 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
       case Table::Relax::Improved:
         break;
     }
-    self.queue.push(m.f, {m.key, m.g});
+    self.queue.push(m.f, m.key, m.g);
   };
 
   // Route a generated state to its owner: same-shard states relax in place,
@@ -227,7 +227,8 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
     }
     idle_spins = 0;
 
-    auto [f, item] = self.queue.pop();
+    const auto item = self.queue.pop();
+    const std::int64_t f = item.priority;
     // Expansion gate: stale-g check plus the delayed duplicate check
     // against this shard's spill runs — each (key, g) expands at most once.
     const auto pop_verdict = self.table.begin_expansion(item.key, item.g);
@@ -261,10 +262,8 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
           const std::int64_t inc =
               ctx.incumbent.load(std::memory_order_relaxed);
           ob.incumbent_scaled = inc < no_incumbent ? inc : -1;
-          using OpenItem = typename Shard<Packed>::OpenItem;
-          summarize_open(ob, self.queue, [](std::int64_t fq, const OpenItem&) {
-            return fq;
-          });
+          summarize_open(ob, self.queue,
+                         [](std::int64_t fq, std::int64_t) { return fq; });
           ob.dup_skipped = ctx.dup_skipped.load(std::memory_order_relaxed);
           ob.dead_prunes = ctx.dead_prunes.load(std::memory_order_relaxed);
           ob.attr_counting =
@@ -391,7 +390,7 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
       harvest();
       return give_up(ExactTermination::MemoryBudget);
     }
-    home.queue.push(*start_h, {start.key(), 0});
+    home.queue.push(*start_h, start.key(), 0);
   }
 
   const obs::TraceSpan search_span("hda.search", "workers", workers);

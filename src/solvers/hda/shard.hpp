@@ -88,21 +88,16 @@ struct Shard {
   using Table = SpillingClosedTable<Packed>;
   using Entry = typename Table::Entry;
 
-  /// Open-queue item; stale once `g` no longer matches the table.
-  struct OpenItem {
-    typename Packed::Key key;
-    std::int64_t g;
-  };
-
   /// `spill_dir` is this shard's private partition ("" = spilling off).
   Shard(std::size_t node_count, std::size_t bucket_count,
         std::size_t max_table_bytes, const std::string& spill_dir,
         std::size_t max_disk_bytes)
       : table(node_count, max_table_bytes, spill_dir, max_disk_bytes),
-        queue(bucket_count) {}
+        queue(bucket_count, node_count) {}
 
   Table table;
-  BucketQueue<OpenItem> queue;
+  /// Items carry their g at push time; stale once it no longer matches.
+  KeyQueue<Packed> queue;
   Mailbox<Packed> mailbox;
 };
 

@@ -15,8 +15,16 @@
 // use it past 42 nodes). Every width hashes with one formula, the XOR of a
 // salted SplitMix64 finalizer per word; the runtime width caches that hash
 // and patches it alongside each word update, so HDA* shard routing never
-// rescans a wide key. The words, in order and little-endian, are a spill
-// record's key bytes (bigstate/spill.hpp).
+// rescans a wide key, and compares it before any heap word. The words, in
+// order and little-endian, are a spill record's key bytes (bigstate/
+// spill.hpp) and an open-queue record's key words (bucket_queue.hpp).
+//
+// Because a move rewrites exactly one field, a tree edge needs no parent
+// key: the closed tables store the via move and the 3-bit field it
+// overwrote, and rebuild the parent by writing that field back
+// (same_except() checks the contract, set_field() restores the field). A
+// closed-table slot is its key plus 16 bytes — 24 bytes at W = 1, 32 at
+// W = 2, 48 at the runtime width (a 24-byte vector and the cached hash).
 #pragma once
 
 #include <array>
@@ -58,6 +66,9 @@ class PackedKey {
   /// about 15% of its time on ≤21-node DAGs (GCC 12, -O3). At the runtime
   /// width: the zero-word empty-slot sentinel of the closed tables, never a
   /// real configuration.
+  /// Inline words (0: the runtime width, words_for(n) on the heap).
+  static constexpr std::size_t kWords = W;
+
   PackedKey() requires(W != 0) = default;
   PackedKey() requires(W == 0) : hash_(0) {}
 
@@ -94,6 +105,43 @@ class PackedKey {
   }
 
   void mark_computed(NodeId v) { set_field(v, field(v) | 4u); }
+
+  /// Node v's 3-bit field: color in the low 2 bits, computed flag at 0x4.
+  unsigned field(NodeId v) const {
+    const std::size_t bit = kBitsPerNode * static_cast<std::size_t>(v);
+    const std::size_t i = W == 1 ? 0 : bit >> 6;
+    const auto off = static_cast<unsigned>(bit & 63);
+    std::uint64_t x = words_[i] >> off;
+    if constexpr (W != 1) {
+      if (off > 61) x |= words_[i + 1] << (64 - off);  // straddles into i+1
+    }
+    return static_cast<unsigned>(x & 7u);
+  }
+
+  /// Overwrite node v's field with f (< 8), patching the cached hash.
+  void set_field(NodeId v, unsigned f) {
+    const FieldWrite w = field_write(v, f);
+    if constexpr (W == 0) hash_ ^= hash_patch(w);
+    words_[w.i] = w.lo;
+    if (w.straddles) words_[w.i + 1] = w.hi;
+  }
+
+  /// True when `o` equals this key outside node v's field — what a tree
+  /// edge (parent, move on v) must satisfy. Word by word, no allocation.
+  bool same_except(const PackedKey& o, NodeId v) const {
+    if (word_count() != o.word_count()) return false;
+    const std::size_t bit = kBitsPerNode * static_cast<std::size_t>(v);
+    const std::size_t i = bit >> 6;
+    const auto off = static_cast<unsigned>(bit & 63);
+    for (std::size_t j = 0; j < word_count(); ++j) {
+      std::uint64_t diff = words_[j] ^ o.words_[j];
+      if (j == i) diff &= ~(std::uint64_t{7} << off);
+      // The field's high bits, when it straddles into word i+1.
+      if (j == i + 1 && off > 61) diff &= ~(std::uint64_t{7} >> (64 - off));
+      if (diff != 0) return false;
+    }
+    return true;
+  }
 
   /// The successor configuration after a *legal* move — one masked field
   /// update, mirroring Engine::apply's state effect exactly. Legality is
@@ -163,6 +211,16 @@ class PackedKey {
 
   std::size_t word_count() const { return words_.size(); }
   std::uint64_t word(std::size_t i) const { return words_[i]; }
+  const std::uint64_t* words() const { return words_.data(); }
+
+  /// Overwrite a runtime-width key in place with word_count() `words` whose
+  /// hash is `hash`: the open queue's pop, which reuses the key's storage.
+  void assign_words(const std::uint64_t* words, std::uint64_t hash)
+    requires(W == 0)
+  {
+    std::memcpy(words_.data(), words, words_.size() * sizeof(std::uint64_t));
+    hash_ = hash;
+  }
 
   std::uint64_t hash() const {
     if constexpr (W == 0) {
@@ -184,8 +242,12 @@ class PackedKey {
 
   // A word loop, not std::array/std::vector ==: those lower to a memcmp
   // call, which on the closed tables' probe path costs more than the
-  // one or two word compares it replaces.
+  // one or two word compares it replaces. The runtime width compares its
+  // cached hash first, so a probe past a colliding slot reads no heap word.
   bool operator==(const PackedKey& o) const {
+    if constexpr (W == 0) {
+      if (hash_ != o.hash_) return false;
+    }
     if (word_count() != o.word_count()) return false;
     for (std::size_t i = 0; i < word_count(); ++i) {
       if (words_[i] != o.words_[i]) return false;
@@ -205,17 +267,6 @@ class PackedKey {
   /// XOR-combined so one word's change patches the total in O(1).
   static std::uint64_t word_hash(std::uint64_t w, std::size_t i) {
     return mix(w + 0x9e3779b97f4a7c15ull * (i + 1));
-  }
-
-  unsigned field(NodeId v) const {
-    const std::size_t bit = kBitsPerNode * static_cast<std::size_t>(v);
-    const std::size_t i = W == 1 ? 0 : bit >> 6;
-    const auto off = static_cast<unsigned>(bit & 63);
-    std::uint64_t x = words_[i] >> off;
-    if constexpr (W != 1) {
-      if (off > 61) x |= words_[i + 1] << (64 - off);  // straddles into i+1
-    }
-    return static_cast<unsigned>(x & 7u);
   }
 
   /// The field a legal `move` leaves on its node, mirroring Engine::apply.
@@ -271,13 +322,6 @@ class PackedKey {
       patch ^= word_hash(words_[w.i + 1], w.i + 1) ^ word_hash(w.hi, w.i + 1);
     }
     return patch;
-  }
-
-  void set_field(NodeId v, unsigned f) {
-    const FieldWrite w = field_write(v, f);
-    if constexpr (W == 0) hash_ ^= hash_patch(w);
-    words_[w.i] = w.lo;
-    if (w.straddles) words_[w.i + 1] = w.hi;
   }
 
   struct NoHash {};

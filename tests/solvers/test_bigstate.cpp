@@ -345,6 +345,15 @@ PackedKey<1> K(std::uint64_t w) {
   return PackedKey<1>::key_deserialize(bytes, 21);
 }
 
+/// A parent `via` could have left as `key`: key with via.node's field set
+/// to `prior` — the tree-edge contract relax() checks.
+template <typename Packed>
+Packed parent_of(const Packed& key, Move via, unsigned prior) {
+  Packed parent = key;
+  parent.set_field(via.node, prior);
+  return parent;
+}
+
 /// A table with spilling disabled — the legacy ClosedTable semantics every
 /// unbudgeted (and spill=off) search still runs on.
 template <typename Packed>
@@ -355,19 +364,21 @@ SpillingClosedTable<Packed> ram_only_table(std::size_t node_count,
 
 TEST(ClosedTable, RelaxAndLookupSemantics) {
   Table1 table = ram_only_table<PackedKey<1>>(21, 0);
-  EXPECT_EQ(table.relax(K(7), 10, K(3), Move{MoveType::Load, 1}),
+  const Move load{MoveType::Load, 1};
+  const Move store{MoveType::Store, 2};
+  EXPECT_EQ(table.relax(K(7), 10, parent_of(K(7), load, 2), load),
             Table1::Relax::Inserted);
   // A path no cheaper than the known one dies; a cheaper one re-opens.
-  EXPECT_EQ(table.relax(K(7), 99, K(4), Move{MoveType::Store, 2}),
+  EXPECT_EQ(table.relax(K(7), 99, parent_of(K(7), store, 1), store),
             Table1::Relax::Stale);
   EXPECT_EQ(table.at(K(7)).g, 10);
-  EXPECT_EQ(table.relax(K(7), 5, K(4), Move{MoveType::Store, 2}),
+  EXPECT_EQ(table.relax(K(7), 5, parent_of(K(7), store, 1), store),
             Table1::Relax::Improved);
   EXPECT_EQ(table.at(K(7)).g, 5);
   EXPECT_EQ(table.size(), 1u);
   // Growth keeps every entry reachable.
   for (std::uint64_t k = 100; k < 3000; ++k) {
-    table.relax(K(k), static_cast<std::int64_t>(k), K(0),
+    table.relax(K(k), static_cast<std::int64_t>(k), K(k),
                 Move{MoveType::Load, 0});
   }
   EXPECT_EQ(table.size(), 2901u);
@@ -376,46 +387,67 @@ TEST(ClosedTable, RelaxAndLookupSemantics) {
   EXPECT_GT(table.bytes(), 2901 * sizeof(std::uint64_t));
 }
 
-TEST(ClosedTable, PackedSlotsKeepParentAndViaMoveExactly) {
-  // A slot stores the via move as a 32-bit node and an 8-bit type beside
-  // its flags: every type, node 0 and the A* driver's node cap 1023 must
-  // come back from at() unchanged — after an improvement, and after the
-  // table grows past its first 1024 slots (768 keys at load 3/4).
-  Table1 table = ram_only_table<PackedKey<1>>(21, 0);
+/// Insert 2000 keys of `n` nodes, each with its own (parent, via) edge, and
+/// improve every fifth with a new edge; every g, parent and via must come
+/// back from at() exactly. Nodes cycle through 0, n − 1 and k mod n.
+template <typename Packed>
+void check_slot_edges(std::size_t n) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  Table table = ram_only_table<Packed>(n, 0);
   struct Stored {
-    std::uint64_t key;
+    Packed key;
     std::int64_t g;
-    std::uint64_t parent;
+    Packed parent;
     Move via;
   };
   std::vector<Stored> stored;
   const MoveType types[] = {MoveType::Load, MoveType::Store,
                             MoveType::Compute, MoveType::Delete};
+  Rng rng(n);
+  std::vector<std::uint8_t> bytes(Packed::key_serialized_bytes(n));
   for (std::uint64_t k = 1; k <= 2000; ++k) {
-    const NodeId node = k % 3 == 0 ? 0 : k % 3 == 1 ? 1023 : k % 1024;
-    const Stored s{k, static_cast<std::int64_t>(k % 50 + 10), k * 7919,
-                   Move{types[k % 4], node}};
-    ASSERT_EQ(table.relax(K(s.key), s.g, K(s.parent), s.via),
-              Table1::Relax::Inserted);
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const Packed key = Packed::key_deserialize(bytes.data(), n);
+    const auto node = static_cast<NodeId>(k % 3 == 0   ? 0
+                                          : k % 3 == 1 ? n - 1
+                                                       : k % n);
+    const Move via{types[k % 4], node};
+    const Stored s{key, static_cast<std::int64_t>(k % 50 + 10),
+                   parent_of(key, via, static_cast<unsigned>(k % 8)), via};
+    ASSERT_EQ(table.relax(s.key, s.g, s.parent, s.via),
+              Table::Relax::Inserted);
     stored.push_back(s);
   }
-  // Improve every fifth key with a new parent and the next move type.
+  // Improve every fifth key with the next move type on another node.
   for (std::size_t i = 0; i < stored.size(); i += 5) {
     Stored& s = stored[i];
     s.g -= 5;
-    s.parent += 1;
     s.via = Move{types[(static_cast<int>(s.via.type) + 1) % 4],
-                 s.via.node == 0 ? NodeId{1023} : NodeId{0}};
-    ASSERT_EQ(table.relax(K(s.key), s.g, K(s.parent), s.via),
-              Table1::Relax::Improved);
+                 s.via.node == 0 ? static_cast<NodeId>(n - 1) : NodeId{0}};
+    s.parent = parent_of(s.key, s.via, (s.key.field(s.via.node) + 1) % 8);
+    ASSERT_EQ(table.relax(s.key, s.g, s.parent, s.via),
+              Table::Relax::Improved);
   }
   EXPECT_EQ(table.size(), stored.size());
   for (const Stored& s : stored) {
-    const Table1::Entry entry = table.at(K(s.key));
-    EXPECT_EQ(entry.g, s.g) << s.key;
-    EXPECT_EQ(entry.parent, K(s.parent)) << s.key;
-    EXPECT_EQ(entry.via, s.via) << s.key;
+    const typename Table::Entry entry = table.at(s.key);
+    EXPECT_EQ(entry.g, s.g);
+    EXPECT_EQ(entry.parent, s.parent);
+    EXPECT_EQ(entry.parent.hash(), s.parent.recompute_hash());
+    EXPECT_EQ(entry.via, s.via);
   }
+}
+
+TEST(ClosedTable, PackedSlotsKeepParentAndViaMoveExactly) {
+  // A slot stores the via move as a 32-bit node and an 8-bit type beside
+  // its flags and the field the move overwrote: every type, node 0 and the
+  // A* driver's node cap 1023 must come back from at() unchanged, with the
+  // parent rebuilt bit for bit — after an improvement, and after the table
+  // grows past its first 1024 slots (768 keys at load 3/4).
+  check_slot_edges<PackedKey<1>>(21);
+  check_slot_edges<PackedKey<2>>(42);
+  check_slot_edges<PackedKey<0>>(1024);
 }
 
 TEST(ClosedTable, HashedRelaxMatchesTheUnhashedForm) {
@@ -425,9 +457,10 @@ TEST(ClosedTable, HashedRelaxMatchesTheUnhashedForm) {
     const PackedKey<1> key = K(k % 900);  // revisits: Stale and Improved
     const auto g = static_cast<std::int64_t>(1000 - k);
     const Move via{MoveType::Compute, static_cast<NodeId>(k % 21)};
+    const PackedKey<1> parent = parent_of(key, via, k % 8);
     hashed.prefetch(key.hash());
-    ASSERT_EQ(hashed.relax(key, key.hash(), g, K(k), via),
-              plain.relax(key, g, K(k), via));
+    ASSERT_EQ(hashed.relax(key, key.hash(), g, parent, via),
+              plain.relax(key, g, parent, via));
   }
   EXPECT_EQ(hashed.size(), plain.size());
   for (std::uint64_t k = 0; k < 900; ++k) {
@@ -438,12 +471,13 @@ TEST(ClosedTable, HashedRelaxMatchesTheUnhashedForm) {
 
 TEST(ClosedTable, ExpansionGateFiresOncePerKeyAndG) {
   Table1 table = ram_only_table<PackedKey<1>>(21, 0);
-  table.relax(K(7), 10, K(3), Move{MoveType::Load, 1});
+  const Move load{MoveType::Load, 1};
+  table.relax(K(7), 10, parent_of(K(7), load, 2), load);
   EXPECT_EQ(table.begin_expansion(K(7), 12), Table1::Pop::Skip);  // stale g
   EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Expand);
   EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Skip);  // once only
   // A strict improvement re-opens the state at its new g.
-  EXPECT_EQ(table.relax(K(7), 4, K(3), Move{MoveType::Load, 1}),
+  EXPECT_EQ(table.relax(K(7), 4, parent_of(K(7), load, 2), load),
             Table1::Relax::Improved);
   EXPECT_EQ(table.begin_expansion(K(7), 10), Table1::Pop::Skip);
   EXPECT_EQ(table.begin_expansion(K(7), 4), Table1::Pop::Expand);
@@ -459,7 +493,7 @@ TEST(ClosedTable, RefusesInsertsBeyondTheByteBudgetWhenSpillIsOff) {
   Table1 small = ram_only_table<PackedKey<1>>(21, 100'000);
   std::size_t inserted = 0;
   for (std::uint64_t k = 0; k < 10'000; ++k) {
-    if (small.relax(K(k), 0, K(0), Move{MoveType::Load, 0}) ==
+    if (small.relax(K(k), 0, K(k), Move{MoveType::Load, 0}) ==
         Table1::Relax::OutOfMemory) {
       break;
     }
@@ -475,8 +509,8 @@ TEST(ClosedTable, RefusesInsertsBeyondTheByteBudgetWhenSpillIsOff) {
 
 TEST(ClosedTable, AccountsHeapWordsOfRuntimeWidthKeys) {
   // Two tables, same slot layout: one stores a 3-word key, one an 8-word
-  // key; the byte difference must be exactly the keys' (and their parent
-  // copies') extra heap words.
+  // key; the byte difference must be exactly the keys' extra heap words (a
+  // slot stores no parent key).
   TableVar narrow_table = ram_only_table<PackedKey<0>>(60, 0);
   const PackedKey<0> narrow_key(60);  // 3 words
   ASSERT_EQ(PackedKey<0>::key_heap_bytes(narrow_key),
@@ -490,7 +524,7 @@ TEST(ClosedTable, AccountsHeapWordsOfRuntimeWidthKeys) {
             TableVar::Relax::Inserted);
   EXPECT_EQ(PackedKey<0>::key_heap_bytes(key), 8 * sizeof(std::uint64_t));
   EXPECT_EQ(wide_table.bytes(),
-            narrow_table.bytes() + 2 * 5 * sizeof(std::uint64_t));
+            narrow_table.bytes() + 5 * sizeof(std::uint64_t));
   EXPECT_EQ(wide_table.at(key).g, 1);
 }
 

@@ -2,21 +2,26 @@
 // pushes (some below the cursor) at priority strides of 1 and 100, the
 // gaps compcost's ε = 1/100 leaves between adjacent f-values, must pop the
 // same (priority, item) sequence — lowest bucket first, LIFO within one —
-// while bytes() tracks the spine plus every bucket's capacity and for_each
-// visits in ascending priority. A spine grown on demand (as the PDB builds
-// grow theirs) must pop the same sequence and keep every queued item.
-// Popping an empty queue and shrinking the spine are precondition
-// failures, not a read past the buckets or lost items.
+// while bytes() tracks the spine plus every bucket's capacity. A spine
+// grown on demand (as the PDB builds grow theirs) must pop the same
+// sequence and keep every queued item. Popping an empty queue and shrinking
+// the spine are precondition failures, not a read past the buckets or lost
+// items. The searches' key-record queue must pop exactly what a
+// BucketQueue of (key, g) items pops, at every key width, charge what a
+// queue of record-sized items does, and for_each must visit every item's
+// g in ascending priority.
 #include "src/solvers/bucket_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "src/solvers/packed_state.hpp"
 #include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 
@@ -60,18 +65,6 @@ struct Reference {
     return total;
   }
 };
-
-void expect_same_order(const BucketQueue<Item>& queue, const Reference& ref) {
-  std::vector<std::pair<std::int64_t, Item>> visited;
-  queue.for_each([&](std::int64_t priority, Item item) {
-    visited.push_back({priority, item});
-  });
-  std::vector<std::pair<std::int64_t, Item>> want;
-  for (const auto& [priority, stack] : ref.stacks) {
-    for (Item item : stack) want.push_back({priority, item});
-  }
-  EXPECT_EQ(visited, want);
-}
 
 /// `start_buckets` of 0 sizes the spine for every priority up front; any
 /// other value starts it there and grows it, doubling, before a push that
@@ -126,9 +119,7 @@ void run(std::int64_t stride, std::uint64_t seed,
     ASSERT_EQ(queue.size(), ref.size);
     ASSERT_EQ(queue.empty(), ref.size == 0);
     ASSERT_EQ(queue.bytes(), base_bytes + ref.capacity_bytes()) << "op " << op;
-    if (op % 997 == 0) expect_same_order(queue, ref);
   }
-  expect_same_order(queue, ref);
   while (!queue.empty()) ASSERT_EQ(queue.pop(), ref.pop());
   EXPECT_EQ(queue.bytes(), base_bytes + ref.capacity_bytes());
   EXPECT_GT(below_cursor, 0u);
@@ -168,6 +159,113 @@ TEST(BucketQueue, PopOnAnEmptyQueueIsAPreconditionFailure) {
   EXPECT_THROW(queue.pop(), PreconditionError);
   queue.push(129, 7);
   EXPECT_EQ(queue.pop().second, 7u);
+  EXPECT_THROW(queue.pop(), PreconditionError);
+}
+
+// ---- KeyQueue ------------------------------------------------------------
+
+/// What the open lists queued before key records: a (key, g) item.
+template <class Packed>
+struct KeyItem {
+  Packed key;
+  std::int64_t g;
+};
+
+static_assert(sizeof(detail::KeyRecord<PackedKey<1>>) == 16,
+              "a one-word key's record is 16 bytes, as a (key, g) item");
+
+/// Random pushes (some below the cursor) and pops at priority stride
+/// `stride` over `n`-node keys: every pop must equal the reference
+/// BucketQueue<KeyItem>'s — priority, g, key and hash — and bytes() must
+/// equal the charge of a BucketQueue whose items are `RecordWords` words,
+/// the record stride.
+template <class Packed, std::size_t RecordWords>
+void run_key_queue(std::size_t n, std::int64_t stride, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes, stride " << stride);
+  constexpr std::int64_t kLevels = 200;
+  const auto buckets = static_cast<std::size_t>(kLevels * stride + 1);
+  KeyQueue<Packed> queue(buckets, n);
+  BucketQueue<KeyItem<Packed>> ref(buckets);
+  BucketQueue<std::array<std::uint64_t, RecordWords>> charge(buckets);
+  // Each queued item's g by priority, in push order.
+  std::map<std::int64_t, std::vector<std::int64_t>> gs;
+  auto expect_same_gs = [&] {
+    std::vector<std::pair<std::int64_t, std::int64_t>> visited;
+    std::vector<std::pair<std::int64_t, std::int64_t>> want;
+    queue.for_each([&](std::int64_t priority, std::int64_t g) {
+      visited.push_back({priority, g});
+    });
+    for (const auto& [priority, stack] : gs) {
+      for (const std::int64_t g : stack) want.push_back({priority, g});
+    }
+    EXPECT_EQ(visited, want);
+  };
+  auto pop_both = [&] {
+    const auto got = queue.pop();
+    const auto [priority, want] = ref.pop();
+    charge.pop();
+    gs[priority].pop_back();
+    if (gs[priority].empty()) gs.erase(priority);
+    EXPECT_EQ(got.priority, priority);
+    EXPECT_EQ(got.g, want.g);
+    EXPECT_TRUE(got.key == want.key);
+    EXPECT_EQ(got.key.hash(), want.key.recompute_hash());
+    return priority;
+  };
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(Packed::key_serialized_bytes(n));
+  std::int64_t last_popped = 0;
+  std::size_t below_cursor = 0;
+  for (int op = 0; op < 12000; ++op) {
+    const bool push = ref.empty() || rng.next_below(5) < 3;
+    if (push) {
+      const std::int64_t level =
+          rng.next_below(4) == 0
+              ? static_cast<std::int64_t>(rng.next_below(kLevels + 1))
+              : std::min<std::int64_t>(
+                    kLevels, last_popped / stride +
+                                 static_cast<std::int64_t>(rng.next_below(8)));
+      const std::int64_t priority = level * stride;
+      if (priority < last_popped) ++below_cursor;
+      for (std::uint8_t& b : bytes) {
+        b = static_cast<std::uint8_t>(rng.next_u64());
+      }
+      const Packed key = Packed::key_deserialize(bytes.data(), n);
+      const auto g = static_cast<std::int64_t>(rng.next_below(1 << 20));
+      queue.push(priority, key, g);
+      ref.push(priority, {key, g});
+      charge.push(priority, {});
+      gs[priority].push_back(g);
+    } else {
+      last_popped = pop_both();
+    }
+    ASSERT_EQ(queue.size(), ref.size());
+    ASSERT_EQ(queue.empty(), ref.empty());
+    ASSERT_EQ(queue.bytes(), charge.bytes()) << "op " << op;
+    if (op % 997 == 0) expect_same_gs();
+  }
+  expect_same_gs();
+  while (!ref.empty()) pop_both();
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.bytes(), charge.bytes());
+  EXPECT_GT(below_cursor, 0u);
+}
+
+TEST(KeyQueue, PopsLikeABucketQueueOfKeyItemsAtEveryWidth) {
+  run_key_queue<PackedKey<1>, 2>(21, 1, 21);
+  run_key_queue<PackedKey<2>, 3>(42, 1, 22);
+  // 100 nodes: five key words plus g and the cached hash.
+  run_key_queue<PackedKey<0>, 7>(100, 1, 23);
+  run_key_queue<PackedKey<0>, 7>(100, 100, 24);
+  run_key_queue<PackedKey<0>, 50>(1024, 1, 25);
+}
+
+TEST(KeyQueue, PopOnAnEmptyQueueIsAPreconditionFailure) {
+  KeyQueue<PackedKey<0>> queue(130, 100);
+  EXPECT_THROW(queue.pop(), PreconditionError);
+  const PackedKey<0> key(100);
+  queue.push(129, key, 7);
+  EXPECT_EQ(queue.pop().g, 7);
   EXPECT_THROW(queue.pop(), PreconditionError);
 }
 

@@ -19,6 +19,8 @@
 #include "src/solvers/exact_astar.hpp"
 #include "src/solvers/hda/hda_astar.hpp"
 #include "src/solvers/packed_state.hpp"
+#include "src/support/check.hpp"
+#include "src/support/rng.hpp"
 #include "src/workloads/chain.hpp"
 #include "src/workloads/random_layered.hpp"
 #include "src/workloads/stencil.hpp"
@@ -37,13 +39,11 @@ SpillLayout layout64() { return SpillLayout{sizeof(std::uint64_t)}; }
 
 std::vector<std::uint8_t> make_record(const SpillLayout& layout,
                                       std::uint64_t key, std::int64_t g,
-                                      bool expanded,
-                                      std::uint64_t parent = 0) {
+                                      bool expanded) {
   std::vector<std::uint8_t> rec(layout.record_bytes());
   std::memcpy(rec.data(), &key, sizeof(key));
-  std::memcpy(rec.data() + layout.parent_offset(), &parent, sizeof(parent));
   bigstate::spill_record_store(layout, rec.data(), g,
-                               Move{MoveType::Load, 0}, expanded);
+                               Move{MoveType::Load, 0}, 0, expanded);
   return rec;
 }
 
@@ -387,8 +387,8 @@ void check_rehash_transient(std::size_t node_count) {
   using Relax = typename Table::Relax;
   const Move via{MoveType::Load, 0};
   auto key = [&](std::uint64_t k) { return key_of<Packed>(k, node_count); };
-  // Heap bytes one entry adds: its key and its parent's copy.
-  const std::size_t entry_heap = 2 * Packed::key_heap_bytes(key(0));
+  // Heap bytes one entry adds: its key's (a slot stores no parent key).
+  const std::size_t entry_heap = Packed::key_heap_bytes(key(0));
 
   // Measure one slot slab with an unbudgeted table: the first insert
   // allocates the initial power-of-two array, so bytes() is the slab plus
@@ -400,7 +400,7 @@ void check_rehash_transient(std::size_t node_count) {
   ASSERT_GT(slab_bytes, 0u);
   std::size_t grow_at = 0;
   for (std::uint64_t k = 1; grow_at == 0; ++k) {
-    ASSERT_EQ(probe.relax(key(k), 0, key(0), via), Relax::Inserted);
+    ASSERT_EQ(probe.relax(key(k), 0, key(k), via), Relax::Inserted);
     if (probe.bytes() - probe.size() * entry_heap > slab_bytes) {
       grow_at = probe.size() - 1;
     }
@@ -414,7 +414,7 @@ void check_rehash_transient(std::size_t node_count) {
   std::size_t inserted = 0;
   Relax last = Relax::Inserted;
   while (inserted < 10'000) {
-    last = tight.relax(key(inserted + 1), 0, key(0), via);
+    last = tight.relax(key(inserted + 1), 0, key(inserted + 1), via);
     if (last != Relax::Inserted) break;
     ++inserted;
     ASSERT_LE(tight.bytes(), tight.max_bytes());
@@ -429,7 +429,7 @@ void check_rehash_transient(std::size_t node_count) {
   // growth — the refusal above was the transient accounting, nothing else.
   Table roomy(node_count, peak_bytes, "", 0);
   for (std::uint64_t k = 1; k <= inserted + 1; ++k) {
-    ASSERT_EQ(roomy.relax(key(k), 0, key(0), via), Relax::Inserted) << k;
+    ASSERT_EQ(roomy.relax(key(k), 0, key(k), via), Relax::Inserted) << k;
   }
   EXPECT_GT(roomy.bytes() - roomy.size() * entry_heap, slab_bytes);  // grew
   EXPECT_LE(roomy.bytes(), roomy.max_bytes());
@@ -438,6 +438,205 @@ void check_rehash_transient(std::size_t node_count) {
 TEST(SpillTable, RehashTransientCountsAgainstTheMemoryBudget) {
   check_rehash_transient<PackedKey<1>>(16);
   check_rehash_transient<PackedKey<0>>(60);  // three heap words per key
+}
+
+/// The open queue's bytes count against the table's budget and grow during
+/// a search. When they grow past what the slab sized earlier leaves room
+/// for, an eviction must shrink the slab too — otherwise every later insert
+/// evicts a few hundred entries and the spill runs pile up.
+TEST(SpillTable, EvictionShrinksASlabTheOverheadOutgrew) {
+  using Table = SpillingClosedTable<PackedKey<1>>;
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  SpillDirectory dir = SpillDirectory::create("");
+  Table table(21, kBudget, dir.path(), 0);
+  auto key = [](std::uint64_t k) { return key_of<PackedKey<1>>(k, 21); };
+  const Move via{MoveType::Load, 0};
+  constexpr std::uint64_t kKeys = 12'000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(table.relax(key(k), static_cast<std::int64_t>(k), key(k), via),
+              Table::Relax::Inserted);
+  }
+  ASSERT_EQ(table.spilled_states(), 0u);
+  const std::size_t slab = table.bytes();
+  // The overhead now leaves less than the slab: the next insert evicts
+  // half the entries and must halve the slab to fit.
+  const std::size_t overhead = kBudget - slab / 2 - 4096;
+  table.set_overhead_bytes(overhead);
+  ASSERT_EQ(table.relax(key(kKeys), 0, key(kKeys), via),
+            Table::Relax::Inserted);
+  EXPECT_EQ(table.spilled_states(), kKeys / 2);
+  EXPECT_LT(table.bytes(), slab * 3 / 4);  // the slab halved
+  EXPECT_LE(table.bytes() + overhead, kBudget);
+  table.settle();
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(table.at(key(k)).g, static_cast<std::int64_t>(k)) << k;
+  }
+}
+
+// ---- derived parents ------------------------------------------------------
+
+/// A tree edge: `key` is `parent` after the move `via`.
+template <class Packed>
+struct Edge {
+  Packed parent;
+  Move via;
+  Packed key;
+};
+
+/// One edge per legal (node, move type, prior field) — Load from blue,
+/// Store from red, Compute from a non-red field, Delete from red or blue,
+/// each with and without the computed flag — over a random background of
+/// valid fields, fresh per edge so that every key is distinct.
+template <class Packed>
+std::vector<Edge<Packed>> legal_edges(std::size_t n,
+                                      const std::vector<NodeId>& nodes) {
+  const std::pair<MoveType, std::vector<unsigned>> moves[] = {
+      {MoveType::Load, {2, 6}},
+      {MoveType::Store, {1, 5}},
+      {MoveType::Compute, {0, 2, 4, 6}},
+      {MoveType::Delete, {1, 2, 5, 6}}};
+  Rng rng(n);
+  std::vector<Edge<Packed>> edges;
+  for (const NodeId v : nodes) {
+    for (const auto& [type, priors] : moves) {
+      for (const unsigned prior : priors) {
+        Packed parent(n);
+        for (std::size_t u = 0; u < n; ++u) {
+          parent.set_field(static_cast<NodeId>(u),
+                           static_cast<unsigned>(rng.next_below(3) |
+                                                 (rng.next_below(2) << 2)));
+        }
+        parent.set_field(v, prior);
+        const Move via{type, v};
+        edges.push_back({parent, via, parent.apply(via)});
+      }
+    }
+  }
+  return edges;
+}
+
+template <class Packed>
+void expect_edge(const SpillingClosedTable<Packed>& table,
+                 const Edge<Packed>& e, std::int64_t g) {
+  const auto entry = table.at(e.key);
+  EXPECT_EQ(entry.g, g);
+  EXPECT_EQ(entry.via, e.via);
+  ASSERT_EQ(entry.parent.word_count(), e.parent.word_count());
+  for (std::size_t i = 0; i < e.parent.word_count(); ++i) {
+    EXPECT_EQ(entry.parent.word(i), e.parent.word(i)) << "word " << i;
+  }
+  EXPECT_EQ(entry.parent.hash(), e.parent.recompute_hash());
+}
+
+/// Every legal edge's parent must come back bit for bit from at(): from
+/// RAM after an insert and after an improvement, from a spill run after
+/// eviction, after a regenerated duplicate is reconciled against that run,
+/// and after a pop re-adopts the record into RAM.
+template <class Packed>
+void check_derived_parents(std::size_t n, const std::vector<NodeId>& nodes) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  const std::vector<Edge<Packed>> edges = legal_edges<Packed>(n, nodes);
+
+  Table ram(n, 0, "", 0);
+  for (const Edge<Packed>& e : edges) {
+    ASSERT_EQ(ram.relax(e.key, 2, e.parent, e.via), Table::Relax::Inserted);
+  }
+  ASSERT_EQ(ram.size(), edges.size());  // every key distinct
+  for (const Edge<Packed>& e : edges) expect_edge(ram, e, 2);
+  for (const Edge<Packed>& e : edges) {
+    ASSERT_EQ(ram.relax(e.key, 1, e.parent, e.via), Table::Relax::Improved);
+    expect_edge(ram, e, 1);
+  }
+
+  // The edges at g = 0, then g = 1 fillers (their own parents) until the
+  // first eviction, which sheds the lowest-g half: every edge. The budget
+  // holds one slot slab but not its growth.
+  Table probe(n, 0, "", 0);
+  probe.relax(edges[0].key, 0, edges[0].parent, edges[0].via);
+  SpillDirectory dir = SpillDirectory::create("");
+  Table spilling(n, 2 * probe.bytes(), dir.path(), 0);
+  for (const Edge<Packed>& e : edges) {
+    ASSERT_EQ(spilling.relax(e.key, 0, e.parent, e.via),
+              Table::Relax::Inserted);
+  }
+  Rng rng(n + 1);
+  std::vector<std::uint8_t> bytes(Packed::key_serialized_bytes(n));
+  for (int i = 0; i < 100'000 && spilling.spilled_states() == 0; ++i) {
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const Packed filler = Packed::key_deserialize(bytes.data(), n);
+    spilling.relax(filler, 1, filler, Move{MoveType::Load, 0});
+  }
+  ASSERT_GE(spilling.spilled_states(), edges.size());
+  spilling.settle();
+  for (const Edge<Packed>& e : edges) expect_edge(spilling, e, 0);
+
+  // Even edges: a regenerated duplicate at the same g through another
+  // edge; reconcile keeps the spilled (first) edge. Odd edges: a pop
+  // re-adopts the spilled record into RAM.
+  for (std::size_t i = 0; i < edges.size(); i += 2) {
+    const Edge<Packed>& e = edges[i];
+    const auto other = static_cast<NodeId>(e.via.node == 0 ? 1 : 0);
+    Packed parent = e.key;
+    parent.set_field(other, (e.key.field(other) + 1) % 8);
+    ASSERT_EQ(spilling.relax(e.key, 0, parent, Move{MoveType::Store, other}),
+              Table::Relax::Inserted);
+  }
+  spilling.settle();
+  for (std::size_t i = 1; i < edges.size(); i += 2) {
+    ASSERT_EQ(spilling.begin_expansion(edges[i].key, 0), Table::Pop::Expand);
+  }
+  for (const Edge<Packed>& e : edges) expect_edge(spilling, e, 0);
+}
+
+TEST(SpillTable, DerivedParentsRoundTripEveryMoveAtEveryWidth) {
+  // Node 21's field is bits 63–65 and node 42's bits 126–128: both straddle
+  // a word boundary, as does node 85's (bits 255–257).
+  ASSERT_GT(3 * 21 % 64, 61);
+  ASSERT_GT(3 * 42 % 64, 61);
+  ASSERT_GT(3 * 85 % 64, 61);
+  check_derived_parents<PackedKey<1>>(21, {0, 10, 20});
+  check_derived_parents<PackedKey<2>>(42, {0, 20, 21, 41});
+  check_derived_parents<PackedKey<0>>(100, {0, 21, 42, 63, 85, 99});
+}
+
+/// A parent that differs from the key anywhere but via.node's field is not
+/// a tree edge: relax refuses it on the insert and on the improve path,
+/// and the table keeps what it had.
+template <class Packed>
+void check_refuses_foreign_parents(std::size_t n,
+                                   const std::vector<NodeId>& nodes) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  for (const Edge<Packed>& e : legal_edges<Packed>(n, nodes)) {
+    // The neighbours' fields share a word with via.node's, or its
+    // straddled second word (u = v - 1 wraps past n at v = 0).
+    const NodeId v = e.via.node;
+    for (const NodeId u : {v - 1, v + 1}) {
+      if (u >= n) continue;
+      Table table(n, 0, "", 0);
+      Packed foreign = e.parent;
+      foreign.set_field(u, e.parent.field(u) ^ 1u);
+      EXPECT_THROW(table.relax(e.key, 5, foreign, e.via), InvariantError);
+      EXPECT_EQ(table.size(), 0u);
+      ASSERT_EQ(table.relax(e.key, 5, e.parent, e.via),
+                Table::Relax::Inserted);
+      EXPECT_THROW(table.relax(e.key, 4, foreign, e.via), InvariantError);
+      expect_edge(table, e, 5);
+    }
+    // A parent of another width is no tree edge either.
+    if constexpr (Packed::kWords == 0) {
+      Table table(n, 0, "", 0);
+      EXPECT_THROW(table.relax(e.key, 5, Packed(n + 64), e.via),
+                   InvariantError);
+    }
+  }
+}
+
+TEST(SpillTable, RelaxRefusesAParentThatDiffersOutsideTheMovedField) {
+  check_refuses_foreign_parents<PackedKey<1>>(21, {0, 10, 20});
+  check_refuses_foreign_parents<PackedKey<2>>(42, {20, 21, 22});
+  check_refuses_foreign_parents<PackedKey<0>>(100, {21, 42, 43, 85});
 }
 
 }  // namespace
