@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -91,6 +92,19 @@ void check_mask_width(std::size_t words, std::size_t node_count);
 /// consume. W words per plane, or the runtime width mask_words(n) when W
 /// is 0. A search computes a parent's masks once per expansion and derives
 /// each neighbor's in O(1) via apply().
+///
+/// A packed key (solvers/packed_state.hpp: node v's 3-bit field at bits
+/// [3v, 3v+3), red at +0, blue at +1, computed at +2) is decoded a word at
+/// a time, not a node at a time. 64 fields fill exactly 192 bits, so mask
+/// word j comes from key words 3j, 3j+1 and 3j+2 (missing words read as 0),
+/// and plane p (0 red, 1 blue, 2 computed) is every third bit of each of
+/// them: of word 3j from bit p, of 3j+1 from bit (p+2) mod 3, of 3j+2 from
+/// bit (p+1) mod 3, OR-ed in at shifts 0, 21 or 22, and 42 or 43. That is
+/// nine shift-and-mask compactions per 64 nodes. Fields straddling a word
+/// boundary (nodes 21 and 42 of each group) fall out of the same
+/// compactions. Color 3 is no reachable field; the word decode would set
+/// both its red and blue bits, where the per-node loop, which still decodes
+/// every other StateLike (GameState), sets neither.
 template <std::size_t W>
 class Masks {
  public:
@@ -113,20 +127,28 @@ class Masks {
   }
 
   /// Overwrite these planes, sized for `node_count` nodes, with `state`'s;
-  /// unlike from(), nothing is allocated at the runtime width.
+  /// unlike from(), nothing is allocated at the runtime width. A packed key
+  /// is decoded from its words (see the class comment).
   template <class StateLike>
   void assign(const StateLike& state, std::size_t node_count) {
-    std::fill(planes_.begin(), planes_.end(), std::uint64_t{0});
-    for (std::size_t v = 0; v < node_count; ++v) {
-      const NodeId node = static_cast<NodeId>(v);
-      const std::size_t w = v >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-      switch (state.color(node)) {
-        case PebbleColor::Red: red()[w] |= bit; break;
-        case PebbleColor::Blue: blue()[w] |= bit; break;
-        case PebbleColor::None: break;
+    if constexpr (requires {
+                    { state.words() } -> std::same_as<const std::uint64_t*>;
+                    { state.word_count() } -> std::same_as<std::size_t>;
+                  }) {
+      decode(state.words(), state.word_count());
+    } else {
+      std::fill(planes_.begin(), planes_.end(), std::uint64_t{0});
+      for (std::size_t v = 0; v < node_count; ++v) {
+        const NodeId node = static_cast<NodeId>(v);
+        const std::size_t w = v >> 6;
+        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+        switch (state.color(node)) {
+          case PebbleColor::Red: red()[w] |= bit; break;
+          case PebbleColor::Blue: blue()[w] |= bit; break;
+          case PebbleColor::None: break;
+        }
+        if (state.was_computed(node)) computed()[w] |= bit;
       }
-      if (state.was_computed(node)) computed()[w] |= bit;
     }
   }
 
@@ -173,6 +195,37 @@ class Masks {
   bool operator==(const Masks&) const = default;
 
  private:
+  /// Every third bit of x, from bit 0, packed into the low 22 bits: bit 3i
+  /// moves to bit i (Warren, Hacker's Delight, ch. 7, the 3-D Morton
+  /// decode, widened to keep bit 63).
+  static constexpr std::uint64_t every_third_bit(std::uint64_t x) {
+    x &= 0x9249249249249249ull;
+    x = (x ^ (x >> 2)) & 0x30C30C30C30C30C3ull;
+    x = (x ^ (x >> 4)) & 0xF00F00F00F00F00Full;
+    x = (x ^ (x >> 8)) & 0x00FF0000FF0000FFull;
+    x = (x ^ (x >> 16)) & 0xFFFF00000000FFFFull;
+    return (x ^ (x >> 32)) & 0x3FFFFFull;
+  }
+
+  /// The planes of the packed key held in `key[0, key_words)`.
+  void decode(const std::uint64_t* key, std::size_t key_words) {
+    const auto at = [&](std::size_t i) {
+      return i < key_words ? key[i] : std::uint64_t{0};
+    };
+    for (std::size_t j = 0; j < words(); ++j) {
+      const std::uint64_t k0 = at(3 * j);
+      const std::uint64_t k1 = at(3 * j + 1);
+      const std::uint64_t k2 = at(3 * j + 2);
+      red()[j] = every_third_bit(k0) | every_third_bit(k1 >> 2) << 22 |
+                 every_third_bit(k2 >> 1) << 43;
+      blue()[j] = every_third_bit(k0 >> 1) | every_third_bit(k1) << 21 |
+                  every_third_bit(k2 >> 2) << 43;
+      computed()[j] = every_third_bit(k0 >> 2) |
+                      every_third_bit(k1 >> 1) << 21 |
+                      every_third_bit(k2) << 42;
+    }
+  }
+
   std::conditional_t<W == 0, std::vector<std::uint64_t>,
                      std::array<std::uint64_t, 3 * W>>
       planes_{};

@@ -109,6 +109,9 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
   std::size_t& expanded = stats.states_expanded;
   SearchCheckpoint checkpoint(names.checkpoint, expanded, opt.should_stop,
                               opt.progress);
+  // The previous pass's final table population: the next pass's table
+  // starts at a slab that holds it, budget permitting (reserve()).
+  std::size_t last_table_size = 0;
 
   for (std::size_t pass = 0; pass < schedule.size(); ++pass) {
     if (C <= L) return finish(ExactTermination::Solved);
@@ -154,6 +157,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
     };
 
     table.set_overhead_bytes(pdb_bytes + queue.bytes());
+    table.reserve(last_table_size);
     if (table.relax(start.key(), 0, start.key(), Move{MoveType::Load, 0}) ==
         Table::Relax::OutOfMemory) {
       return end_pass(ExactTermination::MemoryBudget);
@@ -247,6 +251,7 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
 
     ++stats.anytime_passes;
     harvest_table_stats(stats, table, false);
+    last_table_size = table.size();
     if (proved) {
       // With an incumbent, nothing open prices below C — at any weight,
       // since pruning was unweighted; without one the instance has no

@@ -21,7 +21,10 @@
 // most of their time probing the table at random, so the expander hashes
 // every successor of a state first and prefetch()es its home slot, then
 // offers each one to the hashed relax(), which probes once and, on a miss,
-// inserts into the empty slot its probe stopped at.
+// inserts into the empty slot its probe stopped at. relax() takes the tree
+// edge as the parent key (checked against the key) or as the overwritten
+// field itself (hda-astar's routed messages). A table about to refill to a
+// known size can reserve() its first slab for it, budget permitting.
 //
 // Duplicate detection is *delayed* (Korf's DDD): a freshly generated state
 // is checked against the in-RAM table immediately, but against the spilled
@@ -142,32 +145,35 @@ class SpillingClosedTable {
   /// Packed::hash_key(key)).
   Relax relax(const Key& key, std::size_t hash, std::int64_t g,
               const Key& parent, Move via) {
-    std::size_t i = hash & mask_;
-    if (!slots_.empty()) {
-      for (; slots_[i].occupied; i = (i + 1) & mask_) {
-        Slot& slot = slots_[i];
-        if (!(slot.key == key)) continue;
-        if (g >= slot.g) return Relax::Stale;
-        // A strict improvement re-opens the state; verified status survives
-        // (the RAM g only moved further below any spilled record's). Items
-        // at the old g — deferred duplicates included — go stale with it.
-        slot.set_path(g, prior_field(key, parent, via), via);
-        slot.expanded = false;
-        slot.deferred = 0;
-        return Relax::Improved;
-      }
+    return relax_edge(key, hash, g, via,
+                      [&] { return prior_field(key, parent, via); });
+  }
+
+  /// relax() with the tree edge given as the 3-bit field `prior` that `via`
+  /// overwrote on via.node, instead of the parent key: the caller vouches
+  /// that `key` is that parent after `via` (hda-astar's messages carry the
+  /// field, not the parent).
+  Relax relax(const Key& key, std::size_t hash, std::int64_t g,
+              unsigned prior, Move via) {
+    return relax_edge(key, hash, g, via, [prior] { return prior; });
+  }
+
+  /// Allocate the first slot slab at the size that holds `entries` entries
+  /// under the 3/4 load limit, when that slab and the overhead bytes fit
+  /// the budget; otherwise the table starts at kInitialSlots as usual. For
+  /// a table about to refill to a known size — each anytime pass after the
+  /// first, hinted with the previous pass's size() — it skips the regrowth.
+  /// No effect once the table holds a slab.
+  void reserve(std::size_t entries) {
+    if (!slots_.empty()) return;
+    std::size_t capacity = kInitialSlots;
+    while (entries * 4 >= capacity * 3) capacity *= 2;
+    if (capacity == kInitialSlots ||
+        !fits(capacity * sizeof(Slot) + overhead_bytes_)) {
+      return;
     }
-    // A miss: slot i is the empty slot the probe stopped at, unless making
-    // room below re-homes the slots.
-    const unsigned prior = prior_field(key, parent, via);
-    const std::size_t rehashes = rehashes_;
-    if (!ensure_capacity()) return Relax::OutOfMemory;
-    if (!budget_insert(Packed::key_heap_bytes(key))) {
-      return Relax::OutOfMemory;
-    }
-    if (rehashes_ != rehashes) i = free_slot(hash);
-    insert_fresh(i, key, g, prior, via);
-    return Relax::Inserted;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
   }
 
   /// Start loading the home slot of a key hashing to `hash` (no effect on
@@ -322,6 +328,39 @@ class SpillingClosedTable {
   };
   static_assert(sizeof(Slot) == sizeof(Key) + 16,
                 "a slot is its key, g and 8 bytes of move and flags");
+
+  /// The body of both relax() forms; `prior_of()` yields the field the
+  /// edge overwrote, read only when the edge is stored.
+  template <class PriorOf>
+  Relax relax_edge(const Key& key, std::size_t hash, std::int64_t g, Move via,
+                   PriorOf&& prior_of) {
+    std::size_t i = hash & mask_;
+    if (!slots_.empty()) {
+      for (; slots_[i].occupied; i = (i + 1) & mask_) {
+        Slot& slot = slots_[i];
+        if (!(slot.key == key)) continue;
+        if (g >= slot.g) return Relax::Stale;
+        // A strict improvement re-opens the state; verified status survives
+        // (the RAM g only moved further below any spilled record's). Items
+        // at the old g — deferred duplicates included — go stale with it.
+        slot.set_path(g, prior_of(), via);
+        slot.expanded = false;
+        slot.deferred = 0;
+        return Relax::Improved;
+      }
+    }
+    // A miss: slot i is the empty slot the probe stopped at, unless making
+    // room below re-homes the slots.
+    const unsigned prior = prior_of();
+    const std::size_t rehashes = rehashes_;
+    if (!ensure_capacity()) return Relax::OutOfMemory;
+    if (!budget_insert(Packed::key_heap_bytes(key))) {
+      return Relax::OutOfMemory;
+    }
+    if (rehashes_ != rehashes) i = free_slot(hash);
+    insert_fresh(i, key, g, prior, via);
+    return Relax::Inserted;
+  }
 
   /// The field `via` overwrote: parent's on via.node. Checks the tree-edge
   /// contract that lets at() rebuild the parent from it.

@@ -153,7 +153,8 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
   // an equal-or-better path, or priced at or above the incumbent, die here.
   auto accept = [&](const StateMsg<Packed>& m) {
     if (m.f >= ctx.incumbent.load(std::memory_order_relaxed)) return;
-    switch (self.table.relax(m.key, m.g, m.parent, m.via)) {
+    switch (self.table.relax(m.key, Packed::hash_key(m.key), m.g, m.prior,
+                             m.via)) {
       case Table::Relax::OutOfMemory:
         ctx.abort_with(ExactTermination::MemoryBudget);
         return;
@@ -293,7 +294,9 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
                           ctx.incumbent.load(std::memory_order_relaxed)) {
                         return;
                       }
-                      route({next.key(), item.key, next_g, next_f, move});
+                      route({next.key(), next_g, next_f, move,
+                             static_cast<std::uint8_t>(
+                                 expander.current().field(move.node))});
                     });
   }
   flush_introspection();

@@ -36,14 +36,16 @@ inline constexpr std::size_t kRouteBatchSize = 64;
 
 /// A generated state en route to its owner shard: everything the owner needs
 /// to relax it — key, priced path (g, f = g + h), and the tree edge for the
-/// eventual path reconstruction.
+/// eventual path reconstruction. The edge is the via move and the 3-bit
+/// field it overwrote in the parent (the parent's field(via.node)), which
+/// is all the owner's table keeps of it (bigstate/ddd.hpp).
 template <typename Packed>
 struct StateMsg {
   typename Packed::Key key;
-  typename Packed::Key parent;
   std::int64_t g;
   std::int64_t f;
   Move via;
+  std::uint8_t prior;
 };
 
 /// Multi-producer single-consumer mailbox. Senders append whole batches
@@ -54,7 +56,7 @@ class Mailbox {
  public:
   /// Moves the batch's messages in (the caller clears it right after, and
   /// runtime-width keys own heap storage — copying them under the one
-  /// contended lock would put two allocations per message in the critical
+  /// contended lock would put an allocation per message in the critical
   /// section).
   void deliver(std::vector<StateMsg<Packed>>& batch) {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -17,7 +17,9 @@
 // and patches it alongside each word update, so HDA* shard routing never
 // rescans a wide key, and compares it before any heap word. The words, in
 // order and little-endian, are a spill record's key bytes (bigstate/
-// spill.hpp) and an open-queue record's key words (bucket_queue.hpp).
+// spill.hpp) and an open-queue record's key words (bucket_queue.hpp). The
+// expansion kernel's bit planes (Masks, pebble/bounds.hpp) decode them
+// three key words per mask word: 64 fields are exactly 192 bits.
 //
 // Because a move rewrites exactly one field, a tree edge needs no parent
 // key: the closed tables store the via move and the 3-bit field it

@@ -14,7 +14,9 @@
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/bigstate/pdb.hpp"
 #include "src/solvers/exact.hpp"
+#include "src/solvers/expander.hpp"
 #include "src/solvers/greedy.hpp"
+#include "src/solvers/packed_state.hpp"
 #include "src/support/check.hpp"
 #include "src/support/rng.hpp"
 #include "src/workloads/random_layered.hpp"
@@ -291,6 +293,44 @@ TEST(StateBounds, RejectsMasksOfTheWrongWidth) {
   EXPECT_THROW(big_eval.lower_bound_scaled(big_state), PreconditionError);
   EXPECT_THROW(state_cost_lower_bound(big_engine, big_state),
                PreconditionError);
+}
+
+// The word decode of a packed key (Masks::assign from a PackedKey) against
+// the per-node loop on the same configuration as a GameState, for the
+// (PackedKey, Masks) pair the width dispatch picks at each node count: on
+// both sides of the straddling fields (nodes 21 and 42 of each 64-node
+// group), of the 64-node mask words and of the 1024-node cap. One Masks is
+// reused, so each decode must overwrite every plane word.
+TEST(Masks, PackedDecodeMatchesThePerNodeLoop) {
+  Rng rng(77);
+  for (std::size_t n : {1, 20, 21, 22, 41, 42, 43, 63, 64, 65, 85, 96, 127,
+                        128, 129, 191, 192, 193, 255, 256, 1023, 1024}) {
+    dispatch_search_width(n, [&]<class Packed, class M>() {
+      M decoded(n);
+      const auto check = [&](const std::vector<unsigned>& fields,
+                             const char* what) {
+        Packed key(n);
+        GameState state(n);
+        for (std::size_t v = 0; v < n; ++v) {
+          const auto node = static_cast<NodeId>(v);
+          key.set_field(node, fields[v]);
+          state.set_color(node, static_cast<PebbleColor>(fields[v] & 3u));
+          if ((fields[v] & 4u) != 0) state.mark_computed(node);
+        }
+        decoded.assign(key, n);
+        ASSERT_EQ(decoded, M::from(state, n)) << what << ", n = " << n;
+      };
+      check(std::vector<unsigned>(n, 1u), "all red");
+      check(std::vector<unsigned>(n, 2u), "all blue");
+      check(std::vector<unsigned>(n, 4u), "all computed");
+      constexpr unsigned kReachable[] = {0, 1, 2, 4, 5, 6};
+      std::vector<unsigned> fields(n);
+      for (int trial = 0; trial < 40; ++trial) {
+        for (unsigned& f : fields) f = kReachable[rng.next_below(6)];
+        check(fields, "random");
+      }
+    });
+  }
 }
 
 // ---- successor pricing as a delta from the parent ------------------------

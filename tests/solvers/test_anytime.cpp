@@ -298,6 +298,61 @@ TEST(AnytimeSolver, IncumbentSizedSpinesLeaveMemoryForTheSearch) {
   EXPECT_TRUE(certificate_holds(*result.certificate, result.cost));
 }
 
+/// Each pass after the first starts its table at a slab sized for the
+/// previous pass's final population when the budget allows it, and at the
+/// 1,024-slot slab when not. Either way the passes search exactly as they
+/// would growing from 1,024 slots: under budgets that end the first pass
+/// (8 MiB, spilling off), leave all four passes to the state budget (16
+/// MiB seeded, 22 MiB unseeded, spilling off), or make the passes evict
+/// (12 MiB, spilling), the solve keeps the cost, lower bound, expansion
+/// count and limiting resource that a table growing from 1,024 slots gives.
+TEST(AnytimeSolver, PassTablesSizedFromThePreviousPassSearchTheSame) {
+  const Dag dag = make_random_layered_dag(
+      {.layers = 24, .width = 8, .indegree = 2, .seed = 64});  // 192 nodes
+  const Engine engine(dag, Model::compcost(), 3);
+  struct Case {
+    std::size_t budget_kib;
+    const char* spill;
+    const char* incumbent;
+    const char* cost;  ///< nullptr: no trace (BudgetExhausted)
+    const char* lower_bound;
+    const char* expanded;
+    const char* limiting_resource;  ///< "": none (the solve answered)
+  };
+  for (const Case& c : {
+           Case{8192, "off", "greedy", "9398/25", "67/20", "2557", ""},
+           Case{16384, "off", "greedy", "9398/25", "341/100", "40000", ""},
+           Case{12288, "auto", "greedy", "9398/25", "341/100", "40000", ""},
+           Case{22528, "off", "none", nullptr, "341/100", "40000", "states"},
+       }) {
+    SCOPED_TRACE(::testing::Message() << c.budget_kib << " KiB, spill "
+                                      << c.spill << ", " << c.incumbent);
+    SolveRequest request;
+    request.engine = &engine;
+    request.budget.max_states = 40'000;
+    request.budget.max_memory_bytes = c.budget_kib << 10;
+    request.options["spill"] = c.spill;
+    request.options["incumbent"] = c.incumbent;
+    request.options["weights"] = "3,2,3/2,1";
+    const SolveResult result =
+        SolverRegistry::instance().at("anytime-astar").run(request);
+    if (c.cost != nullptr) {
+      ASSERT_TRUE(result.ok()) << result.detail;
+      EXPECT_EQ(result.cost.str(), c.cost);
+    } else {
+      ASSERT_EQ(result.status, SolveStatus::BudgetExhausted) << result.detail;
+    }
+    EXPECT_EQ(result.stats.at("lower_bound"), c.lower_bound);
+    EXPECT_EQ(result.stats.at("states_expanded"), c.expanded);
+    const auto limiting = result.stats.find("limiting_resource");
+    EXPECT_EQ(limiting == result.stats.end() ? "" : limiting->second,
+              c.limiting_resource);
+    if (std::string(c.spill) == "auto") {
+      EXPECT_GT(std::stoull(result.stats.at("spilled_states")), 0u);
+    }
+  }
+}
+
 /// The closure counts ride the result stats. Every expansion enters its
 /// state once, by a walk or a memo hit, so in nodel, which has no Delete,
 /// they sum to the expansions; in compcost each Delete of a closure input

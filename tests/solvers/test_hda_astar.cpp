@@ -23,6 +23,7 @@
 #include "src/support/check.hpp"
 #include "src/workloads/chain.hpp"
 #include "src/workloads/random_layered.hpp"
+#include "src/workloads/stencil.hpp"
 #include "src/workloads/tree_reduction.hpp"
 
 namespace rbpeb {
@@ -122,6 +123,22 @@ TEST(HdaScale, MatchesExactAstarOnA26NodeLayeredDagInNodel) {
   ExactResult sequential = solve_exact_astar(engine, 4'000'000);
   ExactResult parallel = solve_hda_astar(engine, 8, 4'000'000);
   EXPECT_EQ(parallel.cost, sequential.cost);
+}
+
+// Past 42 nodes keys take the runtime width, and the routed messages carry
+// the 3-bit field each move overwrote instead of a parent key: the owner's
+// table must still store the edges exact-astar stores.
+TEST(HdaScale, MatchesExactAstarPastTwoWordKeysAtEveryThreadCount) {
+  const Dag dag = make_stencil1d_dag(2, 21).dag;  // 44 nodes
+  ASSERT_GT(dag.node_count(), PackedKey<2>::max_nodes());
+  const Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
+  const ExactResult sequential = solve_exact_astar(engine, 4'000'000);
+  for (std::size_t threads : {1, 2, 4}) {
+    const ExactResult parallel = solve_hda_astar(engine, threads, 4'000'000);
+    EXPECT_EQ(parallel.cost, sequential.cost) << threads;
+    EXPECT_EQ(verify_or_throw(engine, parallel.trace).total, parallel.cost)
+        << threads;
+  }
 }
 
 TEST(HdaScale, RejectsDagsBeyondTheBigstateCap) {

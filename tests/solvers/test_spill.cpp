@@ -473,6 +473,58 @@ TEST(SpillTable, EvictionShrinksASlabTheOverheadOutgrew) {
   }
 }
 
+/// reserve() sizes the first slab for a hinted population when the slab
+/// fits the budget; past the budget it leaves the table to start at the
+/// 1,024-slot slab, after which the table must behave exactly like an
+/// unhinted one — same bytes() and the same verdict on every relax, up to
+/// and including the budget's OutOfMemory.
+template <class Packed>
+void check_reserve_fallback(std::size_t node_count) {
+  SCOPED_TRACE(::testing::Message() << node_count << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  const Move via{MoveType::Load, 0};
+  auto key = [&](std::uint64_t k) { return key_of<Packed>(k, node_count); };
+
+  // One 1,024-slot slab, measured on an unbudgeted table.
+  Table probe(node_count, 0, "", 0);
+  probe.relax(key(0), 0, key(0), via);
+  const std::size_t slab = probe.bytes() - Packed::key_heap_bytes(key(0));
+
+  // A hint within the budget: one allocation, then no regrowth up to it.
+  Table roomy(node_count, 0, "", 0);
+  roomy.reserve(3'000);  // 3,000 · 4/3 > 2,048 slots: a 4,096-slot slab
+  EXPECT_EQ(roomy.bytes(), 4 * slab);
+  for (std::uint64_t k = 0; k < 3'000; ++k) {
+    ASSERT_EQ(roomy.relax(key(k), 0, key(k), via), Table::Relax::Inserted);
+  }
+  EXPECT_EQ(roomy.bytes() - roomy.size() * Packed::key_heap_bytes(key(0)),
+            4 * slab);
+
+  // A hint past the budget: the unhinted table's life, verdict by verdict.
+  const std::size_t budget = 3 * slab;
+  Table hinted(node_count, budget, "", 0);
+  hinted.reserve(100'000);
+  EXPECT_EQ(hinted.bytes(), 0u);
+  Table plain(node_count, budget, "", 0);
+  Rng rng(node_count);
+  std::size_t out_of_memory = 0;
+  for (int i = 0; i < 20'000 && out_of_memory < 10; ++i) {
+    const Packed k = key(rng.next_below(4'000));
+    const auto g = static_cast<std::int64_t>(rng.next_below(50));
+    const auto verdict = hinted.relax(k, g, k, via);
+    ASSERT_EQ(verdict, plain.relax(k, g, k, via)) << i;
+    ASSERT_EQ(hinted.bytes(), plain.bytes()) << i;
+    if (verdict == Table::Relax::OutOfMemory) ++out_of_memory;
+  }
+  EXPECT_EQ(out_of_memory, 10u);
+  EXPECT_LE(hinted.bytes(), budget);
+}
+
+TEST(SpillTable, ReserveFallsBackToTheInitialSlabPastTheBudget) {
+  check_reserve_fallback<PackedKey<1>>(16);
+  check_reserve_fallback<PackedKey<0>>(60);
+}
+
 // ---- derived parents ------------------------------------------------------
 
 /// A tree edge: `key` is `parent` after the move `via`.
@@ -598,6 +650,32 @@ TEST(SpillTable, DerivedParentsRoundTripEveryMoveAtEveryWidth) {
   check_derived_parents<PackedKey<1>>(21, {0, 10, 20});
   check_derived_parents<PackedKey<2>>(42, {0, 20, 21, 41});
   check_derived_parents<PackedKey<0>>(100, {0, 21, 42, 63, 85, 99});
+}
+
+/// The prior-field form of relax() (hda-astar's messages) stores the same
+/// tree edge as the parent form, on the insert and on the improve path.
+template <class Packed>
+void check_prior_field_relax(std::size_t n, const std::vector<NodeId>& nodes) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  Table table(n, 0, "", 0);
+  for (const Edge<Packed>& e : legal_edges<Packed>(n, nodes)) {
+    const unsigned prior = e.parent.field(e.via.node);
+    const std::size_t hash = Packed::hash_key(e.key);
+    ASSERT_EQ(table.relax(e.key, hash, 5, prior, e.via),
+              Table::Relax::Inserted);
+    expect_edge(table, e, 5);
+    ASSERT_EQ(table.relax(e.key, hash, 5, prior, e.via), Table::Relax::Stale);
+    ASSERT_EQ(table.relax(e.key, hash, 4, prior, e.via),
+              Table::Relax::Improved);
+    expect_edge(table, e, 4);
+  }
+}
+
+TEST(SpillTable, RelaxFromThePriorFieldStoresTheParentsEdge) {
+  check_prior_field_relax<PackedKey<1>>(21, {0, 10, 20});
+  check_prior_field_relax<PackedKey<2>>(42, {0, 20, 21, 41});
+  check_prior_field_relax<PackedKey<0>>(100, {0, 21, 42, 63, 85, 99});
 }
 
 /// A parent that differs from the key anywhere but via.node's field is not
