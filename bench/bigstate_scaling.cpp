@@ -29,8 +29,8 @@
 // spill_bytes and merge_passes sit in `timing` with the walls, and the
 // report-level sums keep a sequential part apart from an hda part. On a
 // 4-core Xeon, three runs of one build read stencil2x20/nodel/hda-astar
-// `expanded` between 134,130 and 166,436, and stencil2x26/nodel/
-// hda-astar@32m spilled between 653,978 and 952,684 states.
+// `expanded` between 118,103 and 131,585, and stencil2x26/nodel/
+// hda-astar@32m spilled between 323,948 and 352,327 states.
 //
 // The exit code enforces correctness only: both searches must certify the
 // same cost on every instance they both solve. Unsolved instances (budget)

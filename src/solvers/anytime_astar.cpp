@@ -185,21 +185,14 @@ std::optional<AnytimeResult> anytime_impl(const Engine& engine,
       // An incumbent found after this push may have overtaken its f; the
       // unweighted prune is what keeps weighted passes certificate-sound.
       if (f >= C) continue;
-      // Expansion gate: stale-g check plus the delayed duplicate check
-      // against any spill runs — each (key, g) expands at most once.
-      const auto pop = table.begin_expansion(item.key, item.g);
-      if (pop == Table::Pop::OutOfMemory) {
-        return end_pass(ExactTermination::MemoryBudget);
-      }
-      if (pop == Table::Pop::Skip) {
+      // Expansion gate: each (key, g) expands at most once, and only at
+      // the best known g.
+      if (table.begin_expansion(item.key, item.g) == Table::Pop::Skip) {
         ++stats.dup_skipped;
         continue;
       }
       if (expander.enter(item.key)) {
-        // f < C and h >= 0 give g < C: a strictly better incumbent. Settle
-        // unverified entries first: an evicted-then-regenerated ancestor's
-        // RAM entry could otherwise splice a worse tree edge into the trace.
-        table.settle();
+        // f < C and h >= 0 give g < C: a strictly better incumbent.
         best_trace = reconstruct_trace(
             item.key, start.key(),
             [&](const Key& key) { return table.at(key); });

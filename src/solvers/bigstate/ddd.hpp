@@ -1,5 +1,5 @@
-// External-memory closed table with delayed duplicate detection — what turns
-// `--budget-memory` from a wall into a working set.
+// External-memory closed table — what turns `--budget-memory` from a wall
+// into a working set.
 //
 // SpillingClosedTable is an open-addressed, linearly probed, byte-accounted
 // hash table from a packed key to its best known path. With spilling off it
@@ -12,11 +12,11 @@
 // carries on.
 //
 // A slot is the key, g, the via move split into a 32-bit node and an 8-bit
-// type, three 1-bit flags, the 3-bit field the via move overwrote, and a
-// 16-bit deferred count: 24 bytes over one-word keys, 32 over two-word keys
-// and 48 over runtime-width keys, which own one heap vector. No slot stores
-// its parent key: a move changes exactly one field, so at() rebuilds the
-// parent bit for bit by writing the overwritten field back into the key.
+// type, two 1-bit flags and the 3-bit field the via move overwrote: 24
+// bytes over one-word keys, 32 over two-word keys and 48 over runtime-width
+// keys, which own one heap vector. No slot stores its parent key: a move
+// changes exactly one field, so at() rebuilds the parent bit for bit by
+// writing the overwritten field back into the key.
 // Spill records carry the same field (spill.hpp). The A* searches spend
 // most of their time probing the table at random, so the expander hashes
 // every successor of a state first and prefetch()es its home slot, then
@@ -26,27 +26,27 @@
 // field itself (hda-astar's routed messages). A table about to refill to a
 // known size can reserve() its first slab for it, budget permitting.
 //
-// Duplicate detection is *delayed* (Korf's DDD): a freshly generated state
-// is checked against the in-RAM table immediately, but against the spilled
-// runs only in batched merge passes, triggered the first time an unverified
-// entry is about to be expanded. The reconciliation restores exact
-// in-memory semantics before any decision depends on them:
+// Duplicates are detected at insert time: a key that misses in RAM is looked
+// up in the spill runs before relax() decides — each run's Bloom filter,
+// then its fence index, then one block read (spill.hpp) — so a fresh key
+// costs no disk access. That keeps the table exact:
 //
-//  * a spilled record with a smaller g supersedes the RAM entry (its queue
-//    items die by the stale-g check, exactly as an in-RAM improvement
-//    would);
-//  * an equal-g record marks the RAM entry already-expanded when the disk
-//    copy was, so the regenerated duplicate is popped and dropped — never
-//    expanded twice;
-//  * a worse record on disk is simply stale history (runs are immutable;
-//    compaction garbage-collects it).
+//  * a RAM entry is inserted only after the runs show no record as cheap,
+//    so its g is at most every spilled g for its key, and the best known
+//    path is the RAM entry if there is one, else the best spilled record;
+//  * relax() therefore gives the in-memory table's verdict on every offer,
+//    ties included: an equal-g regeneration is Stale and keeps the first
+//    edge;
+//  * per key, g strictly falls from one push to the next, so each (key, g)
+//    is pushed at most once, and begin_expansion expands it while g is the
+//    best known — from its slot, or straight from its record when the key
+//    lives only on disk.
 //
-// Every expansion gate runs through begin_expansion, which enforces
-// "expand (key, g) at most once, and only at the best known g" — the exact
-// invariant the in-memory search maintains implicitly — so a spilling
-// search reproduces the in-memory search's costs AND expansion counts
-// bit-for-bit (asserted by tests/solvers/test_spill.cpp), and the
-// optimality proof is untouched: no state is lost, only parked on disk.
+// So a spilling search pops, expands and reconstructs exactly what the
+// in-memory search does: same costs, expansion counts and tree edges
+// (asserted by tests/solvers/test_spill.cpp). No state is lost, only
+// parked on disk. The runs' filters and fences count against the budget
+// like the overhead bytes.
 //
 // Single-owner: the sequential search owns one, each hda-astar shard owns
 // one over its own spill partition.
@@ -54,8 +54,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <utility>
@@ -108,9 +106,8 @@ class SpillingClosedTable {
 
   /// Verdict on a popped open item (see begin_expansion()).
   enum class Pop {
-    Expand,       ///< g is the best known and unexpanded: expand now.
-    Skip,         ///< Superseded or already expanded at this g: drop it.
-    OutOfMemory,  ///< Bookkeeping the expansion needs no longer fits.
+    Expand,  ///< g is the best known and unexpanded: expand now.
+    Skip,    ///< Superseded or already expanded at this g: drop it.
   };
 
   /// `spill_dir` empty (or `max_bytes` 0) disables spilling: budget hits
@@ -122,7 +119,8 @@ class SpillingClosedTable {
       : max_bytes_(max_bytes) {
     if (!spill_dir.empty() && max_bytes != 0) {
       layout_.key_bytes = Packed::key_serialized_bytes(node_count);
-      runs_.emplace(layout_, spill_dir, max_disk_bytes);
+      runs_.emplace(layout_, spill_dir, max_disk_bytes,
+                    &Packed::hash_serialized);
     }
   }
 
@@ -135,8 +133,8 @@ class SpillingClosedTable {
   /// Offer one generated state, reached from `parent` by `via`: the two
   /// keys must differ in via.node's field alone (checked whenever the edge
   /// is stored). Inserted/Improved mean the caller should evaluate and push
-  /// it; Stale means a path at least as cheap is already in RAM (the delayed
-  /// check against disk happens at expansion time).
+  /// it; Stale means a path at least as cheap is already known, in RAM or
+  /// on a spill run.
   Relax relax(const Key& key, std::int64_t g, const Key& parent, Move via) {
     return relax(key, Packed::hash_key(key), g, parent, via);
   }
@@ -169,7 +167,7 @@ class SpillingClosedTable {
     std::size_t capacity = kInitialSlots;
     while (entries * 4 >= capacity * 3) capacity *= 2;
     if (capacity == kInitialSlots ||
-        !fits(capacity * sizeof(Slot) + overhead_bytes_)) {
+        !fits(capacity * sizeof(Slot) + overhead())) {
       return;
     }
     slots_.assign(capacity, Slot{});
@@ -184,80 +182,31 @@ class SpillingClosedTable {
 
   /// Gate a popped open item (key, g): Expand exactly when the in-memory
   /// search would expand it — g matches the best known path and the state
-  /// has not been expanded at this g yet. The first pop of an unverified
-  /// entry triggers the batched merge pass against the spill runs.
+  /// has not been expanded at this g yet. A key that lives only on disk
+  /// expands straight from its record.
   Pop begin_expansion(const Key& key, std::int64_t g) {
     if (Slot* slot = find_slot(key)) {
-      if (!slot->verified) {
-        reconcile();
-        slot = find_slot(key);  // reconcile never moves slots; be explicit
-      }
       if (slot->g != g || slot->expanded) return Pop::Skip;
-      if (slot->deferred > 0) {
-        --slot->deferred;  // a duplicate item: the original expands later
-        return Pop::Skip;
-      }
       slot->expanded = true;
       return Pop::Expand;
     }
-    // The key was evicted wholesale; its truth lives on disk.
-    RBPEB_ENSURE(runs_ && !runs_->empty(),
+    const std::uint8_t* rec = spilled(key, Packed::hash_key(key));
+    RBPEB_ENSURE(rec != nullptr,
                  "begin_expansion: popped key absent from RAM and disk");
-    std::uint8_t* rec = rec_scratch();
-    Packed::key_serialize(key, key_scratch());
-    const bool found = runs_->lookup(key_scratch(), rec);
-    RBPEB_ENSURE(found, "begin_expansion: popped key lost by the spill");
-    if (bigstate::spill_record_g(layout_, rec) != g ||
-        bigstate::spill_record_expanded(layout_, rec)) {
-      return Pop::Skip;
-    }
-    // Re-adopt into RAM — marked expanded if this pop is the state's
-    // original item, or with one deferred duplicate consumed if not — so
-    // every sibling item at the same g resolves against RAM from here on.
-    // (ensure_capacity/make_room may reuse the scratch; copy fields first.)
-    const unsigned prior = bigstate::spill_record_prior(layout_, rec);
-    const Move via = bigstate::spill_record_via(layout_, rec);
-    const std::uint16_t deferred =
-        bigstate::spill_record_deferred(layout_, rec);
-    if (!ensure_capacity()) return Pop::OutOfMemory;
-    if (!budget_insert(Packed::key_heap_bytes(key))) return Pop::OutOfMemory;
-    Slot* slot =
-        insert_fresh(free_slot(Packed::hash_key(key)), key, g, prior, via);
-    slot->verified = true;
-    if (!pending_.empty() && pending_.back() == key) {
-      pending_.pop_back();  // insert_fresh queued it; it is already settled
-      pending_heap_bytes_ -= Packed::key_heap_bytes(key);
-    }
-    if (deferred > 0) {
-      slot->deferred = deferred - 1;
-      return Pop::Skip;
-    }
-    slot->expanded = true;
-    return Pop::Expand;
+    return bigstate::spill_record_g(layout_, rec) == g &&
+                   !bigstate::spill_record_expanded(layout_, rec)
+               ? Pop::Expand
+               : Pop::Skip;
   }
 
-  /// Settle every unverified entry against the spill runs. MUST be called
-  /// before path reconstruction: an evicted-then-regenerated state's RAM
-  /// entry may hold a worse (unreconciled) path whose tree edge would
-  /// otherwise be spliced into the returned trace by at().
-  void settle() { reconcile(); }
-
   /// Best known path record for `key`, wherever it lives — RAM or a spill
-  /// run. Callers must settle() first (reconstruction walks only settled
-  /// keys), so the key must exist and RAM entries are best-known.
+  /// run. The key must be known.
   Entry at(const Key& key) const {
     if (const Slot* slot = find_slot(key)) {
-      RBPEB_ENSURE(slot->verified,
-                   "SpillingClosedTable::at: unsettled entry — call "
-                   "settle() before reconstruction");
       return entry(key, slot->g, slot->prior, slot->via());
     }
-    RBPEB_ENSURE(runs_ && !runs_->empty(),
-                 "SpillingClosedTable::at: key not present");
-    std::uint8_t* rec = rec_scratch();
-    Packed::key_serialize(key, key_scratch());
-    const bool found = runs_->lookup(key_scratch(), rec);
-    RBPEB_ENSURE(found, "SpillingClosedTable::at: key not present");
+    const std::uint8_t* rec = spilled(key, Packed::hash_key(key));
+    RBPEB_ENSURE(rec != nullptr, "SpillingClosedTable::at: key not present");
     return entry(key, bigstate::spill_record_g(layout_, rec),
                  bigstate::spill_record_prior(layout_, rec),
                  bigstate::spill_record_via(layout_, rec));
@@ -265,12 +214,11 @@ class SpillingClosedTable {
 
   std::size_t size() const { return size_; }
 
-  /// RAM footprint: slot array, heap words of stored keys, and the pending
-  /// (unverified-key) buffer. Overhead bytes are budgeted but reported by
-  /// their owners.
+  /// RAM footprint: slot array and heap words of stored keys. Overhead
+  /// bytes and the spill runs' filters and fences are budgeted but
+  /// reported by their owners.
   std::size_t bytes() const {
-    return slots_.capacity() * sizeof(Slot) + heap_bytes_ +
-           pending_.capacity() * sizeof(Key) + pending_heap_bytes_;
+    return slots_.capacity() * sizeof(Slot) + heap_bytes_;
   }
 
   std::size_t max_bytes() const { return max_bytes_; }
@@ -305,16 +253,9 @@ class SpillingClosedTable {
     NodeId via_node = 0;
     std::uint8_t via_type = 0;
     std::uint8_t occupied : 1 = 0;
-    std::uint8_t verified : 1 = 1;  ///< RAM g ≤ every spilled g for this key
     std::uint8_t expanded : 1 = 0;  ///< the state was expanded at exactly g
     /// via_node's field in the parent, before the via move overwrote it.
     std::uint8_t prior : 3 = 0;
-    /// Duplicate open-queue items at g that must pop (and be consumed)
-    /// before the state's earliest-pushed item expands it — what keeps
-    /// spilled expansion ORDER identical to in-memory: dups are pushed
-    /// later, so LIFO buckets pop them first, and the real expansion still
-    /// happens at the original item's queue position.
-    std::uint16_t deferred = 0;
 
     Move via() const {
       return Move{static_cast<MoveType>(via_type), via_node};
@@ -340,17 +281,21 @@ class SpillingClosedTable {
         Slot& slot = slots_[i];
         if (!(slot.key == key)) continue;
         if (g >= slot.g) return Relax::Stale;
-        // A strict improvement re-opens the state; verified status survives
-        // (the RAM g only moved further below any spilled record's). Items
-        // at the old g — deferred duplicates included — go stale with it.
+        // A strict improvement re-opens the state; items at the old g go
+        // stale with it.
         slot.set_path(g, prior_of(), via);
         slot.expanded = false;
-        slot.deferred = 0;
         return Relax::Improved;
       }
     }
-    // A miss: slot i is the empty slot the probe stopped at, unless making
-    // room below re-homes the slots.
+    // A miss in RAM: a spilled record decides between a fresh key and a
+    // known one. Slot i is the empty slot the probe stopped at, unless
+    // making room below re-homes the slots.
+    Relax verdict = Relax::Inserted;
+    if (const std::uint8_t* rec = spilled(key, hash)) {
+      if (g >= bigstate::spill_record_g(layout_, rec)) return Relax::Stale;
+      verdict = Relax::Improved;
+    }
     const unsigned prior = prior_of();
     const std::size_t rehashes = rehashes_;
     if (!ensure_capacity()) return Relax::OutOfMemory;
@@ -359,7 +304,7 @@ class SpillingClosedTable {
     }
     if (rehashes_ != rehashes) i = free_slot(hash);
     insert_fresh(i, key, g, prior, via);
-    return Relax::Inserted;
+    return verdict;
   }
 
   /// The field `via` overwrote: parent's on via.node. Checks the tree-edge
@@ -389,13 +334,31 @@ class SpillingClosedTable {
     return max_bytes_ == 0 || total <= max_bytes_;
   }
 
+  /// Budgeted bytes held outside the slots: the searches' overhead and the
+  /// spill runs' filters and fences.
+  std::size_t overhead() const {
+    return overhead_bytes_ + (runs_ ? runs_->index_bytes() : 0);
+  }
+
+  /// The best spilled record for `key` (hashing to `hash`), or nullptr when
+  /// no run holds it. Valid until the next call.
+  const std::uint8_t* spilled(const Key& key, std::size_t hash) const {
+    if (!runs_ || runs_->empty()) return nullptr;
+    key_scratch_.resize(layout_.key_bytes);
+    rec_scratch_.resize(layout_.record_bytes());
+    Packed::key_serialize(key, key_scratch_.data());
+    return runs_->lookup(key_scratch_.data(), hash, rec_scratch_.data())
+               ? rec_scratch_.data()
+               : nullptr;
+  }
+
   /// Budget gate for one fresh insert costing `extra` heap bytes: within
   /// budget, or shed the cold half first; below the working-set floor a
   /// spilling table admits the insert regardless (a table too small to
   /// evict from must still make progress). False = truly out of room
   /// (spilling off, or the disk budget is exhausted too).
   bool budget_insert(std::size_t extra) {
-    if (fits(bytes() + overhead_bytes_ + extra)) return true;
+    if (fits(bytes() + overhead() + extra)) return true;
     if (!spilling()) return false;
     if (size_ >= kMinEvictEntries && !make_room()) return false;
     return true;
@@ -445,18 +408,14 @@ class SpillingClosedTable {
     // The rehash transient counts: the old slot array stays alive alongside
     // the new one until every occupied slot is re-homed below, so the peak
     // the budget must cover is old + new, not new alone.
-    const std::size_t new_total = (new_cap + slots_.size()) * sizeof(Slot) +
-                                  heap_bytes_ +
-                                  pending_.capacity() * sizeof(Key) +
-                                  pending_heap_bytes_ + overhead_bytes_;
+    const std::size_t new_total =
+        (new_cap + slots_.size()) * sizeof(Slot) + heap_bytes_ + overhead();
     grow_refused_for_headroom_ = false;
     if (!fits(new_total)) {
       // Would the grown table have fit at steady state (new slab only, old
       // one freed)? Then this refusal is purely the rehash transient.
       const std::size_t steady_total =
-          new_cap * sizeof(Slot) + heap_bytes_ +
-          pending_.capacity() * sizeof(Key) + pending_heap_bytes_ +
-          overhead_bytes_;
+          new_cap * sizeof(Slot) + heap_bytes_ + overhead();
       grow_refused_for_headroom_ = fits(steady_total);
       // The first slab is the minimum working set a spilling table needs
       // to make progress; below it the budget is best-effort.
@@ -474,95 +433,21 @@ class SpillingClosedTable {
   }
 
   /// Store a fresh key in the empty slot `i` of its probe sequence.
-  Slot* insert_fresh(std::size_t i, const Key& key, std::int64_t g,
-                     unsigned prior, Move via) {
+  void insert_fresh(std::size_t i, const Key& key, std::int64_t g,
+                    unsigned prior, Move via) {
     Slot& slot = slots_[i];
     slot.key = key;
     slot.set_path(g, prior, via);
     slot.occupied = true;
     slot.expanded = false;
-    slot.deferred = 0;
-    slot.verified = !runs_ || runs_->empty();
     heap_bytes_ += Packed::key_heap_bytes(slot.key);
     ++size_;
-    if (!slot.verified) {
-      pending_.push_back(slot.key);
-      pending_heap_bytes_ += Packed::key_heap_bytes(slot.key);
-    }
-    return &slot;
   }
 
-  /// The batched DDD pass: merge-join every unverified key against the
-  /// spill runs and fold better-or-equal disk records into their RAM
-  /// entries, restoring exact in-memory semantics for all of them.
-  void reconcile() {
-    if (pending_.empty()) return;
-    if (runs_ && !runs_->empty()) {
-      const obs::TraceSpan merge_span("spill.merge", "pending",
-                                      pending_.size());
-      const std::size_t kb = layout_.key_bytes;
-      std::vector<std::uint32_t> order(pending_.size());
-      std::iota(order.begin(), order.end(), 0u);
-      std::vector<std::uint8_t> keys(pending_.size() * kb);
-      for (std::size_t i = 0; i < pending_.size(); ++i) {
-        Packed::key_serialize(pending_[i], keys.data() + i * kb);
-      }
-      std::sort(order.begin(), order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return std::memcmp(keys.data() + a * kb,
-                                     keys.data() + b * kb, kb) < 0;
-                });
-      std::vector<std::uint8_t> sorted(keys.size());
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        std::memcpy(sorted.data() + i * kb, keys.data() + order[i] * kb, kb);
-      }
-      runs_->batch_lookup(
-          sorted.data(), order.size(),
-          [&](std::size_t i, const std::uint8_t* rec) {
-            Slot* slot = find_slot(pending_[order[i]]);
-            RBPEB_ENSURE(slot != nullptr, "reconcile: pending key vanished");
-            const std::int64_t disk_g = bigstate::spill_record_g(layout_, rec);
-            const std::int64_t ram_g = slot->g;
-            if (disk_g > ram_g) return;  // stale disk history
-            // The disk path was there first: adopt it (ties keep the first
-            // inserter's tree edge, as the in-memory table would). If the
-            // disk copy was expanded, the regenerated duplicate's queue
-            // item dies at its pop; if it is still open at the same g, the
-            // duplicate defers to the original's (earlier) queue item so
-            // expansion order stays bit-identical to in-memory.
-            const bool disk_expanded =
-                bigstate::spill_record_expanded(layout_, rec);
-            std::uint16_t deferred =
-                bigstate::spill_record_deferred(layout_, rec);
-            if (disk_g == ram_g && !disk_expanded &&
-                deferred < std::numeric_limits<std::uint16_t>::max()) {
-              // This fresh insert pushed one more duplicate. Saturating at
-              // 65535 (would need that many evict/regenerate cycles of one
-              // key at one g) degrades expansion ORDER locally, never
-              // correctness: each (key, g) still expands at most once.
-              ++deferred;
-            }
-            slot->set_path(disk_g, bigstate::spill_record_prior(layout_, rec),
-                           bigstate::spill_record_via(layout_, rec));
-            slot->expanded = disk_expanded;
-            slot->deferred = deferred;
-          });
-    }
-    for (const Key& key : pending_) {
-      Slot* slot = find_slot(key);
-      RBPEB_ENSURE(slot != nullptr, "reconcile: pending key vanished");
-      slot->verified = true;
-    }
-    pending_.clear();
-    pending_heap_bytes_ = 0;
-  }
-
-  /// Shed the cold half: settle every unverified entry first (eviction must
-  /// write truth, not candidates), then spill the lowest-g half of the
-  /// table into a fresh sorted run and drop it from RAM.
+  /// Shed the cold half: spill the lowest-g half of the table into a fresh
+  /// sorted run and drop it from RAM.
   bool make_room() {
     if (!spilling() || size_ == 0) return false;
-    reconcile();
     const obs::TraceSpan evict_span("spill.evict", "entries", size_);
     std::vector<std::uint32_t> occupied;
     occupied.reserve(size_);
@@ -585,7 +470,7 @@ class SpillingClosedTable {
       std::uint8_t* rec = records.data() + v * rb;
       Packed::key_serialize(slot.key, rec);
       bigstate::spill_record_store(layout_, rec, slot.g, slot.via(),
-                                   slot.prior, slot.expanded, slot.deferred);
+                                   slot.prior, slot.expanded);
     }
     bigstate::sort_spill_records(layout_, records.data(), evict_count);
     if (!runs_->append_run(records.data(), evict_count)) return false;
@@ -603,9 +488,7 @@ class SpillingClosedTable {
       slots_[occupied[v]].occupied = false;
     }
     const std::size_t survivors = size_ - evict_count;
-    const std::size_t rest = heap_bytes_ - evicted_heap +
-                             pending_.capacity() * sizeof(Key) +
-                             pending_heap_bytes_ + overhead_bytes_;
+    const std::size_t rest = heap_bytes_ - evicted_heap + overhead();
     std::size_t capacity = slots_.size();
     while (capacity > kInitialSlots &&
            !fits(capacity * sizeof(Slot) + rest) &&
@@ -638,20 +521,7 @@ class SpillingClosedTable {
   std::size_t rehashes_ = 0;  ///< grow()s and make_room()s: slots re-homed
   std::size_t size_ = 0;
   std::size_t heap_bytes_ = 0;
-  /// Scratch buffers for single-record disk lookups (begin_expansion, at):
-  /// sized once, reused on the hot popped-an-evicted-key path instead of
-  /// allocating per pop.
-  std::uint8_t* key_scratch() const {
-    key_scratch_.resize(layout_.key_bytes);
-    return key_scratch_.data();
-  }
-  std::uint8_t* rec_scratch() const {
-    rec_scratch_.resize(layout_.record_bytes());
-    return rec_scratch_.data();
-  }
-
-  std::vector<Key> pending_;  ///< unverified keys since the last merge pass
-  std::size_t pending_heap_bytes_ = 0;
+  /// Scratch for spilled(): sized once, reused by every disk lookup.
   mutable std::vector<std::uint8_t> key_scratch_;
   mutable std::vector<std::uint8_t> rec_scratch_;
 };

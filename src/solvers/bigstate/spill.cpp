@@ -1,9 +1,11 @@
 #include "src/solvers/bigstate/spill.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <filesystem>
 #include <system_error>
 
@@ -28,13 +30,6 @@ bool spill_record_expanded(const SpillLayout& layout, const std::uint8_t* rec) {
   return (rec[layout.flags_offset()] & kSpillFlagExpanded) != 0;
 }
 
-std::uint16_t spill_record_deferred(const SpillLayout& layout,
-                                    const std::uint8_t* rec) {
-  std::uint16_t deferred;
-  std::memcpy(&deferred, rec + layout.deferred_offset(), sizeof(deferred));
-  return deferred;
-}
-
 Move spill_record_via(const SpillLayout& layout, const std::uint8_t* rec) {
   std::uint32_t node;
   std::memcpy(&node, rec + layout.node_offset(), sizeof(node));
@@ -48,15 +43,14 @@ unsigned spill_record_prior(const SpillLayout& layout,
 }
 
 void spill_record_store(const SpillLayout& layout, std::uint8_t* rec,
-                        std::int64_t g, Move via, unsigned prior, bool expanded,
-                        std::uint16_t deferred) {
+                        std::int64_t g, Move via, unsigned prior,
+                        bool expanded) {
   std::memcpy(rec + layout.g_offset(), &g, sizeof(g));
   const std::uint32_t node = static_cast<std::uint32_t>(via.node);
   std::memcpy(rec + layout.node_offset(), &node, sizeof(node));
   rec[layout.type_offset()] = static_cast<std::uint8_t>(via.type);
   rec[layout.flags_offset()] = static_cast<std::uint8_t>(
       (expanded ? kSpillFlagExpanded : 0) | (prior << kSpillPriorShift));
-  std::memcpy(rec + layout.deferred_offset(), &deferred, sizeof(deferred));
 }
 
 bool spill_record_better(const SpillLayout& layout, const std::uint8_t* a,
@@ -134,25 +128,77 @@ std::string SpillDirectory::partition(const std::string& name) const {
 
 namespace {
 
-/// Runs beyond this count are folded into one before the next append: point
-/// lookups pay one binary search per run, so unbounded run counts would turn
-/// every duplicate check into a linear scan over search history.
+/// Runs beyond this count are folded into one before the next append: a
+/// lookup probes every run's filter, so unbounded run counts would make
+/// every RAM miss pay for the whole search history.
 constexpr std::size_t kMaxRuns = 8;
 
 /// Records per buffered chunk while streaming a run sequentially.
 constexpr std::size_t kChunkRecords = 1024;
 
-/// Batches below this size resolve by per-key binary search; a full
-/// merge-join sweep over every run only pays off once the batch is wide.
-constexpr std::size_t kPointLookupBatch = 64;
+/// A fence block: the unit one lookup reads.
+constexpr std::size_t kBlockBytes = 4096;
+
+/// Filter geometry: ~10 bits per key in 512-bit (cache-line) blocks, 7 bits
+/// per key inside its block — about a 1% false-positive rate.
+constexpr std::size_t kFilterBitsPerKey = 10;
+constexpr std::size_t kFilterBlockWords = 8;
+constexpr std::size_t kFilterBlockBits = kFilterBlockWords * 64;
+constexpr unsigned kFilterProbes = 7;
+
+std::size_t records_per_block(const SpillLayout& layout) {
+  return std::max<std::size_t>(1, kBlockBytes / layout.record_bytes());
+}
+
+/// Call `visit(word, mask)` for each filter bit of `hash` in a filter of
+/// `words` words: the block from the hash's high bits (multiply-shift range
+/// reduction), the bits from 9-bit (log2 kFilterBlockBits) slices of a
+/// multiplicative remix.
+template <class Visit>
+void for_each_filter_bit(std::size_t words, std::uint64_t hash, Visit&& visit) {
+  const std::size_t blocks = words / kFilterBlockWords;
+  const auto block = static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(hash) * blocks) >> 64);
+  std::uint64_t bits = hash * 0x9e3779b97f4a7c15ull;
+  for (unsigned i = 0; i < kFilterProbes; ++i, bits >>= 9) {
+    const auto bit = static_cast<std::size_t>(bits % kFilterBlockBits);
+    visit(block * kFilterBlockWords + bit / 64, std::uint64_t{1} << (bit % 64));
+  }
+}
+
+/// Write all of `bytes` at the end of `fd`. False on any failure.
+bool write_all(int fd, const std::uint8_t* data, std::size_t bytes) {
+  while (bytes > 0) {
+    const ssize_t n = ::write(fd, data, bytes);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    bytes -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Read exactly `bytes` at `offset`. A short or failed read would hand a
+/// lookup or a merge fabricated records — and a fabricated g could end up
+/// "proving" a wrong optimum. Crash instead (the project's
+/// silent-corruption-is-worse-than-a-crash rule; check.hpp).
+void read_exact(int fd, std::uint8_t* out, std::size_t bytes,
+                std::size_t offset) {
+  while (bytes > 0) {
+    const ssize_t n = ::pread(fd, out, bytes, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    RBPEB_ENSURE(n > 0, "spill: run read failed");
+    out += n;
+    offset += static_cast<std::size_t>(n);
+    bytes -= static_cast<std::size_t>(n);
+  }
+}
 
 /// Sequential chunked reader over one run file.
 class RunReader {
  public:
-  RunReader(std::ifstream& stream, std::size_t records, std::size_t rb)
-      : stream_(stream), remaining_(records), rb_(rb) {
-    stream_.clear();
-    stream_.seekg(0);
+  RunReader(int fd, std::size_t records, std::size_t rb)
+      : fd_(fd), remaining_(records), rb_(rb) {
     buffer_.resize(kChunkRecords * rb_);
     refill();
   }
@@ -173,20 +219,14 @@ class RunReader {
     pos_ = 0;
     filled_ = std::min(remaining_, kChunkRecords);
     remaining_ -= filled_;
-    if (filled_ > 0) {
-      stream_.read(reinterpret_cast<char*>(buffer_.data()),
-                   static_cast<std::streamsize>(filled_ * rb_));
-      // A short or failed read would hand the merge fabricated records —
-      // and a fabricated g could end up "proving" a wrong optimum. Crash
-      // instead (the project's silent-corruption-is-worse-than-a-crash
-      // rule; check.hpp).
-      RBPEB_ENSURE(stream_.good(), "spill: run read failed mid-merge");
-    }
+    read_exact(fd_, buffer_.data(), filled_ * rb_, offset_);
+    offset_ += filled_ * rb_;
   }
 
-  std::ifstream& stream_;
+  int fd_;
   std::size_t remaining_;
   std::size_t rb_;
+  std::size_t offset_ = 0;
   std::vector<std::uint8_t> buffer_;
   std::size_t pos_ = 0;
   std::size_t filled_ = 0;
@@ -194,38 +234,76 @@ class RunReader {
 
 }  // namespace
 
-SpillRunSet::SpillRunSet(SpillLayout layout, std::string dir,
-                         std::size_t max_disk_bytes)
-    : layout_(layout), dir_(std::move(dir)), max_disk_bytes_(max_disk_bytes) {}
+/// One run file with its read index. The file lives exactly as long as the
+/// Run: destroying it closes and deletes the file.
+struct SpillRunSet::Run {
+  std::string path;
+  int fd = -1;
+  std::size_t records = 0;
+  std::vector<std::uint8_t> fences;   ///< first key of each block
+  std::vector<std::uint64_t> filter;  ///< kFilterBlockWords words per block
+  mutable bool read_traced = false;   ///< spill.read already emitted
 
-bool SpillRunSet::write_run(const std::uint8_t* records, std::size_t count) {
-  const std::size_t bytes = count * layout_.record_bytes();
+  Run(std::string run_path, int run_fd)
+      : path(std::move(run_path)), fd(run_fd) {}
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+  ~Run() {
+    ::close(fd);
+    std::error_code ec;
+    fs::remove(path, ec);  // best effort; never throws from a destructor
+  }
+
+  std::size_t index_bytes() const {
+    return fences.capacity() + filter.capacity() * sizeof(std::uint64_t);
+  }
+};
+
+SpillRunSet::SpillRunSet(SpillLayout layout, std::string dir,
+                         std::size_t max_disk_bytes, SpillKeyHash key_hash)
+    : layout_(layout),
+      dir_(std::move(dir)),
+      max_disk_bytes_(max_disk_bytes),
+      key_hash_(key_hash) {}
+
+SpillRunSet::~SpillRunSet() { drop_runs(); }
+
+std::unique_ptr<SpillRunSet::Run> SpillRunSet::create_run() {
   const std::string path =
       (fs::path(dir_) / ("run-" + std::to_string(next_run_id_++) + ".spill"))
           .string();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(reinterpret_cast<const char*>(records),
-              static_cast<std::streamsize>(bytes));
-    if (!out) {
-      // A half-written run is useless and sits on an already-full disk;
-      // free the space at the failure point, not at directory teardown.
-      std::error_code ec;
-      fs::remove(path, ec);
-      return false;
+  const int fd =
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return nullptr;
+  return std::make_unique<Run>(path, fd);
+}
+
+void SpillRunSet::adopt_run(std::unique_ptr<Run> run, std::size_t records) {
+  const std::size_t rb = layout_.record_bytes();
+  const std::size_t kb = layout_.key_bytes;
+  const std::size_t per_block = records_per_block(layout_);
+  const std::size_t filter_blocks = std::max<std::size_t>(
+      1, (records * kFilterBitsPerKey + kFilterBlockBits - 1) /
+             kFilterBlockBits);
+  run->records = records;
+  run->fences.resize((records + per_block - 1) / per_block * kb);
+  run->filter.assign(filter_blocks * kFilterBlockWords, 0);
+  RunReader reader(run->fd, records, rb);
+  for (std::size_t i = 0; !reader.done(); ++i, reader.advance()) {
+    const std::uint8_t* rec = reader.front();
+    if (i % per_block == 0) {
+      std::memcpy(run->fences.data() + i / per_block * kb, rec, kb);
     }
+    for_each_filter_bit(run->filter.size(), key_hash_(rec, kb),
+                        [&](std::size_t word, std::uint64_t mask) {
+                          run->filter[word] |= mask;
+                        });
   }
-  auto run = std::make_unique<Run>();
-  run->path = path;
-  run->records = count;
-  run->stream.open(path, std::ios::binary);
-  if (!run->stream) return false;
-  runs_.push_back(std::move(run));
-  disk_bytes_ += bytes;
+  disk_bytes_ += records * rb;
   peak_disk_bytes_ = std::max(peak_disk_bytes_, disk_bytes_);
-  bytes_written_ += bytes;
-  return true;
+  bytes_written_ += records * rb;
+  index_bytes_ += run->index_bytes();
+  runs_.push_back(std::move(run));
 }
 
 bool SpillRunSet::append_run(const std::uint8_t* records, std::size_t count) {
@@ -243,10 +321,14 @@ bool SpillRunSet::append_run(const std::uint8_t* records, std::size_t count) {
     last_failure_ = SpillFailure::DiskBudget;
     return false;  // disk budget exhausted even after compaction
   }
-  if (!write_run(records, count)) {
+  std::unique_ptr<Run> run = create_run();
+  // A half-written run is useless and sits on an already-full disk; the
+  // Run deletes it at the failure point, not at directory teardown.
+  if (!run || !write_all(run->fd, records, bytes)) {
     last_failure_ = SpillFailure::Io;
     return false;
   }
+  adopt_run(std::move(run), count);
   records_spilled_ += count;
   return true;
 }
@@ -260,12 +342,9 @@ bool SpillRunSet::compact() {
   std::vector<RunReader> readers;
   readers.reserve(runs_.size());
   for (const auto& run : runs_) {
-    readers.emplace_back(run->stream, run->records, rb);
+    readers.emplace_back(run->fd, run->records, rb);
   }
-  const std::string path =
-      (fs::path(dir_) / ("run-" + std::to_string(next_run_id_++) + ".spill"))
-          .string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  std::unique_ptr<Run> out = create_run();
   if (!out) return false;
   std::vector<std::uint8_t> best(rb);
   std::vector<std::uint8_t> min_key(layout_.key_bytes);
@@ -292,8 +371,7 @@ bool SpillRunSet::compact() {
       const std::uint8_t* front = reader.front();
       while (front != nullptr &&
              std::memcmp(front, min_key.data(), layout_.key_bytes) == 0) {
-        // Newest (later run) wins ties: its bookkeeping — the deferred-
-        // duplicate count in particular — supersedes older snapshots.
+        // Newest (later run) wins ties, as in lookup().
         if (!have_best || !spill_record_better(layout_, best.data(), front)) {
           std::memcpy(best.data(), front, rb);
           have_best = true;
@@ -305,59 +383,74 @@ bool SpillRunSet::compact() {
     write_buffer.insert(write_buffer.end(), best.begin(), best.end());
     ++merged;
     if (write_buffer.size() >= kChunkRecords * rb) {
-      out.write(reinterpret_cast<const char*>(write_buffer.data()),
-                static_cast<std::streamsize>(write_buffer.size()));
+      if (!write_all(out->fd, write_buffer.data(), write_buffer.size())) {
+        return false;
+      }
       write_buffer.clear();
     }
   }
-  if (!write_buffer.empty()) {
-    out.write(reinterpret_cast<const char*>(write_buffer.data()),
-              static_cast<std::streamsize>(write_buffer.size()));
+  if (!write_all(out->fd, write_buffer.data(), write_buffer.size())) {
+    return false;
   }
-  out.close();
-  if (!out) return false;
-  bytes_written_ += merged * rb;
   // The compaction transient: the merged output coexists with every old run
   // until drop_runs() below — the on-disk high-water mark this run set ever
   // reaches, and what spill_peak_bytes reports for provisioning.
   peak_disk_bytes_ = std::max(peak_disk_bytes_, disk_bytes_ + merged * rb);
   drop_runs();
-  auto run = std::make_unique<Run>();
-  run->path = path;
-  run->records = merged;
-  run->stream.open(path, std::ios::binary);
-  if (!run->stream) return false;
-  disk_bytes_ = merged * rb;
-  runs_.push_back(std::move(run));
+  adopt_run(std::move(out), merged);
   return true;
 }
 
 void SpillRunSet::drop_runs() {
-  std::error_code ec;
-  for (const auto& run : runs_) {
-    run->stream.close();
-    fs::remove(run->path, ec);  // best effort
-  }
-  runs_.clear();
+  runs_.clear();  // each Run deletes its file
   disk_bytes_ = 0;
+  index_bytes_ = 0;
 }
 
-bool SpillRunSet::lookup_in_run(const Run& run, const std::uint8_t* key,
-                                std::uint8_t* out) const {
-  const std::size_t rb = layout_.record_bytes();
+bool SpillRunSet::read_record(const Run& run, const std::uint8_t* key,
+                              std::uint64_t hash, std::uint8_t* out) const {
+  bool may_hold = true;
+  for_each_filter_bit(run.filter.size(), hash,
+                      [&](std::size_t word, std::uint64_t mask) {
+                        may_hold = may_hold && (run.filter[word] & mask) != 0;
+                      });
+  if (!may_hold) return false;
+  // The block to read is the last one whose first key is <= key.
+  const std::size_t kb = layout_.key_bytes;
   std::size_t lo = 0;
-  std::size_t hi = run.records;
-  run.stream.clear();
+  std::size_t hi = run.fences.size() / kb;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    run.stream.seekg(static_cast<std::streamoff>(mid * rb));
-    run.stream.read(reinterpret_cast<char*>(out),
-                    static_cast<std::streamsize>(rb));
-    // Same rule as RunReader::refill: a failed read must never pass a
-    // fabricated record off as the duplicate-detection truth.
-    RBPEB_ENSURE(run.stream.good(), "spill: run read failed during lookup");
-    const int cmp = std::memcmp(out, key, layout_.key_bytes);
-    if (cmp == 0) return true;
+    if (std::memcmp(run.fences.data() + mid * kb, key, kb) <= 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == 0) return false;  // before the run's first key
+  const std::size_t rb = layout_.record_bytes();
+  const std::size_t per_block = records_per_block(layout_);
+  const std::size_t first = (lo - 1) * per_block;
+  const std::size_t count = std::min(per_block, run.records - first);
+  block_scratch_.resize(per_block * rb);
+  read_exact(run.fd, block_scratch_.data(), count * rb, first * rb);
+  static obs::Counter& block_reads =
+      obs::MetricsRegistry::instance().counter("spill.block_reads");
+  block_reads.add();
+  if (!run.read_traced) {
+    run.read_traced = true;
+    obs::trace_instant("spill.read", "records", run.records);
+  }
+  lo = 0;
+  hi = count;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::uint8_t* rec = block_scratch_.data() + mid * rb;
+    const int cmp = std::memcmp(rec, key, kb);
+    if (cmp == 0) {
+      std::memcpy(out, rec, rb);
+      return true;
+    }
     if (cmp < 0) {
       lo = mid + 1;
     } else {
@@ -367,66 +460,20 @@ bool SpillRunSet::lookup_in_run(const Run& run, const std::uint8_t* key,
   return false;
 }
 
-bool SpillRunSet::lookup(const std::uint8_t* key, std::uint8_t* out) const {
+bool SpillRunSet::lookup(const std::uint8_t* key, std::uint64_t hash,
+                         std::uint8_t* out) const {
   const std::size_t rb = layout_.record_bytes();
-  lookup_scratch_.resize(rb);
-  std::vector<std::uint8_t>& candidate = lookup_scratch_;
+  record_scratch_.resize(rb);
   bool found = false;
   for (const auto& run : runs_) {
-    if (!lookup_in_run(*run, key, candidate.data())) continue;
+    if (!read_record(*run, key, hash, record_scratch_.data())) continue;
     // Runs iterate oldest→newest; the newest record wins ties.
-    if (!found || !spill_record_better(layout_, out, candidate.data())) {
-      std::memcpy(out, candidate.data(), rb);
+    if (!found || !spill_record_better(layout_, out, record_scratch_.data())) {
+      std::memcpy(out, record_scratch_.data(), rb);
     }
     found = true;
   }
   return found;
-}
-
-void SpillRunSet::batch_lookup(
-    const std::uint8_t* keys, std::size_t count,
-    const std::function<void(std::size_t, const std::uint8_t*)>& on_match) {
-  if (runs_.empty() || count == 0) return;
-  ++merge_passes_;
-  const std::size_t rb = layout_.record_bytes();
-  const std::size_t kb = layout_.key_bytes;
-  if (count < kPointLookupBatch) {
-    std::vector<std::uint8_t> best(rb);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (lookup(keys + i * kb, best.data())) on_match(i, best.data());
-    }
-    return;
-  }
-  // Wide batch: one sequential merge-join sweep per run, folding matches
-  // into a per-key best buffer so the callback sees cross-run winners only.
-  std::vector<std::uint8_t> best(count * rb);
-  std::vector<char> found(count, 0);
-  for (const auto& run : runs_) {
-    RunReader reader(run->stream, run->records, rb);
-    std::size_t i = 0;
-    while (i < count) {
-      const std::uint8_t* front = reader.front();
-      if (front == nullptr) break;
-      const int cmp = std::memcmp(front, keys + i * kb, kb);
-      if (cmp < 0) {
-        reader.advance();
-      } else if (cmp > 0) {
-        ++i;
-      } else {
-        std::uint8_t* slot = best.data() + i * rb;
-        // Runs iterate oldest→newest; the newest record wins ties.
-        if (!found[i] || !spill_record_better(layout_, slot, front)) {
-          std::memcpy(slot, front, rb);
-        }
-        found[i] = 1;
-        reader.advance();
-        ++i;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (found[i]) on_match(i, best.data() + i * rb);
-  }
 }
 
 }  // namespace rbpeb::bigstate

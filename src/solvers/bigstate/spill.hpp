@@ -3,32 +3,37 @@
 // When a memory-budgeted search must shed closed entries, it serializes them
 // into fixed-size records and hands them here as *sorted runs* — immutable
 // files of records ordered by key bytes. This layer is deliberately
-// type-erased: it knows record geometry (SpillLayout), not packed-state
-// types, so one non-templated implementation serves every PackedKey width
-// alike, and the templated table above it only ever serializes and
-// deserializes at the boundary.
+// type-erased: it knows record geometry (SpillLayout) and a hash over key
+// bytes, not packed-state types, so one non-templated implementation serves
+// every PackedKey width alike, and the templated table above it only ever
+// serializes and deserializes at the boundary.
 //
-// Operations, all O(log) seeks or one sequential sweep per run:
-//  * lookup — best record for one key via per-run binary search (runs hold
-//    at most one record per key; across runs the best by (g, expanded-first)
+// Every run keeps a read index in RAM, built when the run is written or
+// compacted (the standard LSM-tree read path; O'Neil et al., "The
+// Log-Structured Merge-Tree", 1996):
+//  * a blocked Bloom filter of about 10 bits per key, probed from the
+//    caller's 64-bit key hash, so a key on no run costs no disk access;
+//  * a fence index — the first key of each 4 KiB block — so a key that
+//    passes the filter costs one binary search in RAM and one block read.
+// Both count against the search's memory budget (index_bytes()).
+//
+// Operations:
+//  * lookup — the best record for one key across all runs (runs hold at
+//    most one record per key; across runs the best by (g, expanded-first)
 //    wins, newer knowledge superseding older);
-//  * batch_lookup — one delayed-duplicate-detection pass: a sorted batch of
-//    fresh keys merge-joined against every run (small batches degrade to
-//    point lookups so a near-empty pass never pays a full run sweep);
 //  * compaction — when runs pile up, a k-way merge folds them into one,
 //    keeping the best record per key; triggered by run count or by the disk
 //    budget before a new run would exceed it.
 //
-// A SpillDirectory owns the directory tree the runs live in and removes it
-// on destruction — a cancelled or crashed-out search leaks no spill files
-// (tests/solvers/test_spill.cpp holds the cleanup regression).
+// A SpillRunSet deletes its run files when it dies, and a SpillDirectory
+// owns the directory tree the runs live in and removes it on destruction —
+// a cancelled or crashed-out search leaks no spill files
+// (tests/solvers/test_spill.cpp holds the cleanup regressions).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,15 +44,11 @@ namespace rbpeb::bigstate {
 
 /// Geometry of one spilled closed-table record:
 ///   [key][g : int64][node : uint32][type : uint8][flags : uint8]
-///   [deferred : uint16]
 /// — all little-endian memcpy, fixed size per instance because every key of
 /// one search serializes to the same width. The flags byte holds the
 /// expanded bit and, in bits 1–3, the field the via move overwrote on its
 /// node, from which the parent key is rebuilt (ddd.hpp): a record is its
-/// key plus 16 bytes. `deferred` counts duplicate open-queue items that
-/// must be consumed before the state's original item may expand it (ddd.hpp
-/// uses this to keep spilled expansion order bit-identical to the in-memory
-/// search).
+/// key plus 14 bytes.
 struct SpillLayout {
   std::size_t key_bytes = 0;
 
@@ -55,13 +56,17 @@ struct SpillLayout {
   std::size_t node_offset() const { return key_bytes + 8; }
   std::size_t type_offset() const { return key_bytes + 12; }
   std::size_t flags_offset() const { return key_bytes + 13; }
-  std::size_t deferred_offset() const { return key_bytes + 14; }
-  std::size_t record_bytes() const { return key_bytes + 16; }
+  std::size_t record_bytes() const { return key_bytes + 14; }
 };
 
 /// Record flag bits: expanded, then the 3-bit prior field.
 inline constexpr std::uint8_t kSpillFlagExpanded = 1;
 inline constexpr unsigned kSpillPriorShift = 1;
+
+/// The 64-bit hash of a serialized key (`key_bytes` long). Lookups take the
+/// same value from the caller, so it must equal the hash the caller holds.
+using SpillKeyHash = std::uint64_t (*)(const std::uint8_t* key,
+                                       std::size_t key_bytes);
 
 /// Why the last append_run failed — a disk budget is actionable (raise
 /// --budget-disk), an I/O failure is not (the filesystem itself failed).
@@ -70,14 +75,12 @@ enum class SpillFailure { None, DiskBudget, Io };
 /// Field accessors over a raw record (alignment-safe).
 std::int64_t spill_record_g(const SpillLayout& layout, const std::uint8_t* rec);
 bool spill_record_expanded(const SpillLayout& layout, const std::uint8_t* rec);
-std::uint16_t spill_record_deferred(const SpillLayout& layout,
-                                    const std::uint8_t* rec);
 Move spill_record_via(const SpillLayout& layout, const std::uint8_t* rec);
 /// The field the via move overwrote on via.node (its parent's, < 8).
 unsigned spill_record_prior(const SpillLayout& layout, const std::uint8_t* rec);
 void spill_record_store(const SpillLayout& layout, std::uint8_t* rec,
-                        std::int64_t g, Move via, unsigned prior, bool expanded,
-                        std::uint16_t deferred = 0);
+                        std::int64_t g, Move via, unsigned prior,
+                        bool expanded);
 
 /// True when `a` is a strictly better path record than `b` for the same key:
 /// smaller g, or equal g with `a` already expanded (later knowledge).
@@ -129,8 +132,13 @@ class SpillRunSet {
   /// transiently holds the old runs plus the merged output — up to ~2x the
   /// cap on disk — before the old files are removed (the disk analogue of
   /// the closed table's rehash transient; budget with that headroom).
-  SpillRunSet(SpillLayout layout, std::string dir,
-              std::size_t max_disk_bytes);
+  /// `key_hash` builds the runs' filters.
+  SpillRunSet(SpillLayout layout, std::string dir, std::size_t max_disk_bytes,
+              SpillKeyHash key_hash);
+  SpillRunSet(const SpillRunSet&) = delete;
+  SpillRunSet& operator=(const SpillRunSet&) = delete;
+  /// Deletes the run files (the directory stays with its owner).
+  ~SpillRunSet();
 
   const SpillLayout& layout() const { return layout_; }
   bool empty() const { return runs_.empty(); }
@@ -140,7 +148,7 @@ class SpillRunSet {
   std::size_t records_spilled() const { return records_spilled_; }
   /// Cumulative bytes written, compaction rewrites included (spill_bytes).
   std::size_t bytes_written() const { return bytes_written_; }
-  /// Batched reconciliations plus compactions (stats: merge_passes).
+  /// Compactions so far (stats: merge_passes).
   std::size_t merge_passes() const { return merge_passes_; }
   /// Live bytes on disk right now.
   std::size_t disk_bytes() const { return disk_bytes_; }
@@ -150,6 +158,8 @@ class SpillRunSet {
   /// This is the number to provision (and admission-control) against, not
   /// disk_bytes() (stats: spill_peak_bytes).
   std::size_t peak_disk_bytes() const { return peak_disk_bytes_; }
+  /// RAM held by the runs' filters and fence indexes.
+  std::size_t index_bytes() const { return index_bytes_; }
 
   /// Cause of the last append_run failure (None if it never failed).
   SpillFailure last_failure() const { return last_failure_; }
@@ -160,34 +170,31 @@ class SpillRunSet {
   bool append_run(const std::uint8_t* records, std::size_t count);
 
   /// Best record for `key` across all runs into `out` (record_bytes()
-  /// long); false when no run holds the key.
-  bool lookup(const std::uint8_t* key, std::uint8_t* out) const;
-
-  /// One delayed-duplicate-detection pass: for each of `count` sorted,
-  /// unique serialized keys (stride key_bytes), find the best on-disk
-  /// record; `on_match(index, record)` fires for every key found. Counts as
-  /// a merge pass.
-  void batch_lookup(
-      const std::uint8_t* keys, std::size_t count,
-      const std::function<void(std::size_t, const std::uint8_t*)>& on_match);
+  /// long); false when no run holds the key. `hash` is key_hash(key): each
+  /// run's filter is probed with it, and only a run that may hold the key
+  /// reads the one block its fences point to.
+  bool lookup(const std::uint8_t* key, std::uint64_t hash,
+              std::uint8_t* out) const;
 
  private:
-  struct Run {
-    std::string path;
-    std::size_t records = 0;
-    mutable std::ifstream stream;  ///< kept open; single-owner access
-  };
+  struct Run;
 
-  bool write_run(const std::uint8_t* records, std::size_t count);
+  /// A new, empty run file; nullptr when it cannot be created.
+  std::unique_ptr<Run> create_run();
+  /// Make `run`, holding `records` written records, the newest run: build
+  /// its filter and fences in one pass over the file.
+  void adopt_run(std::unique_ptr<Run> run, std::size_t records);
   /// Fold every run into one, best record per key. False on I/O failure.
   bool compact();
-  bool lookup_in_run(const Run& run, const std::uint8_t* key,
-                     std::uint8_t* out) const;
+  /// `key`'s record in `run` into `out`, if the run holds it.
+  bool read_record(const Run& run, const std::uint8_t* key,
+                   std::uint64_t hash, std::uint8_t* out) const;
   void drop_runs();
 
   SpillLayout layout_;
   std::string dir_;
   std::size_t max_disk_bytes_ = 0;
+  SpillKeyHash key_hash_;
   std::vector<std::unique_ptr<Run>> runs_;
   std::size_t next_run_id_ = 0;
   std::size_t records_spilled_ = 0;
@@ -195,10 +202,12 @@ class SpillRunSet {
   std::size_t merge_passes_ = 0;
   std::size_t disk_bytes_ = 0;
   std::size_t peak_disk_bytes_ = 0;
+  std::size_t index_bytes_ = 0;
   SpillFailure last_failure_ = SpillFailure::None;
-  /// Reused by lookup() — one record per point probe, on the per-pop hot
-  /// path of a spilled search. Single-owner class, so no races.
-  mutable std::vector<std::uint8_t> lookup_scratch_;
+  /// Reused by lookup(): one block and one candidate record per probe.
+  /// Single-owner class, so no races.
+  mutable std::vector<std::uint8_t> block_scratch_;
+  mutable std::vector<std::uint8_t> record_scratch_;
 };
 
 }  // namespace rbpeb::bigstate

@@ -65,8 +65,7 @@ struct ExactSearchStats {
   /// old files are removed — up to ~2x the steady state). Summed over shards
   /// for hda-astar. The number to provision disk against per solve.
   std::size_t spill_peak_bytes = 0;
-  /// Delayed-duplicate-detection passes: batched reconciliations of fresh
-  /// states against the spill runs, plus run compactions.
+  /// Spill run compactions (k-way merges of the runs into one).
   std::size_t merge_passes = 0;
   /// True when a spill write failed for I/O reasons (filesystem full or
   /// erroring) rather than the disk budget — a MemoryBudget termination
@@ -149,10 +148,10 @@ struct ExactSearchOptions {
   /// (6). Each pattern shape builds one dense 6^|P| table, indexed in mixed
   /// radix 6 (solvers/bigstate/pdb.hpp).
   std::size_t pdb_pattern_size = 0;
-  /// External-memory duplicate detection (bigstate/ddd.hpp): when the
-  /// closed table hits max_memory_bytes, evict cold (lowest-g) entries to
-  /// sorted spill runs instead of terminating, and reconcile fresh states
-  /// against the runs in batched merge passes. Defaults to Auto (engaged
+  /// External-memory closed table (bigstate/ddd.hpp): when the closed
+  /// table hits max_memory_bytes, evict cold (lowest-g) entries to sorted
+  /// spill runs instead of terminating, and check each state that misses in
+  /// RAM against the runs before inserting it. Defaults to Auto (engaged
   /// exactly when a memory budget is set); never touched when no budget is.
   SpillMode spill = SpillMode::Auto;
   /// Spill directory for SpillMode::Path (a unique subdirectory is created

@@ -23,10 +23,10 @@
 //    expansion counts;
 //  * the closed table is byte-accounted and spill-capable (bigstate/
 //    ddd.hpp): an ExactSearchOptions::max_memory_bytes cap either turns
-//    into a disk-backed working set (external-memory search with delayed
-//    duplicate detection — the default when a budget is set) or, with
-//    spill=off, ends the search gracefully with MemoryBudget and partial
-//    stats instead of an OOM kill;
+//    into a disk-backed working set (external-memory search, duplicates
+//    checked against the spill runs at insert time — the default when a
+//    budget is set) or, with spill=off, ends the search gracefully with
+//    MemoryBudget and partial stats instead of an OOM kill;
 //  * past 42 nodes the bound is reinforced by additive pattern databases
 //    (bigstate/pdb.hpp) as max(counting_bounds, pdb_sum), and an optional
 //    IncumbentSeed (a verified heuristic trace) prunes everything pricing

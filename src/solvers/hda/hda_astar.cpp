@@ -230,14 +230,9 @@ void hda_worker(const Engine& engine, SearchContext<Packed>& ctx,
 
     const auto item = self.queue.pop();
     const std::int64_t f = item.priority;
-    // Expansion gate: stale-g check plus the delayed duplicate check
-    // against this shard's spill runs — each (key, g) expands at most once.
-    const auto pop_verdict = self.table.begin_expansion(item.key, item.g);
-    if (pop_verdict == Table::Pop::OutOfMemory) {
-      ctx.abort_with(ExactTermination::MemoryBudget);
-      break;
-    }
-    if (pop_verdict == Table::Pop::Skip) {
+    // Expansion gate: each (key, g) expands at most once, and only at the
+    // best known g.
+    if (self.table.begin_expansion(item.key, item.g) == Table::Pop::Skip) {
       ++local.dup_skipped;
       continue;
     }
@@ -445,9 +440,6 @@ std::optional<ExactResult> hda_impl(const Engine& engine, std::size_t workers,
   // Quiescence proved nothing open prices below the incumbent, so the chain
   // of tree edges behind goal_key is an optimal pebbling. Every entry lives
   // in its key's owner shard; all shards are safely readable after the join.
-  // Settle each shard first: an evicted-then-regenerated ancestor's RAM
-  // entry could otherwise splice a worse tree edge into the optimal trace.
-  for (auto& shard : ctx.shards) shard->table.settle();
   ExactResult result;
   result.trace = reconstruct_trace(
       ctx.goal_key, start.key(), [&](const Key& key) {

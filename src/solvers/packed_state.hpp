@@ -209,6 +209,19 @@ class PackedKey {
     return key;
   }
 
+  /// hash_key() of a serialized key (`bytes` long), read from its words:
+  /// what the spill runs build their filters from.
+  static std::uint64_t hash_serialized(const std::uint8_t* in,
+                                       std::size_t bytes) {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < bytes / sizeof(std::uint64_t); ++i) {
+      std::uint64_t w;
+      std::memcpy(&w, in + i * sizeof(std::uint64_t), sizeof(w));
+      h ^= word_hash(w, i);
+    }
+    return h;
+  }
+
   // ---- introspection (tests, diagnostics) --------------------------------
 
   std::size_t word_count() const { return words_.size(); }

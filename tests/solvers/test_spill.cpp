@@ -1,9 +1,10 @@
 // The external-memory search path: spill runs must store and serve exact
-// best-path records, the spilling searches must reproduce the in-memory
-// searches' costs AND expansion counts under budgets far too small for the
-// closed table, merge passes must batch, cancellation must leave no spill
-// files behind, and each hda-astar shard must spill into its own partition
-// (this file runs under TSan in CI for exactly that).
+// best-path records through their filters and fences, a spilling table must
+// give the in-memory table's verdict on every call, the spilling searches
+// must reproduce the in-memory searches' costs AND expansion counts under
+// budgets far too small for the closed table, cancellation must leave no
+// spill files behind, and each hda-astar shard must spill into its own
+// partition (this file runs under TSan in CI for exactly that).
 #include "src/solvers/bigstate/spill.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
+#include "src/obs/metrics.hpp"
 #include "src/pebble/bounds.hpp"
 #include "src/pebble/verifier.hpp"
 #include "src/solvers/bigstate/ddd.hpp"
@@ -36,6 +39,16 @@ using bigstate::SpillRunSet;
 // ---- run storage ---------------------------------------------------------
 
 SpillLayout layout64() { return SpillLayout{sizeof(std::uint64_t)}; }
+
+/// The filter hash of the one-word test keys.
+constexpr bigstate::SpillKeyHash kKeyHash = &PackedKey<1>::hash_serialized;
+
+/// Point lookup of the one-word key `key` (its bytes in memory order).
+bool lookup(const SpillRunSet& runs, std::uint64_t key, std::uint8_t* out) {
+  std::uint8_t bytes[sizeof(key)];
+  std::memcpy(bytes, &key, sizeof(key));
+  return runs.lookup(bytes, kKeyHash(bytes, sizeof(key)), out);
+}
 
 std::vector<std::uint8_t> make_record(const SpillLayout& layout,
                                       std::uint64_t key, std::int64_t g,
@@ -61,7 +74,7 @@ std::vector<std::uint8_t> make_run(const SpillLayout& layout,
 TEST(SpillRunSet, AppendLookupAndBestRecordSemantics) {
   const SpillLayout layout = layout64();
   SpillDirectory dir = SpillDirectory::create("");
-  SpillRunSet runs(layout, dir.path(), 0);
+  SpillRunSet runs(layout, dir.path(), 0, kKeyHash);
   EXPECT_TRUE(runs.empty());
 
   // Run 1: key 5 open at g=10, key 9 expanded at g=4.
@@ -73,38 +86,76 @@ TEST(SpillRunSet, AppendLookupAndBestRecordSemantics) {
   ASSERT_TRUE(runs.append_run(run2.data(), 1));
   EXPECT_EQ(runs.records_spilled(), 3u);
   EXPECT_GT(runs.bytes_written(), 0u);
+  EXPECT_GT(runs.index_bytes(), 0u);
 
   std::vector<std::uint8_t> rec(layout.record_bytes());
-  std::uint64_t key = 5;
-  std::vector<std::uint8_t> key_buf(sizeof(key));
-  std::memcpy(key_buf.data(), &key, sizeof(key));
-  ASSERT_TRUE(runs.lookup(key_buf.data(), rec.data()));
+  ASSERT_TRUE(lookup(runs, 5, rec.data()));
   EXPECT_EQ(bigstate::spill_record_g(layout, rec.data()), 7);
   EXPECT_TRUE(bigstate::spill_record_expanded(layout, rec.data()));
-  key = 42;  // never spilled
-  std::memcpy(key_buf.data(), &key, sizeof(key));
-  EXPECT_FALSE(runs.lookup(key_buf.data(), rec.data()));
+  ASSERT_TRUE(lookup(runs, 9, rec.data()));
+  EXPECT_EQ(bigstate::spill_record_g(layout, rec.data()), 4);
+  EXPECT_FALSE(lookup(runs, 42, rec.data()));  // never spilled
+  EXPECT_EQ(runs.merge_passes(), 0u);          // lookups merge nothing
+}
 
-  // Batched form agrees with the point lookups and counts one merge pass.
-  const std::size_t passes_before = runs.merge_passes();
-  std::vector<std::uint64_t> query_keys = {5, 9, 42};
-  std::sort(query_keys.begin(), query_keys.end(),
-            [](std::uint64_t a, std::uint64_t b) {
-              return std::memcmp(&a, &b, sizeof(a)) < 0;
-            });
-  std::vector<std::uint8_t> keys(query_keys.size() * sizeof(std::uint64_t));
-  std::memcpy(keys.data(), query_keys.data(), keys.size());
-  std::size_t matches = 0;
-  runs.batch_lookup(keys.data(), query_keys.size(),
-                    [&](std::size_t, const std::uint8_t*) { ++matches; });
-  EXPECT_EQ(matches, 2u);
-  EXPECT_EQ(runs.merge_passes(), passes_before + 1);
+/// Point lookups across the fence blocks of one many-block run. Keys are
+/// stored big-endian, so key-byte order is numeric order: the odd keys are
+/// spilled, and every even key falls before the first record (0), between
+/// two records of one block, between two fences (the last key of a block
+/// and the first of the next) or after the last record.
+TEST(SpillRunSet, PointLookupsHitEverySpilledKeyAndMissTheRest) {
+  const SpillLayout layout = layout64();
+  SpillDirectory dir = SpillDirectory::create("");
+  SpillRunSet runs(layout, dir.path(), 0, kKeyHash);
+  constexpr std::uint64_t kRecords = 5'000;  // ~27 blocks of 186 records
+  std::vector<std::vector<std::uint8_t>> records;
+  for (std::uint64_t v = 1; v < 2 * kRecords; v += 2) {
+    records.push_back(make_record(layout, __builtin_bswap64(v),
+                                  static_cast<std::int64_t>(v), false));
+  }
+  auto run = make_run(layout, records);
+  ASSERT_TRUE(runs.append_run(run.data(), records.size()));
+
+  // Every spilled key is found — the first and last key of every block
+  // among them — so no filter gives a spilled key a false negative.
+  std::vector<std::uint8_t> rec(layout.record_bytes());
+  for (std::uint64_t v = 1; v < 2 * kRecords; v += 2) {
+    ASSERT_TRUE(lookup(runs, __builtin_bswap64(v), rec.data())) << v;
+    EXPECT_EQ(bigstate::spill_record_g(layout, rec.data()),
+              static_cast<std::int64_t>(v));
+  }
+  // Every other key misses, and the filter keeps most of them off the disk.
+  obs::Counter& block_reads =
+      obs::MetricsRegistry::instance().counter("spill.block_reads");
+  const std::uint64_t reads_before = block_reads.value();
+  for (std::uint64_t v = 0; v <= 2 * kRecords; v += 2) {
+    EXPECT_FALSE(lookup(runs, __builtin_bswap64(v), rec.data())) << v;
+  }
+  EXPECT_LT(block_reads.value() - reads_before, kRecords / 20);
+}
+
+/// A run set's files die with it, whichever directory holds them: each
+/// anytime pass builds a fresh run set in the same directory.
+TEST(SpillRunSet, DeletesItsRunFilesWhenDestroyed) {
+  const SpillLayout layout = layout64();
+  SpillDirectory dir = SpillDirectory::create("");
+  {
+    SpillRunSet runs(layout, dir.path(), 0, kKeyHash);
+    auto run1 = make_run(layout, {make_record(layout, 1, 1, false)});
+    auto run2 = make_run(layout, {make_record(layout, 2, 1, false)});
+    ASSERT_TRUE(runs.append_run(run1.data(), 1));
+    ASSERT_TRUE(runs.append_run(run2.data(), 1));
+    ASSERT_FALSE(fs::is_empty(dir.path()));
+  }
+  for (const auto& file : fs::directory_iterator(dir.path())) {
+    ADD_FAILURE() << "left behind: " << file.path();
+  }
 }
 
 TEST(SpillRunSet, CompactionFoldsRunsKeepingTheBestRecord) {
   const SpillLayout layout = layout64();
   SpillDirectory dir = SpillDirectory::create("");
-  SpillRunSet runs(layout, dir.path(), 0);
+  SpillRunSet runs(layout, dir.path(), 0, kKeyHash);
   // Push enough runs to trip compaction (kMaxRuns = 8): key k appears in
   // many runs with decreasing g; the survivor must be the smallest.
   for (int round = 0; round < 12; ++round) {
@@ -119,10 +170,7 @@ TEST(SpillRunSet, CompactionFoldsRunsKeepingTheBestRecord) {
   EXPECT_LE(runs.run_count(), 8u);
   EXPECT_GT(runs.merge_passes(), 0u);
   std::vector<std::uint8_t> rec(layout.record_bytes());
-  const std::uint64_t key = 3;
-  std::vector<std::uint8_t> key_buf(sizeof(key));
-  std::memcpy(key_buf.data(), &key, sizeof(key));
-  ASSERT_TRUE(runs.lookup(key_buf.data(), rec.data()));
+  ASSERT_TRUE(lookup(runs, 3, rec.data()));
   EXPECT_EQ(bigstate::spill_record_g(layout, rec.data()), 100 - 11);
 }
 
@@ -130,7 +178,7 @@ TEST(SpillRunSet, DiskBudgetRefusesAppendsAfterCompacting) {
   const SpillLayout layout = layout64();
   SpillDirectory dir = SpillDirectory::create("");
   // Room for a handful of records only.
-  SpillRunSet runs(layout, dir.path(), 8 * layout.record_bytes());
+  SpillRunSet runs(layout, dir.path(), 8 * layout.record_bytes(), kKeyHash);
   auto run = make_run(layout, {make_record(layout, 1, 1, false),
                                make_record(layout, 2, 1, false),
                                make_record(layout, 3, 1, false)});
@@ -146,10 +194,7 @@ TEST(SpillRunSet, DiskBudgetRefusesAppendsAfterCompacting) {
   EXPECT_FALSE(runs.append_run(run3.data(), 3));
   // The set stays consistent: earlier records still resolve.
   std::vector<std::uint8_t> rec(layout.record_bytes());
-  const std::uint64_t key = 2;
-  std::vector<std::uint8_t> key_buf(sizeof(key));
-  std::memcpy(key_buf.data(), &key, sizeof(key));
-  EXPECT_TRUE(runs.lookup(key_buf.data(), rec.data()));
+  EXPECT_TRUE(lookup(runs, 2, rec.data()));
 }
 
 TEST(SpillDirectory, RemovesItsTreeOnDestruction) {
@@ -187,8 +232,9 @@ SolveOutcome solve_hda(const Engine& engine, std::size_t threads,
 
 /// The headline invariant: a search squeezed through a budget ~500x smaller
 /// than its closed table must reproduce the unbudgeted search bit for bit —
-/// same optimal cost AND same expansion count — because delayed duplicate
-/// detection never expands a state the in-memory search would not.
+/// same optimal cost AND same expansion count — because the table checks
+/// every RAM miss against the spill runs and so gives every relax the
+/// in-memory verdict.
 TEST(SpillSearch, TinyBudgetReproducesInMemoryCostsAndExpansions) {
   const Dag dag = make_stencil1d_dag(2, 14).dag;  // 30 nodes
   Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
@@ -256,8 +302,8 @@ TEST(SpillSearch, SearchesSmallerThanTheWorkingSetFloorNeverSpill) {
 
 TEST(SpillSearch, MultiRoundMergePassesUnderSustainedEviction) {
   // A 64 KiB budget on a 30-node stencil forces eviction rounds well past
-  // the first: the delayed duplicate check must keep being exercised
-  // against a growing, repeatedly compacted run set.
+  // the first: the insert-time duplicate check must keep being exercised
+  // against a growing run set, compacted at least twice.
   Dag dag = make_stencil1d_dag(2, 14).dag;
   Engine engine(dag, Model::nodel(), min_red_pebbles(dag));
   ExactSearchOptions options;
@@ -467,7 +513,6 @@ TEST(SpillTable, EvictionShrinksASlabTheOverheadOutgrew) {
   EXPECT_EQ(table.spilled_states(), kKeys / 2);
   EXPECT_LT(table.bytes(), slab * 3 / 4);  // the slab halved
   EXPECT_LE(table.bytes() + overhead, kBudget);
-  table.settle();
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     ASSERT_EQ(table.at(key(k)).g, static_cast<std::int64_t>(k)) << k;
   }
@@ -523,6 +568,86 @@ void check_reserve_fallback(std::size_t node_count) {
 TEST(SpillTable, ReserveFallsBackToTheInitialSlabPastTheBudget) {
   check_reserve_fallback<PackedKey<1>>(16);
   check_reserve_fallback<PackedKey<0>>(60);
+}
+
+/// A spilling table under a budget that forces many evictions and
+/// compactions, and an unbudgeted table, take the same random stream of
+/// calls as a search makes them: relax in all three forms, begin_expansion
+/// of pushed items (each popped at most once) and at() of known keys. Every
+/// verdict and every at() entry must agree, and the reference's size() must
+/// count exactly the keys the spilling table called Inserted.
+template <class Packed>
+void check_matches_in_memory_table(std::size_t n) {
+  SCOPED_TRACE(::testing::Message() << n << " nodes");
+  using Table = SpillingClosedTable<Packed>;
+  auto key = [&](std::uint64_t k) { return key_of<Packed>(k, n); };
+
+  // A budget that holds one slot slab but not its growth.
+  Table probe(n, 0, "", 0);
+  probe.relax(key(0), 0, key(0), Move{MoveType::Load, 0});
+  SpillDirectory dir = SpillDirectory::create("");
+  Table spilling(n, 2 * probe.bytes(), dir.path(), 0);
+  Table reference(n, 0, "", 0);
+
+  struct Item {
+    Packed key;
+    std::int64_t g;
+  };
+  std::vector<Item> open;
+  std::vector<Packed> known;
+  std::size_t inserted = 0;
+  Rng rng(n + 7);
+  for (int step = 0; step < 40'000; ++step) {
+    const std::uint64_t op = rng.next_below(10);
+    if (op < 7 || open.empty()) {
+      const Packed k = key(rng.next_below(6'000));
+      const auto g = static_cast<std::int64_t>(rng.next_below(64));
+      const auto v = static_cast<NodeId>(rng.next_below(n));
+      Packed parent = k;
+      parent.set_field(v, (k.field(v) + 1 + rng.next_below(7)) % 8);
+      const Move via{static_cast<MoveType>(rng.next_below(4)), v};
+      const std::size_t hash = Packed::hash_key(k);
+      const unsigned prior = parent.field(v);
+      const auto verdict =
+          op % 3 == 0   ? spilling.relax(k, g, parent, via)
+          : op % 3 == 1 ? spilling.relax(k, hash, g, parent, via)
+                        : spilling.relax(k, hash, g, prior, via);
+      ASSERT_EQ(verdict, reference.relax(k, hash, g, prior, via)) << step;
+      if (verdict == Table::Relax::Inserted) {
+        ++inserted;
+        known.push_back(k);
+      }
+      if (verdict != Table::Relax::Stale) open.push_back({k, g});
+    } else if (op < 9) {
+      const std::size_t i = rng.next_below(open.size());
+      const Item item = open[i];
+      open[i] = open.back();
+      open.pop_back();
+      ASSERT_EQ(spilling.begin_expansion(item.key, item.g),
+                reference.begin_expansion(item.key, item.g))
+          << step;
+    } else if (!known.empty()) {
+      const Packed& k = known[rng.next_below(known.size())];
+      const auto got = spilling.at(k);
+      const auto want = reference.at(k);
+      ASSERT_EQ(got.g, want.g) << step;
+      ASSERT_EQ(got.via, want.via) << step;
+      ASSERT_TRUE(got.parent == want.parent) << step;
+    }
+  }
+  EXPECT_EQ(reference.size(), inserted);
+  EXPECT_LE(spilling.size(), reference.size());
+  EXPECT_GT(spilling.spilled_states(), 4 * spilling.size());
+  EXPECT_GE(spilling.merge_passes(), 1u);  // more than 8 runs were compacted
+  for (const Packed& k : known) {
+    ASSERT_EQ(spilling.at(k).g, reference.at(k).g);
+  }
+}
+
+TEST(SpillTable, MatchesTheInMemoryTableCallForCall) {
+  check_matches_in_memory_table<PackedKey<1>>(21);
+  check_matches_in_memory_table<PackedKey<2>>(42);
+  check_matches_in_memory_table<PackedKey<0>>(100);
 }
 
 // ---- derived parents ------------------------------------------------------
@@ -582,8 +707,8 @@ void expect_edge(const SpillingClosedTable<Packed>& table,
 
 /// Every legal edge's parent must come back bit for bit from at(): from
 /// RAM after an insert and after an improvement, from a spill run after
-/// eviction, after a regenerated duplicate is reconciled against that run,
-/// and after a pop re-adopts the record into RAM.
+/// eviction, after a regenerated duplicate is checked against that run,
+/// and after a pop expands the key straight from its record.
 template <class Packed>
 void check_derived_parents(std::size_t n, const std::vector<NodeId>& nodes) {
   SCOPED_TRACE(::testing::Message() << n << " nodes");
@@ -620,21 +745,19 @@ void check_derived_parents(std::size_t n, const std::vector<NodeId>& nodes) {
     spilling.relax(filler, 1, filler, Move{MoveType::Load, 0});
   }
   ASSERT_GE(spilling.spilled_states(), edges.size());
-  spilling.settle();
   for (const Edge<Packed>& e : edges) expect_edge(spilling, e, 0);
 
   // Even edges: a regenerated duplicate at the same g through another
-  // edge; reconcile keeps the spilled (first) edge. Odd edges: a pop
-  // re-adopts the spilled record into RAM.
+  // edge is Stale, as in RAM, and the spilled (first) edge stays. Odd
+  // edges: a pop expands the key from its spilled record.
   for (std::size_t i = 0; i < edges.size(); i += 2) {
     const Edge<Packed>& e = edges[i];
     const auto other = static_cast<NodeId>(e.via.node == 0 ? 1 : 0);
     Packed parent = e.key;
     parent.set_field(other, (e.key.field(other) + 1) % 8);
     ASSERT_EQ(spilling.relax(e.key, 0, parent, Move{MoveType::Store, other}),
-              Table::Relax::Inserted);
+              Table::Relax::Stale);
   }
-  spilling.settle();
   for (std::size_t i = 1; i < edges.size(); i += 2) {
     ASSERT_EQ(spilling.begin_expansion(edges[i].key, 0), Table::Pop::Expand);
   }
