@@ -225,10 +225,16 @@ ResponseMessage Server::handle(const RequestMessage& request,
     return response;
   }
 
-  const CanonicalForm form = canonicalize(dag);
-  const std::string fingerprint = instance_fingerprint(
-      form, *model, convention, request.red_limit, solver_name,
-      request.options);
+  CanonicalForm form;
+  std::string fingerprint;
+  {
+    const obs::TraceSpan canonicalize_span("serve.canonicalize", "nodes",
+                                           dag.node_count());
+    form = canonicalize(dag);
+    fingerprint = instance_fingerprint(form, *model, convention,
+                                       request.red_limit, solver_name,
+                                       request.options);
+  }
 
   const auto fill_cached = [](ResponseMessage& out,
                               const CachedAnswer& cached) {
